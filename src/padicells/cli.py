@@ -355,18 +355,8 @@ def cmd_measure(args) -> int:
     code = EXIT_OK
     if args.verify_N is not None:
         _require_verifiable(problem)
-        got = Fraction(0)
-        bound = Fraction(0)
-        for cell in problem.cells:
-            res = oracle.oracle_measure(cell, problem.prime, args.verify_N,
-                                        args.budget)
-            if res.sampled:
-                raise InputError(
-                    "oracle exceeded the class budget; raise --budget "
-                    "or lower --verify-N"
-                )
-            got += res.value
-            bound += res.boundary_mass
+        got, bound = _oracle_total(one, problem.cells, problem.prime,
+                                   args.verify_N, args.budget)
         payload["verify"] = _verify_report(measures[0], got, bound)
         if not payload["verify"]["pass"]:
             code = EXIT_VERIFY

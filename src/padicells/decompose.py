@@ -128,7 +128,9 @@ def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[Fraction]:
             if w < k:
                 continue
             e = rational_valuation(polys.evaluate(dg, r), p.p)
-            if w > 2 * e:
+            # Hensel's lemma gives one root per class only inside its
+            # uniqueness ball: the class must be narrower than |g'(r)|
+            if w > 2 * e and k > e:
                 seeds.append(r)
                 continue
             if k >= depth_cap:

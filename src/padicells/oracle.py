@@ -1,13 +1,34 @@
-"""Ground truth by enumeration over residue classes mod p^N.
+"""Ground truth by refining residue boxes of Z_p^arity.
 
-Every class r + p^N Z_p either lies inside the domain cell, outside it,
-or straddles a boundary. Class-level decisions are made soundly: each
-subterm is evaluated at the canonical lift (the least nonnegative
-representative) together with a lower bound on the valuation of its
-variation across the class, and anything the class does not pin down is
-counted as boundary mass instead of being guessed. Decisions about
-punctures and graphs are almost-everywhere decisions, which is the right
-notion for integrals: a single excluded point never carries measure.
+A box fixes, for every coordinate x_i, a residue r_i mod p^(d_i) with its
+own depth d_i. The tree starts from the box of depth 0 in every
+coordinate, which is all of Z_p^arity, and judges each box against the
+domain cell, one stage at a time, and against the integrand:
+
+- a stage certainly OUTSIDE on the whole box drops the box;
+- every stage INSIDE and an integrand the box pins down adds the box
+  exactly;
+- otherwise the box splits p ways along its shallowest coordinate among
+  those read by the terms of the first undecided stage (t - center, the
+  lower or the upper bound) whose valuation the box leaves open; those
+  the integrand reads, when only the integrand is undecided. A coordinate
+  that only decided terms read is never split: on |x1| <= |x0| a box
+  whose x0 has a known valuation splits x1 alone, so the boxes grow
+  polynomially with N instead of as p^N. Once all of the chosen
+  coordinates sit at depth N, the box's measure goes to boundary_mass.
+
+Decisions are made soundly: each subterm is evaluated at the canonical
+lift (the least nonnegative representative) of every coordinate together
+with a lower bound on the valuation of its variation across the box, and
+anything the box does not pin down is undecided instead of guessed.
+Decisions about punctures and graphs are almost-everywhere decisions,
+which is the right notion for integrals: a single excluded point never
+carries measure. A box still undecided at full depth is one the flat
+enumeration of classes mod p^N leaves undecided as well, so the boundary
+mass is never larger than that enumeration's.
+
+The class budget still bounds the p^(arity*N) leaves of the tree: above
+it a deterministic point-sampling estimate is returned instead.
 
 An exact result at resolution N satisfies
 |true - value| <= boundary_mass * sup|integrand on the domain|.
@@ -33,7 +54,9 @@ from .expr import (
     RestrictedSeries,
     Var,
     VFactorZeroError,
+    d_sub,
     eval_constructible,
+    free_variables,
 )
 from .padic import (
     INF,
@@ -48,6 +71,8 @@ NEG_INF = float("-inf")
 DEFAULT_BUDGET = 10**7
 
 INSIDE, OUTSIDE, BOUNDARY = 1, 0, -1
+# the terms of a stage: t - center, the lower and the upper norm bound
+DIFF, LOWER, UPPER = 1, 2, 4
 
 
 class UnboundedDomainError(ValueError):
@@ -67,29 +92,32 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# class-level evaluation: value at the canonical lift + variation bound
+# box-level evaluation: value at the canonical lift + variation bound
 
-def _class_eval(t: DTerm, reps: tuple[Fraction, ...], N: int, p: int):
-    """Returns (value at lift, dv): across the class, the term moves by
-    something of valuation >= dv."""
+Depths = tuple[int, ...]
+
+
+def _class_eval(t: DTerm, reps: tuple[Fraction, ...], depths: Depths, p: int):
+    """Returns (value at lift, dv): across the box, the term moves by
+    something of valuation >= dv. x_i ranges over reps[i] + p^depths[i] Z_p."""
     if isinstance(t, Const):
         return t.value, INF
     if isinstance(t, Var):
-        return reps[t.index], N
+        return reps[t.index], depths[t.index]
     if isinstance(t, Add):
-        a, da = _class_eval(t.left, reps, N, p)
-        b, db = _class_eval(t.right, reps, N, p)
+        a, da = _class_eval(t.left, reps, depths, p)
+        b, db = _class_eval(t.right, reps, depths, p)
         return a + b, min(da, db)
     if isinstance(t, Neg):
-        a, da = _class_eval(t.arg, reps, N, p)
+        a, da = _class_eval(t.arg, reps, depths, p)
         return -a, da
     if isinstance(t, Mul):
-        a, da = _class_eval(t.left, reps, N, p)
-        b, db = _class_eval(t.right, reps, N, p)
+        a, da = _class_eval(t.left, reps, depths, p)
+        b, db = _class_eval(t.right, reps, depths, p)
         va, vb = rational_valuation(a, p), rational_valuation(b, p)
         return a * b, min(min(va, da) + db, da + min(vb, db))
     if isinstance(t, Inv):
-        a, da = _class_eval(t.arg, reps, N, p)
+        a, da = _class_eval(t.arg, reps, depths, p)
         if da == INF:
             return (Fraction(0) if a == 0 else 1 / a), INF
         va = rational_valuation(a, p)
@@ -97,7 +125,7 @@ def _class_eval(t: DTerm, reps: tuple[Fraction, ...], N: int, p: int):
             return 1 / a, da - 2 * va
         return Fraction(0), NEG_INF  # possibly huge: nothing certified
     if isinstance(t, Poly):
-        x, dx = _class_eval(t.argument, reps, N, p)
+        x, dx = _class_eval(t.argument, reps, depths, p)
         acc, dacc = Fraction(0), INF
         vx = rational_valuation(x, p)
         for c in reversed(t.coeffs):
@@ -106,17 +134,17 @@ def _class_eval(t: DTerm, reps: tuple[Fraction, ...], N: int, p: int):
             acc = acc * x + c
         return acc, dacc
     if isinstance(t, RestrictedSeries):
-        return _class_eval_series(t, reps, N, p)
+        return _class_eval_series(t, reps, depths, p)
     raise TypeError(f"not a DTerm: {t!r}")
 
 
-def _class_eval_series(t: RestrictedSeries, reps, N, p):
-    args = [_class_eval(a, reps, N, p) for a in t.arguments]
+def _class_eval_series(t: RestrictedSeries, reps, depths, p):
+    args = [_class_eval(a, reps, depths, p) for a in t.arguments]
     inside = True
     for a, da in args:
         va = rational_valuation(a, p)
         if va < 0 and va < da:
-            return Fraction(0), INF  # the whole class sits outside the polydisc
+            return Fraction(0), INF  # the whole box sits outside the polydisc
         if not (min(va, da) >= 0):
             inside = False
     if not inside:
@@ -144,7 +172,7 @@ def _class_eval_series(t: RestrictedSeries, reps, N, p):
 
 
 def _determined_valuation(value: Fraction, dv, p: int):
-    """Exact v across the class, or None when the class does not pin it."""
+    """Exact v across the box, or None when the box does not pin it."""
     v = rational_valuation(value, p)
     if v < dv:
         return int(v)
@@ -152,89 +180,83 @@ def _determined_valuation(value: Fraction, dv, p: int):
 
 
 # ---------------------------------------------------------------------------
-# class-level membership, one stage at a time
+# box-level membership, one stage at a time
 
 def _stage_decision(
-    cond: CellCondition, reps: tuple[Fraction, ...], t_rep: Fraction, N: int
-) -> int:
-    p = cond.prime.p
-    from .expr import d_sub
+    cond: CellCondition, diff: DTerm, reps: tuple[Fraction, ...], depths: Depths
+) -> tuple[int, int]:
+    """The stage's verdict on the box, and the bitmask of its terms (DIFF,
+    LOWER, UPPER) whose valuation the box leaves open: refining the
+    variables of the other terms cannot decide a BOUNDARY verdict.
 
-    diff = d_sub(Const(t_rep), cond.center)
-    value, dv = _class_eval(diff, reps, N, p)
-    # t_rep stands for a whole class: t itself moves by p^N Z, so the
-    # difference is never certified beyond depth N
-    dv = min(dv, N)
+    diff is t - center(x) for the stage variable t; it reads t itself,
+    so its certified depth never exceeds the depth of t."""
+    p = cond.prime.p
+    value, dv = _class_eval(diff, reps, depths, p)
     v_exact = _determined_valuation(value, dv, p)
     k_low = min(rational_valuation(value, p), dv)
 
     if cond.coset.is_zero():
-        # a graph stage never contains a whole class; it can only be
+        # a graph stage never contains a whole box; it can only be
         # certainly missed
-        return OUTSIDE if v_exact is not None else BOUNDARY
+        return (OUTSIDE, 0) if v_exact is not None else (BOUNDARY, DIFF)
 
     n = cond.coset.n
-    verdict = INSIDE
+    verdict, open_terms = INSIDE, 0
 
     if n == 1:
         pass  # membership in mu*P_1 holds off the null puncture
-    elif v_exact is None:
-        verdict = BOUNDARY
-    else:
-        if dv - v_exact < hensel_power_depth(n, p):
-            verdict = BOUNDARY
-        else:
-            member = in_coset(
-                PAdicScalar(value, cond.prime), cond.coset
-            )
-            if not member:
-                return OUTSIDE
+    elif v_exact is None or dv - v_exact < hensel_power_depth(n, p):
+        verdict, open_terms = BOUNDARY, DIFF
+    elif not in_coset(PAdicScalar(value, cond.prime), cond.coset):
+        return OUTSIDE, 0
 
-    for bound, strict, pin, is_lower in (
-        (cond.lower, cond.lower_strict, cond.lower_val_residue, True),
-        (cond.upper, cond.upper_strict, cond.upper_val_residue, False),
+    for bound, strict, pin, is_lower, term in (
+        (cond.lower, cond.lower_strict, cond.lower_val_residue, True, LOWER),
+        (cond.upper, cond.upper_strict, cond.upper_val_residue, False, UPPER),
     ):
         if bound is None:
             continue
-        bval, bdv = _class_eval(bound, reps, N, p)
+        bval, bdv = _class_eval(bound, reps, depths, p)
         bv = _determined_valuation(bval, bdv, p)
         if bv is None:
-            verdict = BOUNDARY
+            verdict, open_terms = BOUNDARY, open_terms | term
             continue
         if pin is not None and bv % n != pin:
-            return OUTSIDE
+            return OUTSIDE, 0
         if is_lower:
             k_max = bv - 1 if strict else bv
             if k_low > k_max:
-                return OUTSIDE
+                return OUTSIDE, 0
             if v_exact is None:
-                verdict = BOUNDARY  # k only bounded below; may exceed k_max
+                # k only bounded below; may exceed k_max
+                verdict, open_terms = BOUNDARY, open_terms | DIFF
         else:
             k_min = bv + 1 if strict else bv
             if k_low >= k_min:
                 continue
             if v_exact is not None:
-                return OUTSIDE  # k is pinned below k_min across the class
-            verdict = BOUNDARY
-    return verdict
+                return OUTSIDE, 0  # k is pinned below k_min across the box
+            verdict, open_terms = BOUNDARY, open_terms | DIFF
+    return verdict, open_terms
 
 
 def _class_factor_value(
-    f: ConstructibleExpr, reps: tuple[Fraction, ...], N: int, prime: Prime
+    f: ConstructibleExpr, reps: tuple[Fraction, ...], depths: Depths, prime: Prime
 ):
-    """Exact value of the integrand on the class, or None if undetermined."""
+    """Exact value of the integrand on the box, or None if undetermined."""
     p = prime.p
     total = Fraction(0)
     for term in f.terms:
         acc = term.coeff
         for vf in term.val_factors:
-            value, dv = _class_eval(vf.h, reps, N, p)
+            value, dv = _class_eval(vf.h, reps, depths, p)
             v = _determined_valuation(value, dv, p)
             if v is None:
                 return None  # includes exact zeros: v(0) has no value
             acc *= Fraction(v) ** vf.power
         for nf in term.norm_factors:
-            value, dv = _class_eval(nf.h, reps, N, p)
+            value, dv = _class_eval(nf.h, reps, depths, p)
             if value == 0 and dv == INF:
                 if nf.power < 0:
                     return None
@@ -260,6 +282,15 @@ def _check_enumerable(domain: Cell) -> None:
         )
 
 
+def _reads(terms) -> list[int]:
+    """Indices of the variables the terms read, ascending."""
+    out: set[int] = set()
+    for t in terms:
+        if t is not None:
+            out |= free_variables(t)
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
@@ -270,12 +301,14 @@ def oracle_integrate(
     N: int,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Enumerate classes mod p^N over Z_p^arity.
+    """Refine boxes of Z_p^arity while they are undecided, down to depth N
+    in every coordinate.
 
-    Classes certainly inside with a class-determined integrand contribute
-    exactly; everything undecided accumulates into boundary_mass. Above
-    the class budget a deterministic point-sampling estimate is returned
-    instead, labeled sampled=True.
+    Boxes certainly inside with a box-determined integrand contribute
+    exactly; boxes still undecided at depth N accumulate into
+    boundary_mass. When the p^(arity*N) classes mod p^N exceed the class
+    budget, a deterministic point-sampling estimate is returned instead,
+    labeled sampled=True.
     """
     if p != domain.prime:
         raise ValueError("prime does not match the domain's")
@@ -286,32 +319,56 @@ def oracle_integrate(
     if p.p ** (arity * N) > budget:
         return _sampled_estimate(integrand, domain, N)
 
-    pN = p.p**N
-    class_measure = Fraction(1, pN) ** arity
+    q = p.p
+    conds = domain.conditions
+    diffs = [d_sub(Var(i), cond.center) for i, cond in enumerate(conds)]
+    # the variables read by each subset of a stage's terms, by bitmask
+    stage_reads = [
+        [_reads(t for bit, t in zip((DIFF, LOWER, UPPER), (diff, cond.lower, cond.upper))
+                if mask & bit)
+         for mask in range(8)]
+        for diff, cond in zip(diffs, conds)
+    ]
+    integrand_reads = _reads(
+        fac.h for term in integrand.terms
+        for fac in term.val_factors + term.norm_factors
+    )
     value = Fraction(0)
     boundary = Fraction(0)
-
-    def rec(reps: tuple[Fraction, ...], stage: int):
-        nonlocal value, boundary
-        if stage == arity:
-            got = _class_factor_value(integrand, reps, N, p)
-            if got is None:
-                boundary += class_measure
-            else:
-                value += got * class_measure
-            return
-        cond = domain.conditions[stage]
-        depth_measure = Fraction(1, pN) ** (stage + 1)
-        for r in range(pN):
-            decision = _stage_decision(cond, reps, Fraction(r), N)
+    # (lifts, depths, bitmask of the stages known INSIDE on the whole box);
+    # a sub-box inherits its parent's INSIDE stages
+    stack = [((Fraction(0),) * arity, (0,) * arity, 0)]
+    while stack:
+        reps, depths, inside = stack.pop()
+        first = None
+        for s in range(arity):
+            if inside >> s & 1:
+                continue
+            decision, open_terms = _stage_decision(conds[s], diffs[s], reps, depths)
             if decision == OUTSIDE:
+                break
+            if decision == INSIDE:
+                inside |= 1 << s
+            elif first is None:
+                first, axes = s, stage_reads[s][open_terms]
+        else:  # no stage is OUTSIDE
+            measure = Fraction(1, q ** sum(depths))
+            if first is None:
+                got = _class_factor_value(integrand, reps, depths, p)
+                if got is not None:
+                    value += got * measure
+                    continue
+                axes = integrand_reads
+            axis = min(axes, key=depths.__getitem__, default=None)
+            if axis is None or depths[axis] >= N:
+                boundary += measure
                 continue
-            if decision == BOUNDARY:
-                boundary += depth_measure
-                continue
-            rec(reps + (Fraction(r),), stage + 1)
-
-    rec((), 0)
+            d = depths[axis]
+            deeper = depths[:axis] + (d + 1,) + depths[axis + 1:]
+            step = q**d
+            for j in range(q):
+                lift = reps[:axis] + (reps[axis] + j * step,) + reps[axis + 1:]
+                stack.append((lift, deeper, inside))
     return OracleResult(value, N, boundary)
 
 

@@ -16,6 +16,12 @@ from padicells.decompose import (
     verify_prepared,
 )
 from padicells.expr import ConstructibleExpr
+from padicells.integrate import (
+    eliminate_last_variable,
+    group_prepared,
+    poincare_check,
+    prepared_power,
+)
 from padicells.padic import Prime, rational_valuation
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -215,3 +221,17 @@ def test_random_products_verify():
         terms = decompose_univariate(f, p, None, 5)
         report = verify_prepared(terms, f, p, 5, zp_cell(p))
         assert report.passed, (f, p.p, report.counterexamples)
+
+
+@pytest.mark.parametrize("f", [poly(-17, 0, 1), poly(7, 0, 1)])
+def test_conjugate_roots_in_one_class_at_p2(f):
+    # both square roots of 17 (resp. -7) in Z_2 lie in the class 1 + 2Z_2,
+    # where v(f(1)) = 4 > 2 v(f'(1)) = 2 already holds; a seed there would
+    # stand for one root only, since the roots separate mod 2^2
+    terms = decompose_univariate(f, P2, None, 8)
+    report = verify_prepared(terms, f, P2, 10, zp_cell(P2))
+    assert report.passed, report.counterexamples
+    cis = group_prepared(prepared_power(terms, 1))
+    res = eliminate_last_variable(cis, base_point=[])
+    assert res.value.constant_value() == F(13, 24)
+    assert poincare_check(f, P2, 8).passed

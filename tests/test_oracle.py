@@ -3,12 +3,19 @@
 The hand values all come from geometric series over valuation shells: the
 shell {v(t) = k} inside Z_p has measure (1 - 1/p) p^-k, so for instance
 the integral of |t| over Z_3 is (2/3) * sum 9^-k = 3/4.
+
+The box tree is also checked against flat_reference, the plain
+enumeration of every class mod p^N: its boundary mass must never be
+larger, and its value must lie within the flat boundary mass.
 """
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padicells import polys
 from padicells.cells import (
     Cell,
     CellCondition,
@@ -24,22 +31,148 @@ from padicells.expr import (
     NormFactor,
     ValFactor,
     Var,
+    d_sub,
     parse_constructible,
 )
+from padicells.decompose import decompose_univariate
+from padicells.integrate import (
+    eliminate_last_variable,
+    group_prepared,
+    integrate_full,
+    prepared_power,
+)
 from padicells.oracle import (
+    BOUNDARY,
+    INSIDE,
     StabilizationError,
     UnboundedDomainError,
+    _class_factor_value,
+    _stage_decision,
     oracle_integrate,
     oracle_measure,
     stabilize,
 )
-from padicells.padic import Prime
+from padicells.padic import Prime, coset_representatives
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+PRIMES = {2: P2, 3: P3, 5: P5}
+# p^N <= 125 classes per variable, so the flat reference stays cheap
+SMALL_N = {2: 6, 3: 4, 5: 3}
 
 
 def norm_t(power=1):
     return ConstructibleExpr.of([CTerm(F(1), (), (NormFactor(Var(0), F(power)),))])
+
+
+def window(p: Prime, lo: int, hi: int, mu=1, n: int = 1) -> Cell:
+    """{t : lo <= v(t) <= hi, t in mu*P_n}."""
+    return Cell(
+        (
+            CellCondition(
+                center=Const(F(0)),
+                coset=coset_of(p, mu, n),
+                lower=Const(F(p.p) ** hi),
+                lower_strict=False,
+                upper=Const(F(p.p) ** lo),
+                upper_strict=False,
+            ),
+        )
+    )
+
+
+def below(lower: F) -> Cell:
+    """{t in Z_3 : |lower| < |t|}."""
+    return Cell(
+        (
+            CellCondition(
+                center=Const(F(0)),
+                coset=coset_of(P3, 1, 1),
+                lower=Const(lower),
+                upper=Const(F(1)),
+                upper_strict=False,
+            ),
+        )
+    )
+
+
+def square_coset_cell() -> Cell:
+    return Cell(
+        (
+            CellCondition(
+                center=Const(F(0)),
+                coset=coset_of(P3, 1, 2),
+                upper=Const(F(1)),
+                upper_strict=False,
+            ),
+        )
+    )
+
+
+def two_stage_cell() -> Cell:
+    # x0 in Z_3 (punctured), x1 in ball |x1 - x0| <= 1/3
+    c0 = zp_cell(P3).conditions[0]
+    c1 = CellCondition(
+        center=Var(0),
+        coset=coset_of(P3, 1, 1),
+        upper=Const(F(3)),
+        upper_strict=False,
+    )
+    return Cell((c0, c1))
+
+
+def guarded_cell() -> Cell:
+    """x0 in Z_3, |x1| <= |x0| with x1 in a P_2 coset: the two-variable
+    cell of the guarded elimination test in test_integrate.py."""
+    c1 = CellCondition(
+        center=Const(F(0)),
+        coset=coset_of(P3, 1, 2),
+        upper=Var(0),
+        upper_strict=False,
+    )
+    return Cell((zp_cell(P3).conditions[0], c1))
+
+
+def flat_reference(integrand, domain, p, N):
+    """(value, boundary mass) by visiting every class mod p^N of
+    Z_p^arity at depth N in every coordinate: a class is dropped at its
+    first OUTSIDE stage and counted as boundary at its first undecided
+    one, or when the integrand is undetermined on it."""
+    arity = domain.arity
+    depths = (N,) * arity
+    diffs = [d_sub(Var(i), c.center) for i, c in enumerate(domain.conditions)]
+    pN = p.p**N
+    value = boundary = F(0)
+
+    def rec(lifts, stage):
+        nonlocal value, boundary
+        if stage == arity:
+            got = _class_factor_value(integrand, lifts, depths, p)
+            if got is None:
+                boundary += F(1, pN) ** arity
+            else:
+                value += got * F(1, pN) ** arity
+            return
+        cond = domain.conditions[stage]
+        for r in range(pN):
+            here = lifts[:stage] + (F(r),) + lifts[stage + 1:]
+            decision, _ = _stage_decision(cond, diffs[stage], here, depths)
+            if decision == BOUNDARY:
+                boundary += F(1, pN) ** (stage + 1)
+            elif decision == INSIDE:
+                rec(here, stage + 1)
+
+    rec((F(0),) * arity, 0)
+    return value, boundary
+
+
+def assert_gate(integrand, domain, p, N):
+    """The box tree never leaves more undecided than the flat reference,
+    and agrees with it up to the flat boundary mass."""
+    r = oracle_integrate(integrand, domain, p, N)
+    flat_value, flat_boundary = flat_reference(integrand, domain, p, N)
+    assert r.boundary_mass <= flat_boundary
+    assert abs(r.value - flat_value) <= flat_boundary
+    return r
 
 
 def test_abs_t_on_z3():
@@ -64,17 +197,7 @@ def test_constant_one_is_exact():
 
 
 def test_square_coset_measure():
-    cell = Cell(
-        (
-            CellCondition(
-                center=Const(F(0)),
-                coset=coset_of(P3, 1, 2),
-                upper=Const(F(1)),
-                upper_strict=False,
-            ),
-        )
-    )
-    r = oracle_measure(cell, P3, 6)
+    r = oracle_measure(square_coset_cell(), P3, 6)
     assert abs(r.value - F(3, 8)) < F(1, 3**4)
 
 
@@ -123,16 +246,7 @@ def test_v_factor_zero_goes_to_boundary():
 
 
 def test_two_stage_product_cell():
-    # x0 in Z_3 (punctured), x1 in ball |x1 - x0| <= 1/3
-    c0 = zp_cell(P3).conditions[0]
-    c1 = CellCondition(
-        center=Var(0),
-        coset=coset_of(P3, 1, 1),
-        upper=Const(F(3)),
-        upper_strict=False,
-    )
-    cell = Cell((c0, c1))
-    r = oracle_measure(cell, P3, 3)
+    r = oracle_measure(two_stage_cell(), P3, 3)
     assert r.value == F(1, 3)
     assert r.boundary_mass == 0
 
@@ -178,18 +292,7 @@ def test_sampled_fallback_is_labeled():
 
 def test_exactness_on_residue_determined_integrand():
     # |x0| restricted to units is constant on classes mod 3: exact at N=1
-    cell = Cell(
-        (
-            CellCondition(
-                center=Const(F(0)),
-                coset=coset_of(P3, 1, 1),
-                lower=Const(F(3)),  # v < 1, i.e. |t| = 1
-                upper=Const(F(1)),
-                upper_strict=False,
-            ),
-        )
-    )
-    r = oracle_integrate(norm_t(), cell, P3, 1)
+    r = oracle_integrate(norm_t(), below(F(3)), P3, 1)  # v < 1, i.e. |t| = 1
     assert r.value == F(2, 3)
     assert r.boundary_mass == 0
 
@@ -197,19 +300,7 @@ def test_exactness_on_residue_determined_integrand():
 def test_bound_at_resolution_depth_is_boundary_not_outside():
     # lower bound v <= 4 at N = 4: the zero class mod 3^4 straddles the
     # window, so its mass must land in the bound, not be dropped
-    cell = Cell(
-        (
-            CellCondition(
-                center=Const(F(0)),
-                coset=coset_of(P3, 1, 1),
-                lower=Const(F(243)),
-                lower_strict=True,
-                upper=Const(F(1)),
-                upper_strict=False,
-            ),
-        )
-    )
-    r = oracle_measure(cell, P3, 4)
+    r = oracle_measure(below(F(243)), P3, 4)
     exact = sum(F(2, 3) * F(3) ** -k for k in range(5))
     assert r.boundary_mass == F(1, 81)
     assert abs(exact - r.value) <= r.boundary_mass
@@ -222,3 +313,124 @@ def test_ball_deeper_than_resolution_stays_boundary():
     assert r.value == 0
     assert r.boundary_mass == F(1, 81)
     assert abs(F(3) ** -6 - r.value) <= r.boundary_mass
+
+
+# ---------------------------------------------------------------------------
+# the box tree against the flat reference
+
+def norm_x1():
+    return ConstructibleExpr.of([CTerm(F(1), (), (NormFactor(Var(1), F(1)),))])
+
+
+ONE = ConstructibleExpr.const(1)
+GATE_CASES = (
+    [("abs(x0) on Z_3", norm_t(), zp_cell(P3), P3, N) for N in (6, 8)]
+    + [("abs(x0)^2 on Z_3", norm_t(2), zp_cell(P3), P3, 6)]
+    + [(f"1 on Z_{p.p}", ONE, zp_cell(p), p, 3) for p in (P2, P3, P5)]
+    + [("square coset", ONE, square_coset_cell(), P3, 6)]
+    + [("open ball", ONE, punctured_ball_cell(P3, 0, 1), P3, N) for N in (1, 2, 4, 8)]
+    + [("point 2", ONE, point_cell(P3, 2), P3, 4), ("point 0", ONE, point_cell(P3, 0), P3, 4)]
+    + [("v(x0 + 3)*abs(x0)", parse_constructible("v(x0 + 3)*abs(x0)"), zp_cell(P3), P3, N)
+       for N in (1, 2, 3, 4, 5)]
+    + [("v(x0)", parse_constructible("v(x0)"), zp_cell(P3), P3, 3)]
+    + [("two stages", ONE, two_stage_cell(), P3, 3)]
+    + [("abs(x0^2 - 1) on Z_5", parse_constructible("abs(x0^2 - 1)"), zp_cell(P5), P5, 3)]
+    + [("units", norm_t(), below(F(3)), P3, 1), ("v <= 4", ONE, below(F(243)), P3, 4)]
+    + [("deep ball", ONE, punctured_ball_cell(P3, F(0), 6), P3, 4)]
+    + [(f"guarded {name}", g, guarded_cell(), P3, N)
+       for name, g in (("abs(x1)", norm_x1()), ("1", ONE)) for N in (1, 2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize(
+    "integrand, domain, p, N",
+    [case[1:] for case in GATE_CASES],
+    ids=[f"{case[0]} N={case[4]}" for case in GATE_CASES],
+)
+def test_box_tree_within_flat_reference(integrand, domain, p, N):
+    assert_gate(integrand, domain, p, N)
+
+
+def test_deep_resolution_beyond_the_flat_budget():
+    # 3^30 classes would never be enumerated; the tree visits a few hundred
+    r = oracle_integrate(parse_constructible("abs(x0^2 - 1)"), zp_cell(P3), P3, 30,
+                         budget=3**30)
+    assert not r.sampled
+    assert r.boundary_mass == 2 * F(1, 3**30)
+    # 1/3 from the class of 0, 1/12 from each of the classes of 1 and -1
+    assert abs(r.value - F(1, 2)) <= r.boundary_mass
+
+
+def test_guarded_cell_splits_only_open_coordinates():
+    # a box whose x0 has a known valuation splits x1 alone; splitting x0
+    # as well would visit about 3^20 boxes here
+    r = oracle_integrate(norm_x1(), guarded_cell(), P3, 20, budget=3**40)
+    assert not r.sampled
+    assert 0 < r.boundary_mass < F(1, 3**19)
+    # the closed form of test_full_elimination_with_guards_matches_oracle
+    assert abs(r.value - F(1647, 7280)) <= r.boundary_mass  # sup |x1| = 1
+
+
+# ---------------------------------------------------------------------------
+# generated problems: the oracle's rule against the closed forms, and the
+# box tree against the flat reference
+
+@st.composite
+def split_poly_problems(draw):
+    """c*abs(lead * prod (x0 - a_i))^s on Z_p; integer coefficients keep
+    |f| <= 1, so sup = c."""
+    p = PRIMES[draw(st.sampled_from(sorted(PRIMES)))]
+    N = draw(st.integers(1, SMALL_N[p.p]))
+    lead = draw(st.integers(1, 3))
+    roots = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    s = draw(st.integers(1, 2))
+    c = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    return p, N, lead, roots, s, c
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(split_poly_problems())
+def test_generated_polynomial_norms(problem):
+    p, N, lead, roots, s, c = problem
+    coeffs = (F(lead),)
+    for a in roots:
+        coeffs = polys.mul(coeffs, (F(-a), F(1)))
+    factors = "*".join(f"(x0 - ({a}))" for a in roots)
+    g = parse_constructible(f"{c}*abs({lead}*{factors})^{s}")
+    terms = decompose_univariate(coeffs, p)
+    res = eliminate_last_variable(
+        group_prepared(prepared_power(terms, s)), base_point=[]
+    )
+    exact = c * res.value.constant_value()
+    r = assert_gate(g, zp_cell(p), p, N)
+    assert abs(exact - r.value) <= r.boundary_mass * c
+
+
+@st.composite
+def annulus_problems(draw):
+    """c*v(x0)^l*abs(x0)^e on {lo <= v(x0) <= hi, x0 in mu*P_n}; the
+    window keeps negative powers bounded."""
+    p = PRIMES[draw(st.sampled_from(sorted(PRIMES)))]
+    N = draw(st.integers(1, SMALL_N[p.p]))
+    lo = draw(st.integers(0, 1))
+    hi = draw(st.integers(lo, lo + 2))
+    n = draw(st.integers(1, 2))
+    mu = draw(st.sampled_from(coset_representatives(p.p, n)))
+    e = draw(st.integers(-2, 2))
+    l = draw(st.integers(0, 2))
+    c = F(draw(st.integers(1, 5)), draw(st.integers(1, 2)))
+    return p, N, window(p, lo, hi, mu, n), lo, hi, e, l, c
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(annulus_problems())
+def test_generated_annulus_integrands(problem):
+    p, N, cell, lo, hi, e, l, c = problem
+    g = ConstructibleExpr.of(
+        [CTerm(c, (ValFactor(Var(0), l),) if l else (), (NormFactor(Var(0), F(e)),))]
+    )
+    res = integrate_full(g, [cell])
+    assert res.integrable
+    sup = c * max(F(k) ** l * F(p.p) ** (-e * k) for k in range(lo, hi + 1))
+    r = assert_gate(g, cell, p, N)
+    assert abs(res.value.constant_value() - r.value) <= r.boundary_mass * sup
