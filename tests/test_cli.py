@@ -256,6 +256,79 @@ def test_zeta_rejects_zero_and_composite(capsys):
 
 
 # ---------------------------------------------------------------------------
+# golden bytes: exact stdout of integrate --verify-N, measure, verify and
+# decompose on fixed problems
+
+def _cond(beta, gamma, mu):
+    beta = "null" if beta is None else f'"{beta}"'
+    return ('{"conditions":[{"alpha":null,"alpha_strict":true,"alpha_residue":null,'
+            f'"beta":{beta},"beta_strict":{"false" if mu == "1" else "true"},'
+            f'"beta_residue":null,"gamma":"{gamma}","mu":"{mu}","n":1}}]}}')
+
+
+def _row(delta, a, gamma, mu):
+    return (f'{{"delta":"{delta}","a":{a},"l":0,"gamma":"{gamma}",'
+            f'"mu":"{mu}","n":1}}')
+
+
+GOLDEN = [
+    ("integrate auto", "integrate", dict(p=3, integrand="abs(x0^2 - 1)"),
+     ("--verify-N", "4"), 0,
+     '{"mode":"concrete","values":["1/2"],"nonintegrable":false,"verify":'
+     '{"symbolic":"1/2","oracle":"1093/2187","bound":"2/81","pass":true}}\n'),
+    ("integrate square cosets", "integrate",
+     dict(p=5, integrand="2*abs(x0)^2",
+          cells=[cell(stage(n=2)), cell(stage(mu="2", n=2))]),
+     ("--verify-N", "3"), 0,
+     '{"mode":"concrete","values":["3125/1953"],"nonintegrable":false,"verify":'
+     '{"symbolic":"3125/1953","oracle":"125008/78125","bound":"2/125","pass":true}}\n'),
+    ("integrate v-factor window", "integrate",
+     dict(p=3, integrand="v(x0)*abs(x0)", cells=[cell(stage(alpha="27"))]),
+     ("--verify-N", "3"), 0,
+     '{"mode":"concrete","values":["22/243"],"nonintegrable":false,"verify":'
+     '{"symbolic":"22/243","oracle":"22/243","bound":"0","pass":true}}\n'),
+    ("measure square coset", "measure", dict(p=3, cells=[cell(stage(n=2))]),
+     ("--verify-N", "6"), 0,
+     '{"measures":["3/8"],"verify":'
+     '{"symbolic":"3/8","oracle":"91/243","bound":"1/729","pass":true}}\n'),
+    ("measure two stages", "measure",
+     dict(p=3, variables={"params": 0, "integrate": 2},
+          cells=[cell(stage(), stage(beta="x0"))]),
+     ("--verify-N", "3"), 0,
+     '{"measures":["3/4"],"verify":'
+     '{"symbolic":"3/4","oracle":"182/243","bound":"1/27","pass":true}}\n'),
+    ("verify abs", "verify", dict(p=3, integrand="abs(x0)"), (), 0,
+     '{"symbolic":"3/4","oracle":"132860/177147","bound":"1/729","pass":true}\n'),
+    ("verify gap", "verify",
+     dict(p=3, integrand="abs(x0)^(-2)", cells=[cell(stage(alpha="243", beta="1"))]),
+     ("--verify-N", "4"), 3,
+     '{"symbolic":"242/3","oracle":"80/3","bound":"1/81","pass":false}\n'),
+    ("verify p=2 quadratic", "verify", dict(p=2, integrand="abs(x0^2 - 17)"), (), 0,
+     '{"symbolic":"13/24","oracle":"277/512","bound":"1/16","pass":true}\n'),
+    ("decompose linear", "decompose", dict(p=3, integrand="abs(3*x0 - 1)"), (), 0,
+     '{"cells":[' + _cond("1", "0", "1") + "," + _cond(None, "0", "0") + '],"terms":['
+     + _row("-1", 0, "0", "1") + "," + _row("-1", 0, "0", "0") + "]}\n"),
+    ("decompose quadratic", "decompose", dict(p=3, integrand="abs(x0^2 - 1)"), (), 0,
+     '{"cells":[' + ",".join(_cond(b, g, m) for g in ("0", "1", "-1")
+                             for b, m in (("3", "1"), (None, "0")))
+     + '],"terms":[' + ",".join((
+         _row("-1", 0, "0", "1"), _row("-1", 0, "0", "0"),
+         _row("2", 1, "1", "1"), _row("0", 0, "1", "0"),
+         _row("-2", 1, "-1", "1"), _row("0", 0, "-1", "0"))) + "]}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fields, flags, want_code, want_out",
+    [case[1:] for case in GOLDEN],
+    ids=[case[0] for case in GOLDEN],
+)
+def test_golden_bytes(capsys, tmp_path, command, fields, flags, want_code, want_out):
+    code, out, err = run(capsys, command, problem(tmp_path, **fields), *flags)
+    assert (code, out, err) == (want_code, want_out, "")
+
+
+# ---------------------------------------------------------------------------
 # parse and schema errors
 
 def test_parse_echo(capsys, tmp_path):
