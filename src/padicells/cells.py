@@ -25,20 +25,19 @@ from .expr import (
     eval_dterm,
     free_variables,
     parse_dterm,
+    pinned_valuation,
     print_dterm,
 )
 from .padic import (
     INF,
+    NEG_INF,
     Coset,
     PAdicScalar,
     Prime,
     hensel_power_depth,
     in_coset,
     nth_power_unit_residues,
-    rational_valuation,
 )
-
-NEG_INF = float("-inf")
 
 
 class InfiniteMeasureError(ArithmeticError):
@@ -210,14 +209,12 @@ class ValuationRange:
 
 def _bound_valuation(term: DTerm, base_point: list[PAdicScalar], prime: Prime) -> int:
     value, err = eval_dterm(term, base_point, prime)
-    v = value.valuation
-    if value.is_zero() and err == INF:
-        raise BoundZeroError(f"bound {print_dterm(term)} evaluates to zero")
-    if v >= err:
-        raise BoundZeroError(
-            f"bound {print_dterm(term)} not separated from zero at this precision"
-        )
-    return int(v)
+    v = pinned_valuation(value.value, err, prime.p)
+    if v is None:
+        why = ("evaluates to zero" if value.is_zero() and err == INF
+               else "not separated from zero at this precision")
+        raise BoundZeroError(f"bound {print_dterm(term)} {why}")
+    return v
 
 
 def fiber_valuation_range(

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import decompose, integrate, oracle, polys, sums
 from .cells import Cell, cell_from_json, cell_to_json, zp_cell
+from .decompose import _rat
 from .expr import (
     ConstructibleExpr,
     Const,
@@ -213,10 +214,6 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _rat(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 # ---------------------------------------------------------------------------
 # verification shared by integrate/measure/verify
 
@@ -226,10 +223,6 @@ def _oracle_total(g: ConstructibleExpr, cells: list[Cell], prime: Prime,
     bound = Fraction(0)
     for cell in cells:
         res = oracle.oracle_integrate(g, cell, prime, N, budget)
-        if res.sampled:
-            raise InputError(
-                "oracle exceeded the class budget; raise --budget or lower --verify-N"
-            )
         value += res.value
         bound += res.boundary_mass
     return value, bound
@@ -544,9 +537,10 @@ def main(argv: list[str] | None = None) -> int:
             separators=(",", ":"),
         ) + "\n")
         return EXIT_INPUT
-    except decompose.PrecisionExhausted as e:
-        return _fail(str(e), EXIT_PRECISION)
-    except oracle.StabilizationError as e:
+    except oracle.BudgetExceeded:
+        return _fail("oracle exceeded the class budget; raise --budget or lower --verify-N",
+                     EXIT_PRECISION)
+    except (decompose.PrecisionExhausted, oracle.StabilizationError) as e:
         return _fail(str(e), EXIT_PRECISION)
     except sums.DivergentSumError as e:
         return _fail(str(e), EXIT_INPUT)

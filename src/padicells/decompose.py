@@ -30,9 +30,9 @@ from .cells import (
     Cell,
     CellCondition,
     cell_to_json,
-    coset_of,
     fiber_membership,
     point_cell,
+    punctured_ball_cell,
 )
 from .expr import Const, ConstructibleExpr
 from .padic import (
@@ -230,16 +230,6 @@ def _ball_hull(domain: Cell | None, p: Prime) -> tuple[Fraction, int]:
     return c, j
 
 
-def _punctured(p: Prime, center: Fraction, j: int) -> Cell:
-    cond = CellCondition(
-        center=Const(center),
-        coset=coset_of(p, 1, 1),
-        upper=Const(Fraction(p.p) ** j),
-        upper_strict=False,
-    )
-    return Cell((cond,))
-
-
 def _emit_pair(
     out: list[PreparedTerm],
     p: Prime,
@@ -252,7 +242,8 @@ def _emit_pair(
 ) -> None:
     out.append(
         PreparedTerm(
-            ConstructibleExpr.const(delta_ball), a, 0, _punctured(p, center, j), floor
+            ConstructibleExpr.const(delta_ball), a, 0, punctured_ball_cell(p, center, j),
+            floor,
         )
     )
     out.append(

@@ -27,12 +27,11 @@ followed by parsing is the identity on canonically built terms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .padic import INF, PAdicScalar, Prime, rational_valuation
+from .padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
 
 
 class DTerm:
@@ -310,81 +309,97 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _low_val(value: Fraction, err, p: int):
-    """Lower bound on the valuation of the true quantity."""
-    return min(rational_valuation(value, p), err)
+def pinned_valuation(value: Fraction, precision, p: int) -> int | None:
+    """The valuation shared by everything within `precision` of value, or
+    None when the precision does not pin it (always for an exact zero)."""
+    v = rational_valuation(value, p)
+    return int(v) if v < precision else None
 
 
-def _eval(t: DTerm, vals: tuple[Fraction, ...], p: int) -> tuple[Fraction, float | int]:
+def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
+    """Value of t at the lift of a box, and its certified precision.
+
+    The box lets x_i range over reps[i] + p^depths[i] Z_p; a point is the
+    box of depth INF in every coordinate. Across the box, and against the
+    untruncated series, t differs from the returned value by something of
+    valuation >= the returned precision: INF means exact, NEG_INF
+    certifies nothing (an inverse of a possible zero, a series argument
+    straddling the polydisc boundary, or anything built on those).
+    """
     if isinstance(t, Const):
         return t.value, INF
     if isinstance(t, Var):
-        if t.index >= len(vals):
-            raise ValueError(f"point has no coordinate for x{t.index}")
-        return vals[t.index], INF
+        try:
+            return reps[t.index], depths[t.index]
+        except IndexError:
+            raise ValueError(f"point has no coordinate for x{t.index}") from None
     if isinstance(t, Add):
-        a, ea = _eval(t.left, vals, p)
-        b, eb = _eval(t.right, vals, p)
-        return a + b, min(ea, eb)
+        a, da = _eval(t.left, reps, depths, p)
+        b, db = _eval(t.right, reps, depths, p)
+        return a + b, min(da, db)
     if isinstance(t, Neg):
-        a, ea = _eval(t.arg, vals, p)
-        return -a, ea
+        a, da = _eval(t.arg, reps, depths, p)
+        return -a, da
     if isinstance(t, Mul):
-        a, ea = _eval(t.left, vals, p)
-        b, eb = _eval(t.right, vals, p)
-        err = min(_low_val(a, ea, p) + eb, ea + _low_val(b, eb, p))
-        return a * b, err
+        a, da = _eval(t.left, reps, depths, p)
+        b, db = _eval(t.right, reps, depths, p)
+        if da == NEG_INF or db == NEG_INF:
+            return Fraction(0), NEG_INF  # absorbing: INF + NEG_INF is nan
+        va, vb = rational_valuation(a, p), rational_valuation(b, p)
+        return a * b, min(min(va, da) + db, da + min(vb, db))
     if isinstance(t, Inv):
-        a, ea = _eval(t.arg, vals, p)
-        if ea == INF:
+        a, da = _eval(t.arg, reps, depths, p)
+        if da == INF:
             return (Fraction(0) if a == 0 else 1 / a), INF
         va = rational_valuation(a, p)
-        if va >= ea:
-            raise EvaluationPrecisionError(
-                "inverse of a quantity not separated from zero at this precision"
-            )
-        return 1 / a, ea - 2 * va
+        if va < da:
+            return 1 / a, da - 2 * va
+        return Fraction(0), NEG_INF  # possibly huge: nothing certified
     if isinstance(t, Poly):
-        x, ex = _eval(t.argument, vals, p)
-        acc, eacc = Fraction(0), INF
+        x, dx = _eval(t.argument, reps, depths, p)
+        if dx == NEG_INF:
+            return Fraction(0), NEG_INF
+        acc, dacc = Fraction(0), INF
+        vx = rational_valuation(x, p)
         for c in reversed(t.coeffs):
-            err = min(_low_val(acc, eacc, p) + ex, eacc + _low_val(x, ex, p))
+            va = rational_valuation(acc, p)
+            dacc = min(min(va, dacc) + dx, dacc + min(vx, dx))
             acc = acc * x + c
-            eacc = err
-        return acc, eacc
+        return acc, dacc
     if isinstance(t, RestrictedSeries):
-        return _eval_series(t, vals, p)
+        args = [_eval(a, reps, depths, p) for a in t.arguments]
+        lows = [(rational_valuation(a, p), da) for a, da in args]
+        if any(va < min(0, da) for va, da in lows):
+            return Fraction(0), INF  # the whole box sits outside the polydisc
+        if any(min(va, da) < 0 for va, da in lows):
+            return Fraction(0), NEG_INF  # straddles the polydisc boundary
+        exps = _series_exponents(len(args), len(t.coeffs))
+        total = Fraction(0)
+        for c, alpha in zip(t.coeffs, exps):
+            if c == 0:
+                continue
+            mono = c
+            for (a, _), e in zip(args, alpha):
+                mono *= a**e
+            total += mono
+        prec: float | int = t.tail_valuation
+        inexact = [da for _, da in args if da != INF]
+        if inexact:
+            cmin = min(
+                [t.tail_valuation] + [rational_valuation(c, p) for c in t.coeffs if c != 0]
+            )
+            prec = min(prec, min(inexact) + cmin)
+        return total, prec
     raise TypeError(f"not a DTerm: {t!r}")
 
 
-def _eval_series(t: RestrictedSeries, vals, p):
-    args = [_eval(a, vals, p) for a in t.arguments]
-    for a, ea in args:
-        va = rational_valuation(a, p)
-        if min(va, ea) >= 0:
-            continue
-        if va < 0 and va < ea:
-            return Fraction(0), INF  # certainly outside the unit polydisc
-        raise EvaluationPrecisionError(
-            "cannot decide unit-polydisc membership at this precision"
-        )
-    exps = _series_exponents(len(t.arguments), len(t.coeffs))
-    total = Fraction(0)
-    for c, alpha in zip(t.coeffs, exps):
-        if c == 0:
-            continue
-        mono = c
-        for (a, _), e in zip(args, alpha):
-            mono *= a**e
-        total += mono
-    err: float | int = t.tail_valuation
-    inexact = [ea for _, ea in args if ea != INF]
-    if inexact:
-        cmin = min(
-            [t.tail_valuation] + [rational_valuation(c, p) for c in t.coeffs if c != 0]
-        )
-        err = min(err, min(inexact) + cmin)
-    return total, err
+def _point_box(point: list[PAdicScalar], prime: Prime | None):
+    """A point as the box of depth INF in every coordinate."""
+    if prime is None:
+        if not point:
+            raise ValueError("prime must be given when the point is empty")
+        prime = point[0].prime
+    return tuple(s.value for s in point), (INF,) * len(point), prime
 
 
 def eval_dterm(
@@ -395,14 +410,13 @@ def eval_dterm(
     Returns (value, error_valuation): the true value differs from the
     returned one by something of valuation >= error_valuation, with INF
     meaning the evaluation is exact. Only restricted series introduce
-    uncertainty.
+    uncertainty; where they leave nothing certified (an inverse not
+    separated from zero, undecided polydisc membership), this raises.
     """
-    if prime is None:
-        if not point:
-            raise ValueError("prime must be given when the point is empty")
-        prime = point[0].prime
-    vals = tuple(s.value for s in point)
-    value, err = _eval(t, vals, prime.p)
+    reps, depths, prime = _point_box(point, prime)
+    value, err = _eval(t, reps, depths, prime.p)
+    if err == NEG_INF:
+        raise EvaluationPrecisionError("term not determined at this precision")
     return PAdicScalar(value, prime), err
 
 
@@ -527,40 +541,36 @@ def cexpr_term(coeff, val_factors=(), norm_factors=()) -> ConstructibleExpr:
     )
 
 
-def eval_constructible(
-    f: ConstructibleExpr, point: list[PAdicScalar], prime: Prime | None = None
+def _constructible_value(
+    f: ConstructibleExpr, reps: tuple[Fraction, ...], depths: tuple, p: int
 ) -> Fraction:
-    """Exact rational value of a constructible function at a point.
+    """Exact value of f on a box, given as for _eval, or at a point.
 
-    Errors when some v-factor argument vanishes, or when series
-    truncation leaves a needed valuation or norm undetermined.
+    Raises VFactorZeroError for v() of an exact zero, ZeroDivisionError
+    for a negative power of the norm of an exact zero, ValueError for a
+    fractional norm power that gives no integer exponent, and
+    EvaluationPrecisionError where the box leaves a needed valuation open.
     """
-    if prime is None:
-        if not point:
-            raise ValueError("prime must be given when the point is empty")
-        prime = point[0].prime
-    p = prime.p
-    vals = tuple(s.value for s in point)
     total = Fraction(0)
     for term in f.terms:
         acc = term.coeff
         for vf in term.val_factors:
-            value, err = _eval(vf.h, vals, p)
-            v = rational_valuation(value, p)
-            if value == 0 and err == INF:
-                raise VFactorZeroError("v() of an exact zero inside a constructible term")
-            if v >= err:
+            value, prec = _eval(vf.h, reps, depths, p)
+            v = pinned_valuation(value, prec, p)
+            if v is None:
+                if value == 0 and prec == INF:
+                    raise VFactorZeroError("v() of an exact zero inside a constructible term")
                 raise EvaluationPrecisionError("valuation undetermined at this precision")
             acc *= Fraction(v) ** vf.power
         for nf in term.norm_factors:
-            value, err = _eval(nf.h, vals, p)
-            v = rational_valuation(value, p)
-            if value == 0 and err == INF:
+            value, prec = _eval(nf.h, reps, depths, p)
+            if value == 0 and prec == INF:
                 if nf.power < 0:
                     raise ZeroDivisionError("negative power of the norm of zero")
                 acc = Fraction(0)
                 continue
-            if v >= err:
+            v = pinned_valuation(value, prec, p)
+            if v is None:
                 raise EvaluationPrecisionError("norm undetermined at this precision")
             e = nf.power * v
             if e.denominator != 1:
@@ -570,6 +580,18 @@ def eval_constructible(
             acc *= Fraction(p) ** (-int(e))
         total += acc
     return total
+
+
+def eval_constructible(
+    f: ConstructibleExpr, point: list[PAdicScalar], prime: Prime | None = None
+) -> Fraction:
+    """Exact rational value of a constructible function at a point.
+
+    Errors when some v-factor argument vanishes, or when series
+    truncation leaves a needed valuation or norm undetermined.
+    """
+    reps, depths, prime = _point_box(point, prime)
+    return _constructible_value(f, reps, depths, prime.p)
 
 
 def max_variable_index(f: ConstructibleExpr) -> int:

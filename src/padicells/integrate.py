@@ -56,12 +56,11 @@ from .expr import (
     eval_constructible,
     eval_dterm,
     free_variables,
+    pinned_valuation,
     print_dterm,
 )
 from .oracle import DEFAULT_BUDGET, oracle_measure
-from .padic import INF, PAdicScalar, Prime, rational_valuation
-
-NEG_INF = float("-inf")
+from .padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
 
 
 class NotIntegrableError(ArithmeticError):
@@ -604,10 +603,10 @@ def _guard_holds(
 ) -> bool:
     bound, n, r = guard
     value, err = eval_dterm(bound, point, prime)
-    v = value.valuation
-    if v == INF or v >= err:
+    v = pinned_valuation(value.value, err, prime.p)
+    if v is None:
         raise ValueError("pin guard bound is not separated from zero")
-    return int(v) % n == r
+    return v % n == r
 
 
 def _resolve_guard(

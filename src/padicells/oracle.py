@@ -17,18 +17,21 @@ domain cell, one stage at a time, and against the integrand:
   polynomially with N instead of as p^N. Once all of the chosen
   coordinates sit at depth N, the box's measure goes to boundary_mass.
 
-Decisions are made soundly: each subterm is evaluated at the canonical
-lift (the least nonnegative representative) of every coordinate together
-with a lower bound on the valuation of its variation across the box, and
-anything the box does not pin down is undecided instead of guessed.
+Decisions are made soundly: expr._eval evaluates each subterm at the
+canonical lift (the least nonnegative representative) of every coordinate
+together with a lower bound on the valuation of its variation across the
+box, and anything the box does not pin down is undecided instead of
+guessed. The integrand is valued on a box by the same core that values
+it at a point; where that raises, the box is undecided.
 Decisions about punctures and graphs are almost-everywhere decisions,
 which is the right notion for integrals: a single excluded point never
 carries measure. A box still undecided at full depth is one the flat
 enumeration of classes mod p^N leaves undecided as well, so the boundary
 mass is never larger than that enumeration's.
 
-The class budget still bounds the p^(arity*N) leaves of the tree: above
-it a deterministic point-sampling estimate is returned instead.
+The class budget bounds the p^(arity*N) leaves of the tree: above it
+oracle_integrate raises BudgetExceeded, so every result carries the
+error bound below.
 
 An exact result at resolution N satisfies
 |true - value| <= boundary_mass * sup|integrand on the domain|.
@@ -40,34 +43,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cells import Cell, CellCondition, fiber_membership
+from .cells import Cell, CellCondition
 from .expr import (
-    Add,
-    Const,
     ConstructibleExpr,
     DTerm,
     EvaluationPrecisionError,
-    Inv,
-    Mul,
-    Neg,
-    Poly,
-    RestrictedSeries,
     Var,
-    VFactorZeroError,
+    _constructible_value,
+    _eval,
     d_sub,
-    eval_constructible,
     free_variables,
+    pinned_valuation,
 )
-from .padic import (
-    INF,
-    PAdicScalar,
-    Prime,
-    hensel_power_depth,
-    in_coset,
-    rational_valuation,
-)
+from .padic import PAdicScalar, Prime, hensel_power_depth, in_coset, rational_valuation
 
-NEG_INF = float("-inf")
 DEFAULT_BUDGET = 10**7
 
 INSIDE, OUTSIDE, BOUNDARY = 1, 0, -1
@@ -83,100 +72,19 @@ class StabilizationError(ArithmeticError):
     """Boundary mass did not drop below tolerance by the final resolution."""
 
 
+class BudgetExceeded(ArithmeticError):
+    """The p^(arity*N) classes mod p^N exceed the class budget."""
+
+
 @dataclass(frozen=True)
 class OracleResult:
     value: Fraction
     resolution: int
     boundary_mass: Fraction
-    sampled: bool = False
+    sampled: bool = False  # always False: over budget the oracle raises
 
-
-# ---------------------------------------------------------------------------
-# box-level evaluation: value at the canonical lift + variation bound
 
 Depths = tuple[int, ...]
-
-
-def _class_eval(t: DTerm, reps: tuple[Fraction, ...], depths: Depths, p: int):
-    """Returns (value at lift, dv): across the box, the term moves by
-    something of valuation >= dv. x_i ranges over reps[i] + p^depths[i] Z_p."""
-    if isinstance(t, Const):
-        return t.value, INF
-    if isinstance(t, Var):
-        return reps[t.index], depths[t.index]
-    if isinstance(t, Add):
-        a, da = _class_eval(t.left, reps, depths, p)
-        b, db = _class_eval(t.right, reps, depths, p)
-        return a + b, min(da, db)
-    if isinstance(t, Neg):
-        a, da = _class_eval(t.arg, reps, depths, p)
-        return -a, da
-    if isinstance(t, Mul):
-        a, da = _class_eval(t.left, reps, depths, p)
-        b, db = _class_eval(t.right, reps, depths, p)
-        va, vb = rational_valuation(a, p), rational_valuation(b, p)
-        return a * b, min(min(va, da) + db, da + min(vb, db))
-    if isinstance(t, Inv):
-        a, da = _class_eval(t.arg, reps, depths, p)
-        if da == INF:
-            return (Fraction(0) if a == 0 else 1 / a), INF
-        va = rational_valuation(a, p)
-        if va < da:
-            return 1 / a, da - 2 * va
-        return Fraction(0), NEG_INF  # possibly huge: nothing certified
-    if isinstance(t, Poly):
-        x, dx = _class_eval(t.argument, reps, depths, p)
-        acc, dacc = Fraction(0), INF
-        vx = rational_valuation(x, p)
-        for c in reversed(t.coeffs):
-            va = rational_valuation(acc, p)
-            dacc = min(min(va, dacc) + dx, dacc + min(vx, dx))
-            acc = acc * x + c
-        return acc, dacc
-    if isinstance(t, RestrictedSeries):
-        return _class_eval_series(t, reps, depths, p)
-    raise TypeError(f"not a DTerm: {t!r}")
-
-
-def _class_eval_series(t: RestrictedSeries, reps, depths, p):
-    args = [_class_eval(a, reps, depths, p) for a in t.arguments]
-    inside = True
-    for a, da in args:
-        va = rational_valuation(a, p)
-        if va < 0 and va < da:
-            return Fraction(0), INF  # the whole box sits outside the polydisc
-        if not (min(va, da) >= 0):
-            inside = False
-    if not inside:
-        return Fraction(0), NEG_INF  # straddles the polydisc boundary
-    from .expr import _series_exponents
-
-    exps = _series_exponents(len(t.arguments), len(t.coeffs))
-    total = Fraction(0)
-    for c, alpha in zip(t.coeffs, exps):
-        if c == 0:
-            continue
-        mono = c
-        for (a, _), e in zip(args, alpha):
-            mono *= a**e
-        total += mono
-    dv: float | int = t.tail_valuation
-    inexact = [da for _, da in args if da != INF]
-    if inexact:
-        cmin = min(
-            [t.tail_valuation]
-            + [rational_valuation(c, p) for c in t.coeffs if c != 0]
-        )
-        dv = min(dv, min(inexact) + cmin)
-    return total, dv
-
-
-def _determined_valuation(value: Fraction, dv, p: int):
-    """Exact v across the box, or None when the box does not pin it."""
-    v = rational_valuation(value, p)
-    if v < dv:
-        return int(v)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +100,8 @@ def _stage_decision(
     diff is t - center(x) for the stage variable t; it reads t itself,
     so its certified depth never exceeds the depth of t."""
     p = cond.prime.p
-    value, dv = _class_eval(diff, reps, depths, p)
-    v_exact = _determined_valuation(value, dv, p)
+    value, dv = _eval(diff, reps, depths, p)
+    v_exact = pinned_valuation(value, dv, p)
     k_low = min(rational_valuation(value, p), dv)
 
     if cond.coset.is_zero():
@@ -217,8 +125,7 @@ def _stage_decision(
     ):
         if bound is None:
             continue
-        bval, bdv = _class_eval(bound, reps, depths, p)
-        bv = _determined_valuation(bval, bdv, p)
+        bv = pinned_valuation(*_eval(bound, reps, depths, p), p)
         if bv is None:
             verdict, open_terms = BOUNDARY, open_terms | term
             continue
@@ -239,38 +146,6 @@ def _stage_decision(
                 return OUTSIDE, 0  # k is pinned below k_min across the box
             verdict, open_terms = BOUNDARY, open_terms | DIFF
     return verdict, open_terms
-
-
-def _class_factor_value(
-    f: ConstructibleExpr, reps: tuple[Fraction, ...], depths: Depths, prime: Prime
-):
-    """Exact value of the integrand on the box, or None if undetermined."""
-    p = prime.p
-    total = Fraction(0)
-    for term in f.terms:
-        acc = term.coeff
-        for vf in term.val_factors:
-            value, dv = _class_eval(vf.h, reps, depths, p)
-            v = _determined_valuation(value, dv, p)
-            if v is None:
-                return None  # includes exact zeros: v(0) has no value
-            acc *= Fraction(v) ** vf.power
-        for nf in term.norm_factors:
-            value, dv = _class_eval(nf.h, reps, depths, p)
-            if value == 0 and dv == INF:
-                if nf.power < 0:
-                    return None
-                acc = Fraction(0)
-                continue
-            v = _determined_valuation(value, dv, p)
-            if v is None:
-                return None
-            e = nf.power * v
-            if e.denominator != 1:
-                return None
-            acc *= Fraction(p) ** (-int(e))
-        total += acc
-    return total
 
 
 def _check_enumerable(domain: Cell) -> None:
@@ -306,9 +181,8 @@ def oracle_integrate(
 
     Boxes certainly inside with a box-determined integrand contribute
     exactly; boxes still undecided at depth N accumulate into
-    boundary_mass. When the p^(arity*N) classes mod p^N exceed the class
-    budget, a deterministic point-sampling estimate is returned instead,
-    labeled sampled=True.
+    boundary_mass. Raises BudgetExceeded when the p^(arity*N) classes mod
+    p^N exceed the class budget.
     """
     if p != domain.prime:
         raise ValueError("prime does not match the domain's")
@@ -317,7 +191,9 @@ def oracle_integrate(
     _check_enumerable(domain)
     arity = domain.arity
     if p.p ** (arity * N) > budget:
-        return _sampled_estimate(integrand, domain, N)
+        raise BudgetExceeded(
+            f"{p.p}^({arity}*{N}) classes exceed the class budget of {budget}"
+        )
 
     q = p.p
     conds = domain.conditions
@@ -354,11 +230,11 @@ def oracle_integrate(
         else:  # no stage is OUTSIDE
             measure = Fraction(1, q ** sum(depths))
             if first is None:
-                got = _class_factor_value(integrand, reps, depths, p)
-                if got is not None:
-                    value += got * measure
+                try:
+                    value += _constructible_value(integrand, reps, depths, q) * measure
                     continue
-                axes = integrand_reads
+                except (EvaluationPrecisionError, ZeroDivisionError, ValueError):
+                    axes = integrand_reads  # the box does not pin the integrand
             axis = min(axes, key=depths.__getitem__, default=None)
             if axis is None or depths[axis] >= N:
                 boundary += measure
@@ -396,50 +272,3 @@ def stabilize(
     raise StabilizationError(
         f"did not stabilize: boundary mass {result.boundary_mass} at N={result.resolution}"
     )
-
-
-# ---------------------------------------------------------------------------
-# over-budget fallback: deterministic point samples stratified by valuation
-
-def _sampled_estimate(
-    integrand: ConstructibleExpr, domain: Cell, N: int
-) -> OracleResult:
-    p = domain.prime.p
-    arity = domain.arity
-    shells = list(range(N)) + [N]  # per-coordinate valuation, N = "deeper"
-
-    def shell_measure(s: int) -> Fraction:
-        if s == N:
-            return Fraction(1, p) ** N
-        return Fraction(p - 1, p) * Fraction(1, p) ** s
-
-    def shell_points(s: int) -> list[Fraction]:
-        units = [u for u in (1, 1 + p, 2) if u % p != 0]
-        seen: list[Fraction] = []
-        for u in units:
-            x = Fraction(u * p**s) if s < N else Fraction(p**N)
-            if x not in seen:
-                seen.append(x)
-        return seen
-
-    value = Fraction(0)
-    boundary = Fraction(0)
-
-    def rec(coords: tuple[Fraction, ...], measure: Fraction):
-        nonlocal value, boundary
-        if len(coords) == arity:
-            point = [PAdicScalar(c, domain.prime) for c in coords]
-            try:
-                if not fiber_membership(domain, point):
-                    return
-                value += measure * eval_constructible(integrand, point, domain.prime)
-            except (VFactorZeroError, EvaluationPrecisionError, ZeroDivisionError):
-                boundary += measure
-            return
-        for s in shells:
-            pts = shell_points(s)
-            for x in pts:
-                rec(coords + (x,), measure * shell_measure(s) / len(pts))
-
-    rec((), Fraction(1))
-    return OracleResult(value, N, boundary, sampled=True)

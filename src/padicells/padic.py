@@ -15,6 +15,9 @@ from sympy import isprime
 
 # Valuation of zero. Absorbing under addition, greater than every integer.
 INF = float("inf")
+# Below every integer: an unbounded-below valuation window, or a precision
+# that certifies nothing.
+NEG_INF = float("-inf")
 
 
 class CosetDepthError(ValueError):

@@ -19,9 +19,7 @@ from math import comb
 import sympy
 
 from . import polys
-from .padic import INF
-
-NEG_INF = float("-inf")
+from .padic import INF, NEG_INF
 
 
 class DivergentSumError(ArithmeticError):

@@ -260,6 +260,8 @@ def test_zeta_rejects_zero_and_composite(capsys):
 # decompose on fixed problems
 
 def _cond(beta, gamma, mu):
+    # one stage as decompose prints it: a ball (mu 1) with a non-strict
+    # radius bound, or its center point (mu 0) with no bound
     beta = "null" if beta is None else f'"{beta}"'
     return ('{"conditions":[{"alpha":null,"alpha_strict":true,"alpha_residue":null,'
             f'"beta":{beta},"beta_strict":{"false" if mu == "1" else "true"},'
@@ -384,7 +386,7 @@ def test_env_budget_too_small(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PADIC_CELLS_BUDGET", "10")
     path = problem(tmp_path, p=3, integrand="abs(x0)")
     code, _, err = run(capsys, "integrate", path, "--verify-N", "5")
-    assert code == 1
+    assert code == 2
     assert "budget" in err
 
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicells.expr import (
     Add,
@@ -15,6 +18,7 @@ from padicells.expr import (
     RestrictedSeries,
     Var,
     VFactorZeroError,
+    _eval,
     as_poly_in,
     d_add,
     d_inv,
@@ -31,7 +35,7 @@ from padicells.expr import (
     print_constructible,
     print_dterm,
 )
-from padicells.padic import INF, Prime, scalar
+from padicells.padic import INF, NEG_INF, Prime, rational_valuation, scalar
 
 P3 = Prime(3)
 F = Fraction
@@ -292,6 +296,99 @@ def test_inv_precision_error():
     inner = RestrictedSeries((F(0),), 2, (Var(0),))  # value 0 with error 3^2
     with pytest.raises(EvaluationPrecisionError):
         eval_dterm(Inv(inner), pt(1))
+
+
+# --- points are boxes of infinite depth --------------------------------------
+
+# value 0 with error 3^2: not separated from zero
+UNPINNED = RestrictedSeries((F(0),), 2, (Var(0),))
+
+
+def test_product_with_exact_zero_of_unpinned_inverse_raises():
+    with pytest.raises(EvaluationPrecisionError):
+        eval_dterm(Mul(Var(1), Inv(UNPINNED)), pt(1, 0))
+
+
+def test_point_with_too_few_coordinates():
+    with pytest.raises(ValueError, match="no coordinate for x2"):
+        eval_dterm(parse_dterm("x0 + x2"), pt(1, 2))
+    with pytest.raises(ValueError, match="no coordinate for x1"):
+        eval_constructible(parse_constructible("abs(x1)"), pt(1))
+
+
+@pytest.mark.parametrize("depths", [(INF, INF), (2, INF), (1, 3)])
+def test_box_evaluator_never_returns_nan(depths):
+    unpinned = Inv(UNPINNED)
+    terms = [
+        Mul(Var(1), unpinned),
+        Mul(unpinned, Var(1)),
+        Mul(unpinned, unpinned),
+        Poly((F(0), F(1)), unpinned),
+        Poly((F(2), F(0), F(3)), Mul(Var(1), unpinned)),
+        Add(Const(F(1)), Mul(Const(F(0)), unpinned)),
+        Inv(Mul(Var(1), unpinned)),
+        RestrictedSeries((F(1), F(1)), 4, (Mul(Var(1), unpinned),)),
+    ]
+    for t in terms:
+        _, prec = _eval(t, (F(1), F(0)), depths, 3)
+        assert not math.isnan(prec), print_dterm(t)
+        assert prec == NEG_INF, print_dterm(t)
+
+
+# the box certificate: at every point of the box, a term differs from its
+# value at the lift by something of valuation >= the certified precision
+
+def _terms():
+    leaves = st.one_of(
+        st.builds(Var, st.integers(0, 2)),
+        st.builds(lambda a, b: Const(F(a, b)), st.integers(-9, 9), st.integers(1, 4)),
+    )
+
+    def extend(children):
+        coeffs = st.lists(st.integers(-4, 4).map(F), min_size=2, max_size=4)
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Mul, children, children),
+            st.builds(lambda cs, a: Poly(tuple(cs), a), coeffs, children),
+            st.builds(Inv, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+TERMS = _terms()
+
+
+@st.composite
+def boxes_with_points(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    t = draw(TERMS)
+    reps, depths, point = [], [], []
+    for _ in range(3):
+        # extra powers of p make lifts close to 0, whose valuation the box
+        # leaves open
+        rep = F(draw(st.integers(-30, 30)) * p ** draw(st.integers(0, 2)),
+                p ** draw(st.integers(0, 1)))
+        depth = draw(st.sampled_from((0, 1, 2, 3, 4, INF)))
+        # z/u with u a unit is a p-adic integer, so the point is in the box
+        z = F(draw(st.integers(-20, 20)), draw(st.integers(1, 9).filter(lambda u: u % p)))
+        reps.append(rep)
+        depths.append(depth)
+        point.append(rep if depth == INF else rep + p**depth * z)
+    return p, t, tuple(reps), tuple(depths), point
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(boxes_with_points())
+def test_box_certificate_holds_at_points_of_the_box(case):
+    p, term, reps, depths, point = case
+    for t in walk(term):
+        value, prec = _eval(t, reps, depths, p)
+        assert not math.isnan(prec)
+        if prec == NEG_INF:
+            continue
+        diff = direct_eval(t, point) - value
+        assert rational_valuation(diff, p) >= prec, (print_dterm(t), reps, depths, point)
 
 
 # --- structure helpers -----------------------------------------------------

@@ -28,9 +28,11 @@ from padicells.expr import (
     Const,
     ConstructibleExpr,
     CTerm,
+    EvaluationPrecisionError,
     NormFactor,
     ValFactor,
     Var,
+    _constructible_value,
     d_sub,
     parse_constructible,
 )
@@ -44,9 +46,9 @@ from padicells.integrate import (
 from padicells.oracle import (
     BOUNDARY,
     INSIDE,
+    BudgetExceeded,
     StabilizationError,
     UnboundedDomainError,
-    _class_factor_value,
     _stage_decision,
     oracle_integrate,
     oracle_measure,
@@ -146,11 +148,11 @@ def flat_reference(integrand, domain, p, N):
     def rec(lifts, stage):
         nonlocal value, boundary
         if stage == arity:
-            got = _class_factor_value(integrand, lifts, depths, p)
-            if got is None:
-                boundary += F(1, pN) ** arity
-            else:
+            try:
+                got = _constructible_value(integrand, lifts, depths, p.p)
                 value += got * F(1, pN) ** arity
+            except (EvaluationPrecisionError, ZeroDivisionError, ValueError):
+                boundary += F(1, pN) ** arity
             return
         cond = domain.conditions[stage]
         for r in range(pN):
@@ -284,10 +286,10 @@ def test_determinism():
     assert a == b
 
 
-def test_sampled_fallback_is_labeled():
-    r = oracle_integrate(norm_t(), zp_cell(P3), P3, 6, budget=100)
-    assert r.sampled
-    assert abs(r.value - F(3, 4)) < F(1, 4)  # estimate only, no sound bound
+def test_over_budget_raises():
+    # 3^6 classes over a budget of 100: no estimate without a sound bound
+    with pytest.raises(BudgetExceeded, match="class budget"):
+        oracle_integrate(norm_t(), zp_cell(P3), P3, 6, budget=100)
 
 
 def test_exactness_on_residue_determined_integrand():
