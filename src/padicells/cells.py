@@ -217,28 +217,63 @@ def _bound_valuation(term: DTerm, base_point: list[PAdicScalar], prime: Prime) -
     return v
 
 
-def fiber_valuation_range(
+def _norm_window(
     cond: CellCondition, base_point: list[PAdicScalar]
-) -> ValuationRange:
-    """The progression of valuations the stage admits over a base point.
+) -> tuple[int | float, int | float, bool]:
+    """(k_min, k_max, pins hold) for k = v(t - center) over a base point.
 
     The lower norm bound caps the valuation above (|lower| < p^-k reads
-    k < v(lower)), the upper norm bound cuts it below; the coset forces
-    k = v(mu) mod n.
+    k < v(lower)), the upper norm bound cuts it below; a residue pin
+    holds when the bound's valuation sits in its class mod n.
     """
-    if cond.coset.is_zero():
-        raise ValueError("a point stage has no valuation progression")
-    prime = cond.prime
-    k_max: int | float = INF
+    prime, n = cond.prime, cond.coset.n
     k_min: int | float = NEG_INF
+    k_max: int | float = INF
+    pins_hold = True
     if cond.lower is not None:
         v = _bound_valuation(cond.lower, base_point, prime)
         k_max = v - 1 if cond.lower_strict else v
+        pins_hold = cond.lower_val_residue in (None, v % n)
     if cond.upper is not None:
         v = _bound_valuation(cond.upper, base_point, prime)
         k_min = v + 1 if cond.upper_strict else v
+        pins_hold = pins_hold and cond.upper_val_residue in (None, v % n)
+    return k_min, k_max, pins_hold
+
+
+def fiber_valuation_range(
+    cond: CellCondition, base_point: list[PAdicScalar]
+) -> ValuationRange:
+    """The progression of valuations the stage admits over a base point:
+    the norm bounds' window, with k = v(mu) mod n forced by the coset."""
+    if cond.coset.is_zero():
+        raise ValueError("a point stage has no valuation progression")
+    k_min, k_max, _ = _norm_window(cond, base_point)
     n = cond.coset.n
     return ValuationRange(k_min, k_max, n, int(cond.coset.mu.valuation) % n)
+
+
+@dataclass(frozen=True)
+class StageWindow:
+    """One stage over a fixed base point: its exact center and the
+    valuations k = v(t - center) that its norm bounds and residue pins
+    admit (none when a pin fails). The coset test is separate."""
+
+    center: Fraction
+    k_min: int | float
+    k_max: int | float
+
+
+def stage_window(cond: CellCondition, base_point: list[PAdicScalar]) -> StageWindow:
+    """Read a stage's constants over a base point: the center, which must
+    evaluate exactly, and the window of its bounds and pins."""
+    center, err = eval_dterm(cond.center, base_point, cond.prime)
+    if err != INF:
+        raise _precision_error("center")
+    k_min, k_max, pins_hold = _norm_window(cond, base_point)
+    if not pins_hold:
+        k_min, k_max = INF, NEG_INF
+    return StageWindow(center.value, k_min, k_max)
 
 
 def fiber_measure(cond: CellCondition, base_point: list[PAdicScalar]) -> Fraction:
@@ -266,33 +301,18 @@ def fiber_measure(cond: CellCondition, base_point: list[PAdicScalar]) -> Fractio
 def fiber_membership(
     A: Cell, point: list[PAdicScalar], depth: int | None = None
 ) -> bool:
-    """Exact membership of a point, stage by stage."""
+    """Exact membership of a point, stage by stage: t - center must have
+    a valuation in the stage's window and lie in its coset."""
     if len(point) != A.arity:
         raise ValueError(f"point has {len(point)} coordinates, cell has {A.arity}")
     p = A.prime
     for i, cond in enumerate(A.conditions):
-        base = point[:i]
-        center, err = eval_dterm(cond.center, base, p)
-        if err != INF:
-            raise _precision_error("center")
-        diff = point[i] - center
-        k = diff.valuation
+        window = stage_window(cond, point[:i])
+        diff = point[i] - PAdicScalar(window.center, p)
+        if not window.k_min <= diff.valuation <= window.k_max:
+            return False
         if not in_coset(diff, cond.coset, depth):
             return False
-        if cond.lower is not None:
-            v = _bound_valuation(cond.lower, base, p)
-            limit = v - 1 if cond.lower_strict else v
-            if not k <= limit:
-                return False
-            if cond.lower_val_residue is not None and v % cond.coset.n != cond.lower_val_residue:
-                return False
-        if cond.upper is not None:
-            v = _bound_valuation(cond.upper, base, p)
-            limit = v + 1 if cond.upper_strict else v
-            if not k >= limit:
-                return False
-            if cond.upper_val_residue is not None and v % cond.coset.n != cond.upper_val_residue:
-                return False
     return True
 
 

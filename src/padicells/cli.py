@@ -24,6 +24,7 @@ from .decompose import _rat
 from .expr import (
     ConstructibleExpr,
     Const,
+    EvaluationPrecisionError,
     ParseError,
     as_poly_in,
     parse_constructible,
@@ -540,7 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceeded:
         return _fail("oracle exceeded the class budget; raise --budget or lower --verify-N",
                      EXIT_PRECISION)
-    except (decompose.PrecisionExhausted, oracle.StabilizationError) as e:
+    except (
+        decompose.PrecisionExhausted, oracle.StabilizationError, EvaluationPrecisionError
+    ) as e:
         return _fail(str(e), EXIT_PRECISION)
     except sums.DivergentSumError as e:
         return _fail(str(e), EXIT_INPUT)

@@ -30,15 +30,16 @@ from .cells import (
     Cell,
     CellCondition,
     cell_to_json,
-    fiber_membership,
     point_cell,
     punctured_ball_cell,
+    stage_window,
 )
 from .expr import Const, ConstructibleExpr
 from .padic import (
     INF,
     PAdicScalar,
     Prime,
+    in_coset,
     int_valuation,
     rational_valuation,
 )
@@ -363,22 +364,6 @@ class VerifyReport:
     counterexamples: tuple[str, ...]
 
 
-def _prepared_valuation(term: PreparedTerm, k: int):
-    """v of the prepared description at v(t-gamma) = k; None if not integral."""
-    cond = term.cell.conditions[-1]
-    delta = _constant_value(term.delta)
-    if delta == 0:
-        return INF
-    vd = rational_valuation(delta, cond.prime.p)
-    if term.a == 0:
-        return Fraction(vd)
-    vmu = cond.coset.mu.valuation
-    e = Fraction(term.a * (k - vmu), cond.coset.n)
-    if e.denominator != 1:
-        return None
-    return vd + e
-
-
 def _constant_value(delta: ConstructibleExpr) -> Fraction:
     total = Fraction(0)
     for term in delta.terms:
@@ -386,6 +371,66 @@ def _constant_value(delta: ConstructibleExpr) -> Fraction:
             raise ValueError("prepared delta must be constant over an empty base")
         total += term.coeff
     return total
+
+
+@dataclass(frozen=True)
+class _ReadTerm:
+    """A prepared term as the verifier reads it, once: the center of its
+    cell, the lifts r mod p^N the cell holds with k = v(r - center), and
+    the constants of the prepared value."""
+
+    center: Fraction
+    lifts: dict[int, int | float]
+    point: bool
+    vd: int | float  # v(delta), INF for delta = 0
+    a: int
+    vmu: int | float
+    n: int
+
+    def prepared_valuation(self, k: int):
+        """v of the prepared description at v(t-gamma) = k; None if not integral."""
+        if self.vd == INF or self.a == 0:
+            return self.vd
+        e, rem = divmod(self.a * (k - self.vmu), self.n)
+        return None if rem else self.vd + e
+
+
+def _read_term(term: PreparedTerm, p: Prime, pN: int) -> _ReadTerm:
+    """Read a term's cell once, then test every lift r mod pN against it
+    in integers: with center a/b, k = v(r*b - a) - v(b) must lie in the
+    stage's window, and only a coset with n > 1 asks in_coset."""
+    cell = term.cell
+    if cell.arity != 1:
+        raise ValueError(f"point has 1 coordinates, cell has {cell.arity}")
+    cond = cell.conditions[0]
+    window = stage_window(cond, [])
+    _center_value(cond)  # prepared cells have constant centers
+    delta = _constant_value(term.delta)
+    a, b = window.center.numerator, window.center.denominator
+    vb = int_valuation(b, p.p)
+    k_min, k_max = window.k_min, window.k_max
+    coset = cond.coset
+    # membership in a zero coset is x == 0, in a coset with n = 1 x != 0
+    trivial = coset.is_zero() or coset.n == 1
+    lifts = {}
+    for r in range(pN):
+        x = r * b - a
+        k = int_valuation(x, p.p) - vb if x else INF
+        if k_min <= k <= k_max and (
+            (x == 0) == coset.is_zero()
+            if trivial
+            else in_coset(PAdicScalar(Fraction(x, b), p), coset)
+        ):
+            lifts[r] = k
+    return _ReadTerm(
+        window.center,
+        lifts,
+        coset.is_zero(),
+        INF if delta == 0 else rational_valuation(delta, p.p),
+        term.a,
+        coset.mu.valuation,
+        coset.n,
+    )
 
 
 def verify_prepared(
@@ -400,57 +445,58 @@ def verify_prepared(
     determines both sides. Point cells are checked exactly at their
     single member. Coverage is judged against the hull because the
     punctures in 1-cells are null points supplied by companion 0-cells.
+
+    Each cell is read once (center, valuation window, coset) and every
+    lift is tested against every cell with integer arithmetic.
     """
     fi, fscale = polys.integerize(f)
     vscale = rational_valuation(fscale, p.p)
     var_min = min((rational_valuation(c, p.p) for c in f[1:] if c), default=0)
-    hull = _ball_hull(domain, p) if domain is not None else None
+    if domain is None:
+        hull_a, hull_b, hull_m = 0, 1, 1
+    else:
+        center, j = _ball_hull(domain, p)
+        # the hull center is in Z_p, so v(r - center) >= j iff p^j divides r*b - a
+        hull_a, hull_b, hull_m = center.numerator, center.denominator, p.p**j
     counterexamples: list[str] = []
     checks = 0
     pN = p.p**N
+    read = [_read_term(term, p, pN) for term in terms]
+    members: list[list[int]] = [[] for _ in range(pN)]
+    for i, rt in enumerate(read):
+        for r in rt.lifts:
+            members[r].append(i)
 
     def note(msg: str) -> None:
         if len(counterexamples) < 5:
             counterexamples.append(msg)
 
     for r in range(pN):
-        point = [PAdicScalar(Fraction(r), p)]
-        members = [
-            i for i, term in enumerate(terms) if fiber_membership(term.cell, point)
-        ]
-        in_hull = hull is None or rational_valuation(
-            Fraction(r) - hull[0], p.p
-        ) >= hull[1]
-        if len(members) > 1:
-            note(f"lift {r} lies in {len(members)} cells")
+        here = members[r]
+        in_hull = (r * hull_b - hull_a) % hull_m == 0
+        if len(here) > 1:
+            note(f"lift {r} lies in {len(here)} cells")
             continue
-        if not members:
+        if not here:
             if in_hull and terms:
                 note(f"lift {r} is in the domain but in no cell")
             continue
         if not in_hull:
             note(f"lift {r} is outside the domain but in a cell")
             continue
-        term = terms[members[0]]
-        cond = term.cell.conditions[-1]
-        gamma = _center_value(cond)
-        vf = (
-            int_valuation(polys.evaluate_int(fi, r), p.p) + vscale
-            if polys.evaluate_int(fi, r)
-            else INF
-        )
-        if cond.coset.is_zero():
+        rt = read[here[0]]
+        fr = polys.evaluate_int(fi, r)
+        vf = int_valuation(fr, p.p) + vscale if fr else INF
+        if rt.point:
             # the lift IS the center: compare exactly at the point
             checks += 1
-            delta = _constant_value(term.delta)
-            vd = INF if delta == 0 else rational_valuation(delta, p.p)
-            if vf != vd:
-                note(f"point cell at {gamma}: v(f) = {vf}, prepared {vd}")
+            if vf != rt.vd:
+                note(f"point cell at {rt.center}: v(f) = {vf}, prepared {rt.vd}")
             continue
-        k = rational_valuation(Fraction(r) - gamma, p.p)
+        k = rt.lifts[r]
         if k >= N or not vf < N + var_min:
             continue  # class does not determine both sides
-        want = _prepared_valuation(term, k)
+        want = rt.prepared_valuation(k)
         checks += 1
         if want is None:
             note(f"lift {r}: prepared exponent not integral at k = {k}")

@@ -183,12 +183,15 @@ def _unit_residue(x: Fraction, p: int, modulus_exp: int) -> int:
     return (num * pow(den, -1, m)) % m
 
 
-def _self_check_witness(u: Fraction, p: int, n: int, depth: int, witness: int) -> None:
-    # Lift the witness two digits deeper; failure would mean the depth bound
-    # is wrong, so abort loudly rather than return a silent wrong answer.
+@functools.lru_cache(maxsize=1 << 14)
+def _self_check_witness(p: int, n: int, depth: int, target: int) -> None:
+    """Lift the root witness of the unit residue target mod p^(depth+2)
+    two digits deeper. Failure would mean the depth bound is wrong, so
+    abort loudly rather than return a silent wrong answer. Cached, since
+    the check depends only on its arguments; a failure is never cached."""
     e = int_valuation(n, p)
     m2 = p ** (depth + 2)
-    target = _unit_residue(u, p, depth + 2)
+    witness = _nth_power_witnesses(p, n, depth)[target % p**depth]
     step = p ** (depth - e)
     base = witness % step
     for i in range(p ** (e + 2)):
@@ -205,8 +208,9 @@ def in_coset(x: PAdicScalar, coset: Coset, depth: int | None = None) -> bool:
 
     depth is the working modulus exponent for the unit n-th power test; it
     defaults to the Hensel-sufficient bound 2*v_p(n) + 1 and may be raised
-    but not lowered. Positive answers are re-checked by lifting a root
-    witness two digits deeper.
+    but not lowered; a lower depth raises CosetDepthError whatever x is.
+    Positive answers for n > 1 are re-checked by lifting a root witness
+    two digits deeper, once per unit residue mod p^(depth+2).
     """
     if coset.is_zero():
         return x.is_zero()
@@ -215,10 +219,6 @@ def in_coset(x: PAdicScalar, coset: Coset, depth: int | None = None) -> bool:
     x._check(coset.mu)
     p = coset.prime.p
     n = coset.n
-    ratio = x.value / coset.mu.value
-    v = rational_valuation(ratio, p)
-    if v % n != 0:
-        return False
     least = hensel_power_depth(n, p)
     if depth is None:
         depth = least
@@ -226,11 +226,17 @@ def in_coset(x: PAdicScalar, coset: Coset, depth: int | None = None) -> bool:
         raise CosetDepthError(
             f"depth {depth} below the Hensel-sufficient bound {least} for p={p}, n={n}"
         )
-    unit = ratio * Fraction(p) ** (-v)
-    residue = _unit_residue(unit, p, depth)
-    if residue not in nth_power_unit_residues(p, n, depth):
+    if n == 1:
+        return True  # every nonzero x is a first power times mu
+    ratio = x.value / coset.mu.value
+    v = rational_valuation(ratio, p)
+    if v % n != 0:
         return False
-    _self_check_witness(unit, p, n, depth, _nth_power_witnesses(p, n, depth)[residue])
+    unit = ratio * Fraction(p) ** (-v)
+    target = _unit_residue(unit, p, depth + 2)
+    if target % p**depth not in nth_power_unit_residues(p, n, depth):
+        return False
+    _self_check_witness(p, n, depth, target)
     return True
 
 

@@ -175,6 +175,21 @@ def test_integrate_symbolic_round_trip(capsys, tmp_path):
     assert got == Fraction(1, 108)
 
 
+def test_integrate_undetermined_norm_exits_2(capsys, tmp_path):
+    # at x0 = 1 the series argument sits outside the unit polydisc, so the
+    # series is 0 and the norm of its inverse is not determined
+    two_stage = cell(stage(), stage(beta="x0"))
+    path = problem(
+        tmp_path, p=3, variables={"params": 1, "integrate": 1},
+        integrand="abs(inv(series([0; tail 2], x0)))*abs(x1)", cells=[two_stage],
+        base_points=[["1"]],
+    )
+    code, out, err = run(capsys, "integrate", path)
+    assert code == 2
+    assert out == ""
+    assert err == '{"error":"norm undetermined at this precision"}\n'
+
+
 def test_integrate_point_arity_mismatch(capsys, tmp_path):
     path = problem(tmp_path, p=3, integrand="abs(x0)")
     code, _, err = run(capsys, "integrate", path, "--point", "1,2")

@@ -1,34 +1,184 @@
 """Decomposer: Hensel lifting, ball-tree output shapes, exhaustive verification."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicells import polys
-from padicells.cells import punctured_ball_cell, zp_cell
+from padicells.cells import (
+    BoundZeroError,
+    Cell,
+    CellCondition,
+    _bound_valuation,
+    _precision_error,
+    coset_of,
+    pin_bound_residues,
+    punctured_ball_cell,
+    zp_cell,
+)
 from padicells.decompose import (
     HenselConditionError,
     PrecisionExhausted,
     PreparedTerm,
+    VerifyReport,
+    _ball_hull,
+    _center_value,
+    _constant_value,
     decompose_univariate,
     hensel_lift,
     prepared_to_json,
     verify_prepared,
 )
-from padicells.expr import ConstructibleExpr
+from padicells.expr import (
+    Const,
+    ConstructibleExpr,
+    EvaluationPrecisionError,
+    RestrictedSeries,
+    eval_dterm,
+)
 from padicells.integrate import (
     eliminate_last_variable,
     group_prepared,
     poincare_check,
     prepared_power,
 )
-from padicells.padic import Prime, rational_valuation
+from padicells.padic import (
+    INF,
+    PAdicScalar,
+    Prime,
+    in_coset,
+    int_valuation,
+    rational_valuation,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+PRIMES = {2: P2, 3: P3, 5: P5}
 
 
 def poly(*coeffs):
     return polys.poly_from(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# reference verifier: the per-residue loop verify_prepared ran before it
+# read each cell once, kept verbatim with the stage-by-stage membership
+# test it called. It runs exact membership for every residue against every
+# cell, so verify_prepared must return the same report wherever it runs.
+
+def reference_membership(A, point, depth=None):
+    """Exact membership of a point, stage by stage."""
+    if len(point) != A.arity:
+        raise ValueError(f"point has {len(point)} coordinates, cell has {A.arity}")
+    p = A.prime
+    for i, cond in enumerate(A.conditions):
+        base = point[:i]
+        center, err = eval_dterm(cond.center, base, p)
+        if err != INF:
+            raise _precision_error("center")
+        diff = point[i] - center
+        k = diff.valuation
+        if not in_coset(diff, cond.coset, depth):
+            return False
+        if cond.lower is not None:
+            v = _bound_valuation(cond.lower, base, p)
+            limit = v - 1 if cond.lower_strict else v
+            if not k <= limit:
+                return False
+            if cond.lower_val_residue is not None and v % cond.coset.n != cond.lower_val_residue:
+                return False
+        if cond.upper is not None:
+            v = _bound_valuation(cond.upper, base, p)
+            limit = v + 1 if cond.upper_strict else v
+            if not k >= limit:
+                return False
+            if cond.upper_val_residue is not None and v % cond.coset.n != cond.upper_val_residue:
+                return False
+    return True
+
+
+def _reference_prepared_valuation(term, k):
+    """v of the prepared description at v(t-gamma) = k; None if not integral."""
+    cond = term.cell.conditions[-1]
+    delta = _constant_value(term.delta)
+    if delta == 0:
+        return INF
+    vd = rational_valuation(delta, cond.prime.p)
+    if term.a == 0:
+        return F(vd)
+    vmu = cond.coset.mu.valuation
+    e = F(term.a * (k - vmu), cond.coset.n)
+    if e.denominator != 1:
+        return None
+    return vd + e
+
+
+def reference_verify(terms, f, p, N, domain=None):
+    fi, fscale = polys.integerize(f)
+    vscale = rational_valuation(fscale, p.p)
+    var_min = min((rational_valuation(c, p.p) for c in f[1:] if c), default=0)
+    hull = _ball_hull(domain, p) if domain is not None else None
+    counterexamples = []
+    checks = 0
+    pN = p.p**N
+
+    def note(msg):
+        if len(counterexamples) < 5:
+            counterexamples.append(msg)
+
+    for r in range(pN):
+        point = [PAdicScalar(F(r), p)]
+        members = [
+            i for i, term in enumerate(terms) if reference_membership(term.cell, point)
+        ]
+        in_hull = hull is None or rational_valuation(
+            F(r) - hull[0], p.p
+        ) >= hull[1]
+        if len(members) > 1:
+            note(f"lift {r} lies in {len(members)} cells")
+            continue
+        if not members:
+            if in_hull and terms:
+                note(f"lift {r} is in the domain but in no cell")
+            continue
+        if not in_hull:
+            note(f"lift {r} is outside the domain but in a cell")
+            continue
+        term = terms[members[0]]
+        cond = term.cell.conditions[-1]
+        gamma = _center_value(cond)
+        vf = (
+            int_valuation(polys.evaluate_int(fi, r), p.p) + vscale
+            if polys.evaluate_int(fi, r)
+            else INF
+        )
+        if cond.coset.is_zero():
+            # the lift IS the center: compare exactly at the point
+            checks += 1
+            delta = _constant_value(term.delta)
+            vd = INF if delta == 0 else rational_valuation(delta, p.p)
+            if vf != vd:
+                note(f"point cell at {gamma}: v(f) = {vf}, prepared {vd}")
+            continue
+        k = rational_valuation(F(r) - gamma, p.p)
+        if k >= N or not vf < N + var_min:
+            continue  # class does not determine both sides
+        want = _reference_prepared_valuation(term, k)
+        checks += 1
+        if want is None:
+            note(f"lift {r}: prepared exponent not integral at k = {k}")
+        elif vf != want:
+            note(f"lift {r}: v(f) = {vf}, prepared description gives {want}")
+    return VerifyReport(not counterexamples, pN, checks, tuple(counterexamples))
+
+
+def verified(terms, f, p, N, domain=None):
+    """verify_prepared's report, checked equal to the reference's."""
+    report = verify_prepared(terms, f, p, N, domain)
+    assert report == reference_verify(terms, f, p, N, domain)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +231,7 @@ def test_monomial_t():
 def test_monomial_t_squared():
     terms = decompose_univariate(poly(0, 0, 1), P3, None, 6)
     assert [t.a for t in terms] == [2, 0]
-    report = verify_prepared(terms, poly(0, 0, 1), P3, 6, zp_cell(P3))
+    report = verified(terms, poly(0, 0, 1), P3, 6, zp_cell(P3))
     assert report.passed, report.counterexamples
 
 
@@ -89,7 +239,7 @@ def test_two_simple_roots():
     f = poly(-1, 0, 1)
     terms = decompose_univariate(f, P3, None, 6)
     assert sorted(t.a for t in terms) == [0, 0, 0, 0, 1, 1]
-    report = verify_prepared(terms, f, P3, 6, zp_cell(P3))
+    report = verified(terms, f, P3, 6, zp_cell(P3))
     assert report.passed, report.counterexamples
     # roots are exact rationals here, so no approximation floors
     assert all(t.center_floor is None for t in terms)
@@ -99,7 +249,7 @@ def test_rootless_factor_gives_constant_cells():
     f = poly(-3, 0, 1)  # no root in Z_3
     terms = decompose_univariate(f, P3, None, 6)
     assert all(t.a == 0 for t in terms)
-    report = verify_prepared(terms, f, P3, 6, zp_cell(P3))
+    report = verified(terms, f, P3, 6, zp_cell(P3))
     assert report.passed, report.counterexamples
 
 
@@ -112,7 +262,7 @@ def test_irrational_root_gets_certified_center():
         gamma = t.cell.conditions[0].center.value
         assert t.center_floor is not None and t.center_floor >= 6
         assert rational_valuation(gamma**2 + 1, 5) >= 8
-    report = verify_prepared(terms, f, P5, 4, zp_cell(P5))
+    report = verified(terms, f, P5, 4, zp_cell(P5))
     assert report.passed, report.counterexamples
 
 
@@ -122,7 +272,7 @@ def test_multiplicity_sum_bounded_by_degree():
     mults = [t.a for t in terms if t.a > 0]
     assert sorted(mults) == [1, 2]
     assert sum(mults) <= polys.degree(f)
-    report = verify_prepared(terms, f, P3, 5, zp_cell(P3))
+    report = verified(terms, f, P3, 5, zp_cell(P3))
     assert report.passed, report.counterexamples
 
 
@@ -131,7 +281,7 @@ def test_close_roots_need_depth():
     with pytest.raises(PrecisionExhausted, match="precision exhausted"):
         decompose_univariate(f, P3, None, 6)
     terms = decompose_univariate(f, P3, None, 12)
-    report = verify_prepared(terms, f, P3, 6, zp_cell(P3))
+    report = verified(terms, f, P3, 6, zp_cell(P3))
     assert report.passed, report.counterexamples
 
 
@@ -140,7 +290,7 @@ def test_sub_ball_domain():
     terms = decompose_univariate(poly(0, 1), P3, dom, 5)
     assert terms[0].a == 1
     assert terms[0].cell.conditions[0].upper.value == 3
-    report = verify_prepared(terms, poly(0, 1), P3, 4, dom)
+    report = verified(terms, poly(0, 1), P3, 4, dom)
     assert report.passed, report.counterexamples
 
 
@@ -151,7 +301,7 @@ def test_zero_polynomial_rejected():
 
 def test_constant_polynomial():
     terms = decompose_univariate(poly(6), P3, None, 4)
-    report = verify_prepared(terms, poly(6), P3, 4, zp_cell(P3))
+    report = verified(terms, poly(6), P3, 4, zp_cell(P3))
     assert report.passed
     assert all(t.a == 0 for t in terms)
 
@@ -166,7 +316,7 @@ def test_verify_catches_wrong_exponent():
         PreparedTerm(t.delta, 1 if t.a == 2 else t.a, t.l, t.cell, t.center_floor)
         for t in good
     ]
-    report = verify_prepared(bad, f, P3, 6, zp_cell(P3))
+    report = verified(bad, f, P3, 6, zp_cell(P3))
     assert not report.passed
     assert any("prepared" in c for c in report.counterexamples)
 
@@ -174,7 +324,7 @@ def test_verify_catches_wrong_exponent():
 def test_verify_catches_overlap():
     f = poly(0, 1)
     terms = decompose_univariate(f, P3, None, 6)
-    report = verify_prepared(terms + terms, f, P3, 3, zp_cell(P3))
+    report = verified(terms + terms, f, P3, 3, zp_cell(P3))
     assert not report.passed
     assert any("cells" in c for c in report.counterexamples)
 
@@ -182,12 +332,12 @@ def test_verify_catches_overlap():
 def test_verify_catches_coverage_gap():
     f = poly(-1, 0, 1)
     terms = decompose_univariate(f, P3, None, 6)
-    report = verify_prepared(terms[2:], f, P3, 3, zp_cell(P3))
+    report = verified(terms[2:], f, P3, 3, zp_cell(P3))
     assert not report.passed
 
 
 def test_verify_vacuous_on_empty():
-    report = verify_prepared([], poly(1), P3, 2)
+    report = verified([], poly(1), P3, 2)
     assert report.passed
     assert report.equality_checks == 0
 
@@ -219,7 +369,7 @@ def test_random_products_verify():
             fs.append(poly(*coeffs))
         f = polys.mul(fs[0], fs[1])
         terms = decompose_univariate(f, p, None, 5)
-        report = verify_prepared(terms, f, p, 5, zp_cell(p))
+        report = verified(terms, f, p, 5, zp_cell(p))
         assert report.passed, (f, p.p, report.counterexamples)
 
 
@@ -229,9 +379,180 @@ def test_conjugate_roots_in_one_class_at_p2(f):
     # where v(f(1)) = 4 > 2 v(f'(1)) = 2 already holds; a seed there would
     # stand for one root only, since the roots separate mod 2^2
     terms = decompose_univariate(f, P2, None, 8)
-    report = verify_prepared(terms, f, P2, 10, zp_cell(P2))
+    report = verified(terms, f, P2, 10, zp_cell(P2))
     assert report.passed, report.counterexamples
     cis = group_prepared(prepared_power(terms, 1))
     res = eliminate_last_variable(cis, base_point=[])
     assert res.value.constant_value() == F(13, 24)
     assert poincare_check(f, P2, 8).passed
+
+
+# ---------------------------------------------------------------------------
+# verify_prepared against the reference verifier
+
+def _shift_center(term, shift):
+    cond = term.cell.conditions[0]
+    moved = replace(cond, center=Const(cond.center.value + shift))
+    return replace(term, cell=Cell((moved,)))
+
+
+def _corruptions(terms, p):
+    """Term lists a decomposer bug could produce, one corruption each."""
+    yield terms + terms[:1]
+    for i, t in enumerate(terms):
+        rest = terms[:i], terms[i + 1:]
+        yield rest[0] + rest[1]
+        for shift in (1, p.p, F(1, p.p)):
+            yield rest[0] + [_shift_center(t, shift)] + rest[1]
+        for delta in (t.delta.scale(p.p), t.delta + ConstructibleExpr.const(1)):
+            yield rest[0] + [replace(t, delta=delta)] + rest[1]
+        yield rest[0] + [replace(t, a=t.a + 1)] + rest[1]
+
+
+@pytest.mark.parametrize("f, p, N", [
+    (poly(-1, 0, 1), P3, 3),
+    (poly(0, 0, 1), P2, 5),
+    (poly(1, 0, 1), P5, 2),
+    (polys.mul(poly(-1, 1), poly(3, 0, 1)), P3, 3),
+])
+def test_corrupted_terms_match_reference(f, p, N):
+    terms = decompose_univariate(f, p, None, 6)
+    assert verified(terms, f, p, N, zp_cell(p)).passed
+    reports = [verified(bad, f, p, N, zp_cell(p)) for bad in _corruptions(terms, p)]
+    # some corruptions do not show at depth N (a changed exponent on a
+    # point cell, a cell deeper than p^-N), but most do
+    assert 2 * sum(not r.passed for r in reports) > len(reports)
+
+
+def _term(cond, delta=1, a=0):
+    return PreparedTerm(ConstructibleExpr.const(delta), a, 0, Cell((cond,)))
+
+
+def _hand_made_terms(p):
+    """Cosets with n > 1, residue pins, strict and non-strict bounds, and
+    centers with p in the denominator or a unit one."""
+    annulus = CellCondition(
+        center=Const(F(1)), coset=coset_of(p, p.p, 2),
+        lower=Const(F(p.p) ** 4), upper=Const(F(1)), upper_strict=True,
+    )
+    terms = [_term(c.conditions[0], p.p, 2) for c in pin_bound_residues(Cell((annulus,)))]
+    terms.append(_term(CellCondition(
+        center=Const(F(1, p.p)), coset=coset_of(p, F(1, p.p), 1),
+        upper=Const(F(1, p.p)), upper_strict=False,
+    ), 3, 1))
+    terms.append(_term(CellCondition(
+        center=Const(F(2, 7)), coset=coset_of(p, 3, 3),
+        lower=Const(F(p.p) ** 3), lower_strict=False, lower_val_residue=0,
+    ), F(1, p.p), 3))
+    terms.append(_term(CellCondition(center=Const(F(5)), coset=coset_of(p, 0, 1)), 0))
+    terms.append(_term(CellCondition(
+        center=Const(F(-3)), coset=coset_of(p, -1, 4),
+        upper=Const(F(p.p)), upper_strict=True, upper_val_residue=1,
+    ), 2, 1))
+    return terms
+
+
+@pytest.mark.parametrize("p, N", [(P2, 6), (P3, 4), (P5, 3)])
+def test_hand_made_cells_match_reference(p, N):
+    terms = _hand_made_terms(p)
+    for f in (poly(1), poly(-1, 1), poly(0, 0, 1), poly(2, -1, 0, 1)):
+        for domain in (None, zp_cell(p), punctured_ball_cell(p, 1, 1)):
+            verified(terms, f, p, N, domain)
+            for i in range(len(terms)):
+                verified(terms[i:i + 1], f, p, N, domain)
+
+
+def test_sub_ball_domain_off_zero():
+    f = poly(-4, 1)
+    dom = punctured_ball_cell(P3, 4, 2)
+    terms = decompose_univariate(f, P3, dom, 5)
+    assert verified(terms, f, P3, 4, dom).passed
+    assert not verified(terms, f, P3, 4, zp_cell(P3)).passed
+    assert not verified(terms, f, P3, 4, punctured_ball_cell(P3, 1, 1)).passed
+
+
+def test_verifier_errors_match_reference():
+    two_stage = PreparedTerm(
+        ConstructibleExpr.const(1), 0, 0, Cell(zp_cell(P3).conditions * 2)
+    )
+    inexact = _term(CellCondition(
+        center=RestrictedSeries((F(1),), 2, (Const(F(3)),)), coset=coset_of(P3, 1, 1),
+    ))
+    zero_bound = _term(CellCondition(
+        center=Const(F(0)), coset=coset_of(P3, 1, 1), upper=Const(F(0)),
+    ))
+    for term, error in (
+        (two_stage, ValueError),
+        (inexact, EvaluationPrecisionError),
+        (zero_bound, BoundZeroError),
+    ):
+        for verify in (verify_prepared, reference_verify):
+            with pytest.raises(error):
+                verify([term], poly(0, 1), P3, 2, zp_cell(P3))
+
+
+@st.composite
+def random_cells(draw):
+    """A few arbitrary one-variable terms, a polynomial, a depth and a
+    domain: most fail verification; the report must still match."""
+    p = PRIMES[draw(st.sampled_from(sorted(PRIMES)))]
+    N = draw(st.integers(1, {2: 7, 3: 4, 5: 3}[p.p]))
+    pw = lambda lo, hi: F(p.p) ** draw(st.integers(lo, hi))  # noqa: E731
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        point = draw(st.integers(0, 4)) == 0
+        mu = 0 if point else draw(st.sampled_from([1, -1, 2, 3])) * pw(-1, 2)
+        lower = upper = lower_pin = upper_pin = None
+        if draw(st.booleans()):
+            lower = Const(draw(st.sampled_from([1, 2, -3])) * pw(-1, 5))
+            lower_pin = draw(st.none() | st.integers(0, n - 1))
+        if draw(st.booleans()):
+            upper = Const(draw(st.sampled_from([1, 2, -3])) * pw(-2, 3))
+            upper_pin = draw(st.none() | st.integers(0, n - 1))
+        den = draw(st.sampled_from([1, 2, 7, p.p, p.p**2]))
+        cond = CellCondition(
+            center=Const(F(draw(st.integers(-30, 30)), den)),
+            coset=coset_of(p, mu, n),
+            lower=lower, upper=upper,
+            lower_strict=draw(st.booleans()), upper_strict=draw(st.booleans()),
+            lower_val_residue=lower_pin, upper_val_residue=upper_pin,
+        )
+        delta = draw(st.sampled_from([0, 1, -2, 3])) * pw(-1, 2)
+        terms.append(_term(cond, delta, draw(st.integers(0, 3))))
+    f = poly(*draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4)))
+    assume(not polys.is_zero(f))
+    ball = punctured_ball_cell(p, draw(st.integers(0, 8)), draw(st.integers(0, 2)))
+    domain = draw(st.sampled_from([None, zp_cell(p), ball]))
+    return terms, f, p, N, domain
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(random_cells())
+def test_random_cells_match_reference(problem):
+    verified(*problem)
+
+
+@st.composite
+def factor_products(draw):
+    """A product of one to three linear or quadratic factors over Z."""
+    p = PRIMES[draw(st.sampled_from(sorted(PRIMES)))]
+    f = poly(draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(1, 3))):
+        lead = draw(st.integers(1, 3))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2))
+        f = polys.mul(f, poly(*tail, lead))
+    return f, p
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(factor_products())
+def test_decomposed_products_verify_like_reference(problem):
+    f, p = problem
+    try:
+        terms = decompose_univariate(f, p, None, 8)
+    except PrecisionExhausted:
+        assume(False)
+    N = {2: 6, 3: 4, 5: 3}[p.p]
+    report = verified(terms, f, p, N, zp_cell(p))
+    assert report.passed, (f, p.p, report.counterexamples)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicells import padic
 from padicells.padic import (
     INF,
     Coset,
@@ -71,8 +72,11 @@ def test_in_coset_zero_cases():
 
 
 def test_in_coset_p1_is_everything():
-    for x in (1, -5, Fraction(7, 9), 81, Fraction(1, 2)):
+    for x in (1, -5, Fraction(7, 9), 81, Fraction(1, 2), 3**40 + 1):
         assert in_coset(scalar(x, P3), Coset(scalar(5, P3), 1)) is True
+    assert in_coset(scalar(0, P3), Coset(scalar(5, P3), 1)) is False
+    with pytest.raises(CosetDepthError):
+        in_coset(scalar(1, P3), Coset(scalar(5, P3), 1), depth=0)
 
 
 def test_in_coset_depth_floor():
@@ -111,6 +115,35 @@ def test_in_coset_matches_bruteforce():
                     n,
                     x,
                 )
+
+
+def test_cached_in_coset_matches_bruteforce_on_every_unit():
+    # every unit residue mod p^(depth+2), twice: the second pass answers
+    # from the cached witness check
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        for n in (1, 2, 3, 4):
+            c = Coset(scalar(1, prime), n)
+            units = [u for u in range(1, p ** (hensel_power_depth(n, p) + 2)) if u % p]
+            want = [brute_in_power_class(Fraction(u), p, n) for u in units]
+            for _ in range(2):
+                assert [in_coset(scalar(u, prime), c) for u in units] == want, (p, n)
+
+
+def test_witness_check_runs_once_per_residue_and_still_fails_loudly(monkeypatch):
+    check = padic._self_check_witness
+    check.cache_clear()
+    c = Coset(scalar(1, P5), 2)
+    for x in (1, 1 + 5**3, 1 + 2 * 5**3, 1 + 5**5):  # all 1 mod 5^3
+        assert in_coset(scalar(x, P5), c)
+    assert check.cache_info().misses == 1
+    assert check.cache_info().hits == 3
+    check.cache_clear()
+    # a witness whose lift misses the target must still abort
+    monkeypatch.setattr(padic, "_nth_power_witnesses", lambda p, n, d: {1: 5})
+    with pytest.raises(RuntimeError, match="self-check failed"):
+        in_coset(scalar(1, P5), c)
+    check.cache_clear()
 
 
 def test_power_residue_counts():
