@@ -7,7 +7,8 @@ JSON with rationals rendered as canonical "num/den" strings, never floats,
 and with a fixed key order so repeated runs are byte identical.
 
 Exit codes: 0 success, 1 malformed input (schema or syntax), 2 precision
-or enumeration exhaustion, 3 a verification check failed its bound.
+or enumeration exhaustion, 3 a verification check failed its bound, 4 an
+internal fault (a failed self-check or invariant, never the input's fault).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PRECISION = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -549,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), EXIT_INPUT)
     except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
         return _fail(str(e), EXIT_INPUT)
+    except (RuntimeError, AssertionError) as e:
+        # integrate.PartitionError, failed self-checks and broken invariants
+        return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

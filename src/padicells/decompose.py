@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import sympy
-
 from . import polys
 from .cells import (
     Cell,
@@ -159,6 +157,8 @@ class _TrackedRoot:
 
 
 def _factor_over_q(f: polys.PolyQ):
+    import sympy  # loaded only where a polynomial is factored: it is slow to import
+
     t = sympy.Symbol("t")
     expr = sympy.Add(
         *(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(f))

@@ -40,41 +40,63 @@ class DTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass that computes its (field-tuple) hash once.
+
+    Terms and factors are immutable and hashed again and again as dict
+    keys; the cached value is the dataclass hash itself, so hashes,
+    equality and every dict or set order stay what they would be without
+    the cache.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Var(DTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class Const(DTerm):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Add(DTerm):
     left: DTerm
     right: DTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(DTerm):
     left: DTerm
     right: DTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(DTerm):
     arg: DTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Inv(DTerm):
     """Multiplicative inverse with Inv(0) = 0."""
 
     arg: DTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Poly(DTerm):
     """coeffs[i] * argument^i, coefficients exact rationals."""
 
@@ -82,7 +104,7 @@ class Poly(DTerm):
     argument: DTerm
 
 
-@dataclass(frozen=True)
+@_node
 class RestrictedSeries(DTerm):
     """Truncated power series, zero outside the unit polydisc.
 
@@ -423,13 +445,13 @@ def eval_dterm(
 # ---------------------------------------------------------------------------
 # constructible functions
 
-@dataclass(frozen=True)
+@_node
 class ValFactor:
     h: DTerm
     power: int
 
 
-@dataclass(frozen=True)
+@_node
 class NormFactor:
     # Fractional powers arise from closed-form sums over cosets; their
     # evaluation insists on an integer total exponent.
@@ -452,34 +474,23 @@ class ConstructibleExpr:
 
     @staticmethod
     def of(terms) -> "ConstructibleExpr":
+        """The canonical sum: equal factors merged, zero powers and zero
+        coefficients dropped, factors and terms sorted by printed form."""
         merged: dict = {}
         for term in terms:
-            vals: dict[DTerm, int] = {}
-            for f in term.val_factors:
-                vals[f.h] = vals.get(f.h, 0) + f.power
-            norms: dict[DTerm, Fraction] = {}
-            for f in term.norm_factors:
-                norms[f.h] = norms.get(f.h, Fraction(0)) + f.power
-            vf = tuple(
-                ValFactor(h, e)
-                for h, e in sorted(vals.items(), key=lambda kv: print_dterm(kv[0]))
-                if e != 0
-            )
-            nf = tuple(
-                NormFactor(h, e)
-                for h, e in sorted(norms.items(), key=lambda kv: print_dterm(kv[0]))
-                if e != 0
-            )
-            key = (vf, nf)
+            key = _factor_key(term)
             merged[key] = merged.get(key, Fraction(0)) + term.coeff
-        out = tuple(
-            CTerm(c, vf, nf)
-            for (vf, nf), c in sorted(
-                merged.items(), key=lambda kv: _cterm_sort_key(kv[0])
-            )
-            if c != 0
+        items = merged.items()
+        if len(merged) > 1:
+            items = sorted(items, key=lambda kv: _cterm_sort_key(kv[0]))
+        return ConstructibleExpr(
+            tuple(CTerm(c, vf, nf) for (vf, nf), c in items if c != 0)
         )
-        return ConstructibleExpr(out)
+
+    @staticmethod
+    def sum_of(exprs) -> "ConstructibleExpr":
+        """The sum of several expressions, canonicalized once."""
+        return ConstructibleExpr.of(t for e in exprs for t in e.terms)
 
     @staticmethod
     def const(x) -> "ConstructibleExpr":
@@ -527,6 +538,49 @@ class ConstructibleExpr:
         return ConstructibleExpr.of(out)
 
 
+def _factor_key(term: CTerm) -> tuple:
+    """A term's factors in canonical form: (val factors, norm factors)."""
+    vfs, nfs = term.val_factors, term.norm_factors
+    if len(vfs) < 2 and len(nfs) < 2:
+        # nothing to merge or sort: keep the factors unless a power is zero
+        # or not of the type a merge gives (int for v, Fraction for abs)
+        vf = nf = ()
+        if vfs:
+            f = vfs[0]
+            if type(f.power) is not int:
+                return _merged_factor_key(vfs, nfs)
+            if f.power:
+                vf = (f,)
+        if nfs:
+            f = nfs[0]
+            if type(f.power) is not Fraction:
+                return _merged_factor_key(vfs, nfs)
+            if f.power:
+                nf = (f,)
+        return vf, nf
+    return _merged_factor_key(vfs, nfs)
+
+
+def _merged_factor_key(vfs, nfs) -> tuple:
+    vals: dict[DTerm, int] = {}
+    for f in vfs:
+        vals[f.h] = vals.get(f.h, 0) + f.power
+    norms: dict[DTerm, Fraction] = {}
+    for f in nfs:
+        norms[f.h] = norms.get(f.h, Fraction(0)) + f.power
+    vf = tuple(
+        ValFactor(h, e)
+        for h, e in sorted(vals.items(), key=lambda kv: print_dterm(kv[0]))
+        if e != 0
+    )
+    nf = tuple(
+        NormFactor(h, e)
+        for h, e in sorted(norms.items(), key=lambda kv: print_dterm(kv[0]))
+        if e != 0
+    )
+    return vf, nf
+
+
 def _cterm_sort_key(key):
     vf, nf = key
     return (
@@ -550,26 +604,41 @@ def _constructible_value(
     for a negative power of the norm of an exact zero, ValueError for a
     fractional norm power that gives no integer exponent, and
     EvaluationPrecisionError where the box leaves a needed valuation open.
+    Each distinct factor argument is evaluated once; the checks still run
+    factor by factor in term order, so the first error is the same.
     """
+    seen: dict[DTerm, tuple] = {}
+
+    def read(h: DTerm) -> tuple:
+        # (value, precision, pinned valuation or None)
+        out = seen.get(h)
+        if out is None:
+            value, prec = _eval(h, reps, depths, p)
+            out = seen[h] = (value, prec, pinned_valuation(value, prec, p))
+        return out
+
     total = Fraction(0)
     for term in f.terms:
         acc = term.coeff
+        v_product = 1
         for vf in term.val_factors:
-            value, prec = _eval(vf.h, reps, depths, p)
-            v = pinned_valuation(value, prec, p)
+            value, prec, v = read(vf.h)
             if v is None:
                 if value == 0 and prec == INF:
                     raise VFactorZeroError("v() of an exact zero inside a constructible term")
                 raise EvaluationPrecisionError("valuation undetermined at this precision")
-            acc *= Fraction(v) ** vf.power
+            if type(vf.power) is int and vf.power >= 0:
+                v_product *= v**vf.power
+            else:
+                acc *= Fraction(v) ** vf.power
+        exponent = 0
         for nf in term.norm_factors:
-            value, prec = _eval(nf.h, reps, depths, p)
+            value, prec, v = read(nf.h)
             if value == 0 and prec == INF:
                 if nf.power < 0:
                     raise ZeroDivisionError("negative power of the norm of zero")
                 acc = Fraction(0)
                 continue
-            v = pinned_valuation(value, prec, p)
             if v is None:
                 raise EvaluationPrecisionError("norm undetermined at this precision")
             e = nf.power * v
@@ -577,8 +646,9 @@ def _constructible_value(
                 raise ValueError(
                     "fractional norm power does not give an integer exponent here"
                 )
-            acc *= Fraction(p) ** (-int(e))
-        total += acc
+            exponent += int(e)
+        if acc:
+            total += acc * v_product * Fraction(p) ** (-exponent)
     return total
 
 
@@ -617,35 +687,35 @@ def _render(t: DTerm) -> tuple[str, int]:
         s = str(t.value)
         return s, (_UNARY if t.value < 0 else _ATOM)
     if isinstance(t, Inv):
-        return f"inv({_render(t.arg)[0]})", _ATOM
+        return f"inv({_rendered(t.arg)[0]})", _ATOM
     if isinstance(t, RestrictedSeries):
         cs = ", ".join(str(c) for c in t.coeffs)
-        args = ", ".join(_render(a)[0] for a in t.arguments)
+        args = ", ".join(_rendered(a)[0] for a in t.arguments)
         return f"series([{cs}; tail {t.tail_valuation}], {args})", _ATOM
     if isinstance(t, Neg):
-        inner, prec = _render(t.arg)
+        inner, prec = _rendered(t.arg)
         if prec < _UNARY:
             inner = f"({inner})"
         return f"-{inner}", _UNARY
     if isinstance(t, Add):
-        left, lp = _render(t.left)
+        left, lp = _rendered(t.left)
         if lp < _ADD:
             left = f"({left})"
         if isinstance(t.right, Neg):
-            right, rp = _render(t.right.arg)
+            right, rp = _rendered(t.right.arg)
             if rp <= _ADD:
                 right = f"({right})"
             return f"{left} - {right}", _ADD
-        right, rp = _render(t.right)
+        right, rp = _rendered(t.right)
         # a sum-shaped or signed right operand would reassociate bare
         if rp <= _ADD or right.startswith("-"):
             right = f"({right})"
         return f"{left} + {right}", _ADD
     if isinstance(t, Mul):
-        left, lp = _render(t.left)
+        left, lp = _rendered(t.left)
         if lp < _MUL:
             left = f"({left})"
-        right, rp = _render(t.right)
+        right, rp = _rendered(t.right)
         # a signed or product-shaped right operand would reassociate bare
         if rp <= _MUL or right.startswith("-"):
             right = f"({right})"
@@ -656,7 +726,7 @@ def _render(t: DTerm) -> tuple[str, int]:
 
 
 def _render_poly(t: Poly) -> tuple[str, int]:
-    base, bprec = _render(t.argument)
+    base, bprec = _rendered(t.argument)
     if bprec < _ATOM:
         base = f"({base})"
     pieces: list[tuple[int, Fraction]] = [
@@ -684,8 +754,20 @@ def _render_poly(t: Poly) -> tuple[str, int]:
     return text, (_MUL if abs(c) != 1 or pieces[0][0] == 0 else _POW)
 
 
+def _rendered(t: DTerm) -> tuple[str, int]:
+    """_render(t), computed once per node: the text is also the sort key
+    of every factor in a constructible function."""
+    if not isinstance(t, DTerm):
+        raise TypeError(f"not a DTerm: {t!r}")
+    d = t.__dict__
+    out = d.get("_text")
+    if out is None:
+        out = d["_text"] = _render(t)
+    return out
+
+
 def print_dterm(t: DTerm) -> str:
-    return _render(t)[0]
+    return _rendered(t)[0]
 
 
 def _render_exponent(e: Fraction) -> str:

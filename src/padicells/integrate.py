@@ -102,14 +102,14 @@ class CellIntegrand:
 
     @staticmethod
     def of(cell: Cell, terms) -> "CellIntegrand":
-        merged: dict[tuple[int, int], ConstructibleExpr] = {}
+        merged: dict[tuple[int, int], list[ConstructibleExpr]] = {}
         for t in terms:
             if isinstance(t, PreparedTerm) and t.cell != cell:
                 raise ValueError("prepared term belongs to a different cell")
-            key = (t.a, t.l)
-            merged[key] = merged.get(key, ConstructibleExpr.zero()) + t.delta
+            merged.setdefault((t.a, t.l), []).append(t.delta)
         out = tuple(
-            IntegrandTerm(d, a, l) for (a, l), d in sorted(merged.items())
+            IntegrandTerm(ConstructibleExpr.sum_of(ds), a, l)
+            for (a, l), ds in sorted(merged.items())
         )
         return CellIntegrand(cell, out)
 
@@ -273,18 +273,18 @@ def _integrate_symbolic(
         c = 1 if cond.lower_strict else 0
         h1 = d_scale(cond.lower, 1 / (Fraction(q) ** (c + (r - c - vmu) % n) * mu))
 
-    out = ConstructibleExpr.zero()
+    out = []
     for t in ci.terms:
         u = Fraction(q) ** (-(t.a + n))
         pw = Fraction(t.a + n, n)
-        acc = ConstructibleExpr.zero()
+        acc = []
         for i in range(t.l + 1):
             coeff = Fraction(comb(t.l, i)) * Fraction(vmu) ** (t.l - i) * Fraction(n) ** i
             if coeff == 0:
                 continue
-            acc = acc + _window_expr(i, u, pw, h0, h1, n).scale(coeff)
-        out = out + t.delta * acc
-    return out.scale(eps * Fraction(q) ** (-vmu))
+            acc.append(_window_expr(i, u, pw, h0, h1, n).scale(coeff))
+        out.append(t.delta * ConstructibleExpr.sum_of(acc))
+    return ConstructibleExpr.sum_of(out).scale(eps * Fraction(q) ** (-vmu))
 
 
 def _valuation_poly(h: DTerm, cs: polys.PolyQ, scale: Fraction) -> ConstructibleExpr:
@@ -491,12 +491,11 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
 def _convolve(
     a: dict[int, ConstructibleExpr], b: dict[int, ConstructibleExpr]
 ) -> dict[int, ConstructibleExpr]:
-    out: dict[int, ConstructibleExpr] = {}
+    out: dict[int, list[ConstructibleExpr]] = {}
     for i, x in a.items():
         for j, y in b.items():
-            key = i + j
-            out[key] = out.get(key, ConstructibleExpr.zero()) + x * y
-    return out
+            out.setdefault(i + j, []).append(x * y)
+    return {k: ConstructibleExpr.sum_of(v) for k, v in out.items()}
 
 
 def prepared_power(terms: list[PreparedTerm], s0: int) -> list[PreparedTerm]:
@@ -541,22 +540,15 @@ def eliminate_last_variable(
     All-or-nothing: one structurally divergent cell makes the whole level
     zero with integrable=False, no matter the cell order.
     """
-    total_expr = ConstructibleExpr.zero()
-    total_val = Fraction(0)
+    pieces = []
     for ci in integrands:
         try:
-            piece = integrate_cell(ci, base_point)
+            pieces.append(integrate_cell(ci, base_point))
         except NotIntegrableError:
             return EliminationResult(ConstructibleExpr.zero(), False)
-        if base_point is None:
-            assert isinstance(piece, ConstructibleExpr)
-            total_expr = total_expr + piece
-        else:
-            assert isinstance(piece, Fraction)
-            total_val += piece
     if base_point is None:
-        return EliminationResult(total_expr, True)
-    return EliminationResult(ConstructibleExpr.const(total_val), True)
+        return EliminationResult(ConstructibleExpr.sum_of(pieces), True)
+    return EliminationResult(ConstructibleExpr.const(sum(pieces, Fraction(0))), True)
 
 
 def check_partition(
@@ -665,7 +657,7 @@ def integrate_full(
         (c.conditions, (), f) for c in cells
     ]
     for _ in range(eliminate):
-        grouped: dict[tuple, ConstructibleExpr] = {}
+        grouped: dict[tuple, list[ConstructibleExpr]] = {}
         for conds, guards, expr in pairs:
             ci = prepare_integrand(expr, Cell(conds))
             try:
@@ -685,9 +677,11 @@ def integrate_full(
                     break
             if violated:
                 continue
-            key = (prefix, tuple(kept))
-            grouped[key] = grouped.get(key, ConstructibleExpr.zero()) + piece
-        pairs = [(conds, guards, e) for (conds, guards), e in grouped.items()]
+            grouped.setdefault((prefix, tuple(kept)), []).append(piece)
+        pairs = [
+            (conds, guards, ConstructibleExpr.sum_of(es))
+            for (conds, guards), es in grouped.items()
+        ]
 
     keep = len(base_point)
     for _, guards, _ in pairs:

@@ -11,8 +11,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import isprime
-
 # Valuation of zero. Absorbing under addition, greater than every integer.
 INF = float("inf")
 # Below every integer: an unbounded-below valuation window, or a precision
@@ -49,6 +47,43 @@ def rational_valuation(x: Fraction, p: int) -> int | float:
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
+# Miller-Rabin with the first 13 primes as bases decides every n below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality below _MR_LIMIT; sympy decides above it."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{n!r} is not an integer")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Prime:
     """A checked prime p. The residue field has q = p elements."""
@@ -56,7 +91,7 @@ class Prime:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or not isprime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"not a prime: {self.p}")
 
     @property

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import sympy
-
 from . import polys
 from .padic import INF, NEG_INF
 
@@ -63,13 +61,22 @@ def _numerators(i: int) -> polys.PolyQ:
     return polys.mul(u, inner)
 
 
+# Bounded: the ratios u are user rationals. typed, so that an int or float
+# u never receives a result computed for an equal Fraction.
+@lru_cache(maxsize=1024, typed=True)
+def _head(i: int, u: Fraction) -> Fraction:
+    """N_i(u) / (1-u)^(i+1), the closed form of sum_{j>=0} j^i u^j."""
+    return polys.evaluate(_numerators(i), u) / (1 - u) ** (i + 1)
+
+
 def full_sum(i: int, u: Fraction) -> Fraction:
     """sum_{j>=0} j^i u^j for |u| < 1."""
     if not abs(u) < 1:
         raise DivergentSumError("ratio outside the open unit interval")
-    return polys.evaluate(_numerators(i), u) / (1 - u) ** (i + 1)
+    return _head(i, u)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), any u != 1.
 
@@ -77,12 +84,9 @@ def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     convergence; only the one-sided tail reading requires |u| < 1."""
     if u == 1:
         raise ValueError("u = 1 follows the Faulhaber route instead")
-    out: polys.PolyQ = ()
-    for m in range(i + 1):
-        fm = polys.evaluate(_numerators(m), u) / (1 - u) ** (m + 1)
-        term = [Fraction(0)] * (i - m) + [Fraction(comb(i, m)) * fm]
-        out = polys.add(out, tuple(term))
-    return out
+    return polys.normalize(tuple(
+        Fraction(comb(i, m)) * _head(m, u) for m in range(i, -1, -1)
+    ))
 
 
 def tail_coeffs(i: int, u: Fraction) -> polys.PolyQ:
@@ -94,17 +98,21 @@ def tail_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     return window_coeffs(i, u)
 
 
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n with B_1 = +1/2, from sum_{j<=m} C(m+1, j) B_j = m + 1."""
+    out: list[Fraction] = []
+    for m in range(n + 1):
+        rest = sum(comb(m + 1, j) * b for j, b in enumerate(out))
+        out.append((m + 1 - rest) / Fraction(m + 1))
+    return out
+
+
 @lru_cache(maxsize=None)
 def faulhaber_coeffs(l: int) -> polys.PolyQ:
     """S with S(x) = sum_{j=1..x} j^l, exact for every integer endpoint pair
-    via S(b) - S(a-1)."""
+    via S(b) - S(a-1). The formula needs B_1 = +1/2."""
     coeffs = [Fraction(0)] * (l + 2)
-    for k in range(l + 1):
-        if k == 1:
-            bk = Fraction(1, 2)  # the formula needs B_1 = +1/2, either way sympy leans
-        else:
-            b = sympy.bernoulli(k)
-            bk = Fraction(int(b.p), int(b.q))
+    for k, bk in enumerate(bernoulli_numbers(l)):
         coeffs[l + 1 - k] = Fraction(comb(l + 1, k)) * bk / (l + 1)
     return polys.normalize(tuple(coeffs))
 
@@ -127,9 +135,8 @@ def bounded_sum(i: int, u: Fraction, J: int) -> Fraction:
         return Fraction(0)
     if u == 1:
         return power_sum(i, J)
-    head = polys.evaluate(_numerators(i), u) / (1 - u) ** (i + 1)
     tail = polys.evaluate(window_coeffs(i, u), Fraction(J + 1))
-    return head - u ** (J + 1) * tail
+    return _head(i, u) - u ** (J + 1) * tail
 
 
 def _sum_from_zero(i: int, u: Fraction, J: int | float) -> Fraction:

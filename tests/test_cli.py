@@ -2,16 +2,20 @@
 
 Every command is driven through cli.main with an argv list; stdout is the
 JSON document under test and stderr carries diagnostics. Exit codes: 0 ok,
-1 bad input, 2 precision exhaustion, 3 a verification check failed.
+1 bad input, 2 precision exhaustion, 3 a verification check failed, 4 an
+internal fault.
 """
 
 import json
 import shutil
 import subprocess
+import sys
+from fractions import Fraction as F
 
 import pytest
 
-from padicells import cli
+from padicells import cli, integrate
+from padicells.expr import parse_constructible, print_constructible
 
 
 def run(capsys, *argv):
@@ -343,6 +347,45 @@ GOLDEN = [
 def test_golden_bytes(capsys, tmp_path, command, fields, flags, want_code, want_out):
     code, out, err = run(capsys, command, problem(tmp_path, **fields), *flags)
     assert (code, out, err) == (want_code, want_out, "")
+
+
+def test_golden_integrands_round_trip():
+    for case in GOLDEN:
+        text = case[2].get("integrand")
+        if text is not None:
+            f = parse_constructible(text)
+            assert parse_constructible(print_constructible(f)) == f, text
+            # and through a canonical product and sum of the same pieces
+            g = f * f + f.scale(F(-1, 3))
+            assert parse_constructible(print_constructible(g)) == g, text
+
+
+# ---------------------------------------------------------------------------
+# internal faults and start-up
+
+@pytest.mark.parametrize("fault", [
+    integrate.PartitionError("partition check failed: cells measure 1, domain measures 1/2"),
+    AssertionError("ball pieces carry a nonzero unit scale"),
+])
+def test_internal_fault_exits_4(capsys, tmp_path, monkeypatch, fault):
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = run(capsys, "parse", problem(tmp_path, p=3, integrand="abs(x0)"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(f"internal error ({type(fault).__name__})")
+
+
+def test_cli_import_does_not_load_sympy():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, padicells.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

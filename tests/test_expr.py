@@ -10,15 +10,20 @@ from padicells.expr import (
     Add,
     Const,
     ConstructibleExpr,
+    CTerm,
     EvaluationPrecisionError,
     Inv,
     Mul,
+    NormFactor,
     ParseError,
     Poly,
     RestrictedSeries,
+    ValFactor,
     Var,
     VFactorZeroError,
+    _constructible_value,
     _eval,
+    _render,
     as_poly_in,
     d_add,
     d_inv,
@@ -31,6 +36,7 @@ from padicells.expr import (
     free_variables,
     parse_constructible,
     parse_dterm,
+    pinned_valuation,
     poly_of,
     print_constructible,
     print_dterm,
@@ -421,3 +427,221 @@ def test_constructible_algebra():
     assert (a + a) == a.scale(2)
     assert a.scale(0).is_zero()
     assert ConstructibleExpr.const(F(5, 3)).constant_value() == F(5, 3)
+
+
+# --- the canonical sum and the evaluator against their old forms -----------
+# reference_of and reference_value keep the plain forms of
+# ConstructibleExpr.of and _constructible_value, line for line: every term's
+# factors merged and sorted, every factor argument evaluated where it
+# appears. The fast ones must give equal terms, equal values, and errors of
+# the same type in the same order.
+
+
+def reference_of(terms) -> ConstructibleExpr:
+    merged: dict = {}
+    for term in terms:
+        vals: dict = {}
+        for f in term.val_factors:
+            vals[f.h] = vals.get(f.h, 0) + f.power
+        norms: dict = {}
+        for f in term.norm_factors:
+            norms[f.h] = norms.get(f.h, Fraction(0)) + f.power
+        vf = tuple(
+            ValFactor(h, e)
+            for h, e in sorted(vals.items(), key=lambda kv: print_dterm(kv[0]))
+            if e != 0
+        )
+        nf = tuple(
+            NormFactor(h, e)
+            for h, e in sorted(norms.items(), key=lambda kv: print_dterm(kv[0]))
+            if e != 0
+        )
+        key = (vf, nf)
+        merged[key] = merged.get(key, Fraction(0)) + term.coeff
+    out = tuple(
+        CTerm(c, vf, nf)
+        for (vf, nf), c in sorted(
+            merged.items(), key=lambda kv: reference_sort_key(kv[0])
+        )
+        if c != 0
+    )
+    return ConstructibleExpr(out)
+
+
+def reference_sort_key(key):
+    vf, nf = key
+    return (
+        tuple((print_dterm(f.h), f.power) for f in vf),
+        tuple((print_dterm(f.h), f.power) for f in nf),
+    )
+
+
+def reference_value(
+    f: ConstructibleExpr, reps: tuple[Fraction, ...], depths: tuple, p: int
+) -> Fraction:
+    total = Fraction(0)
+    for term in f.terms:
+        acc = term.coeff
+        for vf in term.val_factors:
+            value, prec = _eval(vf.h, reps, depths, p)
+            v = pinned_valuation(value, prec, p)
+            if v is None:
+                if value == 0 and prec == INF:
+                    raise VFactorZeroError("v() of an exact zero inside a constructible term")
+                raise EvaluationPrecisionError("valuation undetermined at this precision")
+            acc *= Fraction(v) ** vf.power
+        for nf in term.norm_factors:
+            value, prec = _eval(nf.h, reps, depths, p)
+            if value == 0 and prec == INF:
+                if nf.power < 0:
+                    raise ZeroDivisionError("negative power of the norm of zero")
+                acc = Fraction(0)
+                continue
+            v = pinned_valuation(value, prec, p)
+            if v is None:
+                raise EvaluationPrecisionError("norm undetermined at this precision")
+            e = nf.power * v
+            if e.denominator != 1:
+                raise ValueError(
+                    "fractional norm power does not give an integer exponent here"
+                )
+            acc *= Fraction(p) ** (-int(e))
+        total += acc
+    return total
+
+
+# Factor arguments are parsed afresh at every draw, so repeated factors are
+# equal but not the same object. "0" and "x0 - x0" give v() of a zero,
+# inv(x1) leaves boxes undecided near 0.
+FACTOR_TEXTS = ("x0", "x1", "x2", "x0^2 - 1", "x0 + x1", "3*x1", "inv(x1)",
+                "x0*x1", "1/3", "0", "series([1, 1/3; tail 2], x0)")
+FACTOR_ARGS = st.sampled_from(FACTOR_TEXTS).map(parse_dterm)
+# plain ints too: a merge turns them into Fractions, and so must `of`
+NORM_POWERS = st.sampled_from((F(-2), -1, F(-1, 2), F(0), 0, F(1, 3), F(1, 2), F(1), 1, 2))
+
+
+@st.composite
+def cterm_lists(draw):
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeff = F(draw(st.sampled_from((-2, -1, 1, 2, 3))), draw(st.sampled_from((1, 2))))
+        vals = draw(st.lists(st.builds(ValFactor, FACTOR_ARGS, st.integers(0, 3)), max_size=3))
+        norms = draw(st.lists(st.builds(NormFactor, FACTOR_ARGS, NORM_POWERS), max_size=3))
+        terms.append(CTerm(coeff, tuple(vals), tuple(norms)))
+    # negated copies, factors shuffled, make coefficients cancel
+    rng = draw(st.randoms(use_true_random=False))
+    for t in list(terms):
+        if rng.random() < 0.3:
+            vals, norms = list(t.val_factors), list(t.norm_factors)
+            rng.shuffle(vals)
+            rng.shuffle(norms)
+            terms.append(CTerm(-t.coeff, tuple(vals), tuple(norms)))
+    return terms
+
+
+def _permuted(terms, rng):
+    out = []
+    for t in terms:
+        vals, norms = list(t.val_factors), list(t.norm_factors)
+        rng.shuffle(vals)
+        rng.shuffle(norms)
+        out.append(CTerm(t.coeff, tuple(vals), tuple(norms)))
+    rng.shuffle(out)
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(cterm_lists(), st.randoms(use_true_random=False))
+def test_of_matches_reference(terms, rng):
+    got = ConstructibleExpr.of(terms)
+    want = reference_of(terms)
+    assert got == want
+    assert print_constructible(got) == print_constructible(want)
+    assert [type(f.power) for t in got.terms for f in t.val_factors + t.norm_factors] == \
+        [type(f.power) for t in want.terms for f in t.val_factors + t.norm_factors]
+    assert ConstructibleExpr.of(got.terms) == got
+    assert ConstructibleExpr.of(_permuted(terms, rng)) == got
+
+
+def _outcome(evaluate, *args):
+    try:
+        value = evaluate(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@st.composite
+def expressions_on_boxes(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    terms = draw(cterm_lists())
+    # raw (unmerged) terms reach the evaluator too, e.g. built by hand
+    f = ConstructibleExpr(tuple(terms)) if draw(st.booleans()) else ConstructibleExpr.of(terms)
+    reps, depths = [], []
+    for _ in range(3):
+        reps.append(F(draw(st.integers(-9, 9)) * p ** draw(st.integers(0, 2)),
+                      p ** draw(st.integers(0, 1))))
+        depths.append(draw(st.sampled_from((0, 1, 2, 3, INF, INF, INF))))
+    return f, tuple(reps), tuple(depths), p
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(expressions_on_boxes())
+def test_value_matches_reference_at_points_and_boxes(case):
+    f, reps, depths, p = case
+    assert _outcome(_constructible_value, f, reps, depths, p) == \
+        _outcome(reference_value, f, reps, depths, p)
+    point = (INF,) * len(reps)
+    assert _outcome(_constructible_value, f, reps, point, p) == \
+        _outcome(reference_value, f, reps, point, p)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_value_reports_the_first_error_in_term_order(flip):
+    # x1 = 0 is read once, but each term still raises its own error
+    terms = (
+        CTerm(F(1), (ValFactor(Var(0), 1),), (NormFactor(Var(1), F(-1)),)),
+        CTerm(F(2), (ValFactor(Var(1), 1),), ()),
+    )
+    f = ConstructibleExpr(terms[::-1] if flip else terms)
+    want = VFactorZeroError if flip else ZeroDivisionError
+    reps, depths = (F(3), F(0)), (INF, INF)
+    for evaluate in (reference_value, _constructible_value):
+        with pytest.raises(ZeroDivisionError) as info:
+            evaluate(f, reps, depths, 3)
+        assert type(info.value) is want
+
+
+# --- hash, equality and cached text ----------------------------------------
+
+def test_equal_terms_hash_equal_however_built():
+    import dataclasses
+
+    a = parse_dterm("x0^2*inv(x1) + series([1, 2; tail 3], x2)")
+    hash(a)  # cached on a, not on b
+    b = Add(dataclasses.replace(a.left), dataclasses.replace(a.right, tail_valuation=3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    c = dataclasses.replace(a, right=parse_dterm("series([1, 2; tail 3], x2)"))
+    assert c == a and hash(c) == hash(a)
+    # the cached hash is the dataclass hash of the fields, so dict and set
+    # orders are those of the uncached terms
+    assert hash(a) == hash((a.left, a.right))
+    assert {a: 1}[c] == 1
+    assert a != dataclasses.replace(a, right=parse_dterm("series([1, 2; tail 4], x2)"))
+    f = ValFactor(a, 2)
+    assert hash(f) == hash(ValFactor(c, 2)) and f == ValFactor(c, 2)
+    assert NormFactor(a, F(1, 2)) == NormFactor(b, F(1, 2))
+    assert hash(NormFactor(a, F(1, 2))) == hash(NormFactor(b, F(1, 2)))
+
+
+def test_cached_text_matches_a_fresh_render():
+    rng = random.Random(23)
+    for _ in range(200):
+        t = random_dterm(rng, rng.randint(1, 4))
+        first = print_dterm(t)
+        assert print_dterm(t) == first == _render(t)[0]
+        for node in walk(t):
+            assert print_dterm(node) == _render(node)[0]
+    with pytest.raises(TypeError):
+        print_dterm(3)

@@ -23,6 +23,22 @@ def test_prime_checked():
     with pytest.raises(ValueError):
         Prime(6)
     assert Prime(7).q == 7
+    for bad in (3.0, True, "3", Fraction(3)):
+        with pytest.raises(ValueError):
+            Prime(bad)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(-3, 4000) if padic.is_prime(n)] == \
+        [n for n in range(-3, 4000) if sympy.isprime(n)]
+    # Carmichael numbers, strong pseudoprimes to several prime bases, and
+    # large primes on either side of the deterministic limit
+    cases = [561, 41041, 3215031751, 3825123056546413051,
+             318665857834031151167461, 2**61 - 1, 2**89 - 1, 2**89 + 1,
+             padic._MR_LIMIT, padic._MR_LIMIT - 2, 2**127 - 1, 2**127 + 1]
+    for n in cases:
+        assert padic.is_prime(n) == sympy.isprime(n), n
 
 
 def test_valuation_examples():

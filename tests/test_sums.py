@@ -8,6 +8,7 @@ from padicells.padic import INF
 from padicells.sums import (
     DivergentSumError,
     ProgressionSum,
+    bernoulli_numbers,
     bounded_sum,
     faulhaber_coeffs,
     full_sum,
@@ -143,6 +144,37 @@ def test_faulhaber_coeffs_windows():
             want = sum(F(j) ** l for j in range(a, b + 1))
             got = polys.evaluate(S, F(b)) - polys.evaluate(S, F(a - 1))
             assert got == want, (l, a, b)
+
+
+def test_bernoulli_recurrence_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    got = bernoulli_numbers(30)
+    assert len(got) == 31
+    # Faulhaber's formula needs B_1 = +1/2, whatever sign sympy's version uses
+    assert got[1] == F(1, 2)
+    for k in range(31):
+        if k != 1:
+            b = sympy.bernoulli(k)
+            assert got[k] == F(int(b.p), int(b.q)), k
+
+
+def test_window_coeffs_cache_keeps_types_apart():
+    window_coeffs.cache_clear()
+    exact = window_coeffs(2, F(1, 2))
+    assert all(type(c) is Fraction for c in exact)
+    assert all(type(c) is float for c in window_coeffs(2, 0.5))
+    assert window_coeffs(2, F(1, 2)) is exact
+    assert window_coeffs.cache_info().maxsize is not None
+
+
+def test_window_coeffs_is_the_window_identity():
+    for u in (F(1, 3), F(-2), F(5, 2)):
+        for i in range(5):
+            T = window_coeffs(i, u)
+            for x, y in [(0, 4), (-3, 2), (5, 5)]:
+                want = sum(F(j) ** i * u**j for j in range(x, y + 1))
+                got = u**x * polys.evaluate(T, F(x)) - u ** (y + 1) * polys.evaluate(T, F(y + 1))
+                assert got == want, (u, i, x, y)
 
 
 def test_power_sum():
