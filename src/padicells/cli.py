@@ -551,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), EXIT_INPUT)
     except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
         return _fail(str(e), EXIT_INPUT)
+    except RecursionError:
+        # a RuntimeError subclass, but caused by the input's nesting depth
+        return _fail("input nested too deeply", EXIT_INPUT)
     except (RuntimeError, AssertionError) as e:
         # integrate.PartitionError, failed self-checks and broken invariants
         return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)

@@ -620,17 +620,13 @@ def _constructible_value(
     total = Fraction(0)
     for term in f.terms:
         acc = term.coeff
-        v_product = 1
         for vf in term.val_factors:
             value, prec, v = read(vf.h)
             if v is None:
                 if value == 0 and prec == INF:
                     raise VFactorZeroError("v() of an exact zero inside a constructible term")
                 raise EvaluationPrecisionError("valuation undetermined at this precision")
-            if type(vf.power) is int and vf.power >= 0:
-                v_product *= v**vf.power
-            else:
-                acc *= Fraction(v) ** vf.power
+            acc *= Fraction(v) ** vf.power
         exponent = 0
         for nf in term.norm_factors:
             value, prec, v = read(nf.h)
@@ -648,7 +644,7 @@ def _constructible_value(
                 )
             exponent += int(e)
         if acc:
-            total += acc * v_product * Fraction(p) ** (-exponent)
+            total += acc * Fraction(p) ** (-exponent)
     return total
 
 

@@ -543,9 +543,11 @@ def eliminate_last_variable(
     pieces = []
     for ci in integrands:
         try:
-            pieces.append(integrate_cell(ci, base_point))
+            piece = integrate_cell(ci, base_point)
         except NotIntegrableError:
             return EliminationResult(ConstructibleExpr.zero(), False)
+        assert isinstance(piece, ConstructibleExpr if base_point is None else Fraction)
+        pieces.append(piece)
     if base_point is None:
         return EliminationResult(ConstructibleExpr.sum_of(pieces), True)
     return EliminationResult(ConstructibleExpr.const(sum(pieces, Fraction(0))), True)

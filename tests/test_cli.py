@@ -379,6 +379,15 @@ def test_internal_fault_exits_4(capsys, tmp_path, monkeypatch, fault):
     assert json.loads(err)["error"].startswith(f"internal error ({type(fault).__name__})")
 
 
+def test_too_deeply_nested_input_exits_1(capsys, tmp_path):
+    # RecursionError is a RuntimeError, but here the input is at fault
+    integrand = "abs(" * 3000 + "x0" + ")" * 3000
+    code, out, err = run(capsys, "parse", problem(tmp_path, p=3, integrand=integrand))
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "input nested too deeply"
+
+
 def test_cli_import_does_not_load_sympy():
     done = subprocess.run(
         [sys.executable, "-c",
