@@ -1,4 +1,4 @@
-"""Cells in Q_p^m and exact fiber measures.
+"""Cells in Q_p^m, their level-set densities and exact membership.
 
 A cell constrains each variable in turn: stage i confines t = x_i by
 norm bounds |alpha(x)| vs |t - gamma(x)| vs |beta(x)| (each side strict
@@ -9,12 +9,12 @@ with mu = 0 pins t to the center exactly.
 On a fiber the conditions become an arithmetic progression of attainable
 valuations k, and the Haar measure of each level set {v(u) = k} inside
 mu*P_n is epsilon * p^-k for a density epsilon counted exactly from unit
-residues. That reduces every fiber measure to a geometric series.
+residues. That reduces every fiber integral to a geometric series, which
+integrate sums in closed form.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -38,10 +38,6 @@ from .padic import (
     in_coset,
     nth_power_unit_residues,
 )
-
-
-class InfiniteMeasureError(ArithmeticError):
-    """The fiber has infinite Haar measure."""
 
 
 class BoundZeroError(ZeroDivisionError):
@@ -166,47 +162,6 @@ def level_set_measure(c: Coset, p: Prime | None = None) -> LevelSetMeasure:
 # ---------------------------------------------------------------------------
 # fibers
 
-@dataclass(frozen=True)
-class ValuationRange:
-    """Attainable v(t - center) values: k_min <= k <= k_max, k = residue mod modulus."""
-
-    k_min: int | float
-    k_max: int | float
-    modulus: int
-    residue: int
-
-    def is_empty(self) -> bool:
-        if self.k_min == NEG_INF or self.k_max == INF:
-            return self.k_min > self.k_max
-        return self.first() is None
-
-    def first(self) -> int | None:
-        """Smallest attainable k, for finite k_min."""
-        if self.k_min == NEG_INF:
-            raise ValueError("no smallest valuation in an unbounded-below range")
-        k0 = int(self.k_min) + (self.residue - int(self.k_min)) % self.modulus
-        if k0 > self.k_max:
-            return None
-        return k0
-
-    def count(self) -> int | float:
-        if self.is_empty():
-            return 0
-        if self.k_max == INF:
-            return INF
-        first = self.first()
-        assert first is not None
-        return (int(self.k_max) - first) // self.modulus + 1
-
-    def contains(self, k: int | float) -> bool:
-        if k == INF or k == NEG_INF:
-            return False
-        return (
-            self.k_min <= k <= self.k_max
-            and k % self.modulus == self.residue
-        )
-
-
 def _bound_valuation(term: DTerm, base_point: list[PAdicScalar], prime: Prime) -> int:
     value, err = eval_dterm(term, base_point, prime)
     v = pinned_valuation(value.value, err, prime.p)
@@ -241,18 +196,6 @@ def _norm_window(
     return k_min, k_max, pins_hold
 
 
-def fiber_valuation_range(
-    cond: CellCondition, base_point: list[PAdicScalar]
-) -> ValuationRange:
-    """The progression of valuations the stage admits over a base point:
-    the norm bounds' window, with k = v(mu) mod n forced by the coset."""
-    if cond.coset.is_zero():
-        raise ValueError("a point stage has no valuation progression")
-    k_min, k_max, _ = _norm_window(cond, base_point)
-    n = cond.coset.n
-    return ValuationRange(k_min, k_max, n, int(cond.coset.mu.valuation) % n)
-
-
 @dataclass(frozen=True)
 class StageWindow:
     """One stage over a fixed base point: its exact center and the
@@ -274,28 +217,6 @@ def stage_window(cond: CellCondition, base_point: list[PAdicScalar]) -> StageWin
     if not pins_hold:
         k_min, k_max = INF, NEG_INF
     return StageWindow(center.value, k_min, k_max)
-
-
-def fiber_measure(cond: CellCondition, base_point: list[PAdicScalar]) -> Fraction:
-    """Exact Haar measure of the stage's fiber over a base point."""
-    if cond.coset.is_zero():
-        return Fraction(0)
-    rng = fiber_valuation_range(cond, base_point)
-    if rng.is_empty():
-        return Fraction(0)
-    if rng.k_min == NEG_INF:
-        raise InfiniteMeasureError("infinite measure: fiber valuations unbounded below")
-    eps = level_set_measure(cond.coset).epsilon
-    p, n = cond.prime.p, cond.coset.n
-    k0 = rng.first()
-    assert k0 is not None
-    ratio = Fraction(1, p**n)
-    head = eps * Fraction(1, p) ** k0
-    if rng.k_max == INF:
-        return head / (1 - ratio)
-    m = rng.count()
-    assert m != INF
-    return head * (1 - ratio**m) / (1 - ratio)
 
 
 def fiber_membership(
@@ -435,6 +356,3 @@ def condition_from_json(data: dict, prime: Prime) -> CellCondition:
 def cell_from_json(data: dict, prime: Prime) -> Cell:
     return Cell(tuple(condition_from_json(c, prime) for c in data["conditions"]))
 
-
-def cell_to_text(cell: Cell) -> str:
-    return json.dumps(cell_to_json(cell), indent=2)

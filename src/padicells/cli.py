@@ -264,6 +264,33 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _concrete_values(f: ConstructibleExpr, problem: Problem):
+    """(values per base point, integrable) from one elimination."""
+    if problem.base_points is None:
+        raise InputError("concrete evaluation needs \"base_points\" or --point")
+    pieces = integrate.eliminate_stages(f, problem.cells, problem.nvars)
+    if pieces is None:
+        return [Fraction(0)] * len(problem.base_points), False
+    return [integrate.evaluate_pieces(pieces, pt, problem.prime)
+            for pt in problem.base_points], True
+
+
+def _symbolic_value(f: ConstructibleExpr, cells: list[Cell]):
+    """(expression, integrable) over the base; refuses a cell whose result
+    holds only where a pin or window guard holds."""
+    results = [integrate.eliminate_stages(f, [cell], 1) for cell in cells]
+    if any(pieces is None for pieces in results):
+        return ConstructibleExpr.zero(), False
+    for i, pieces in enumerate(results):
+        if any(piece.guards for piece in pieces):
+            raise InputError(
+                f"cell {i}: its symbolic result holds only where its residue "
+                "pins hold and its valuation window is not empty; integrate "
+                "it in concrete mode at base points"
+            )
+    return ConstructibleExpr.sum_of(p.value for ps in results for p in ps), True
+
+
 def _integrate_problem(problem: Problem, precision: int):
     """Returns (values per base point, expression or None, integrable)."""
     if problem.cells == "auto":
@@ -279,20 +306,9 @@ def _integrate_problem(problem: Problem, precision: int):
     if problem.mode == "symbolic":
         if problem.nvars != 1:
             raise InputError("symbolic mode eliminates exactly one variable")
-        cis = [integrate.prepare_integrand(problem.integrand, c)
-               for c in problem.cells]
-        res = integrate.eliminate_last_variable(cis)
-        return None, res.value, res.integrable
-
-    if problem.base_points is None:
-        raise InputError("concrete evaluation needs \"base_points\" or --point")
-    values = []
-    integrable = True
-    for pt in problem.base_points:
-        res = integrate.integrate_full(problem.integrand, problem.cells,
-                                       eliminate=problem.nvars, base_point=pt)
-        values.append(res.value.constant_value())
-        integrable = integrable and res.integrable
+        expression, integrable = _symbolic_value(problem.integrand, problem.cells)
+        return None, expression, integrable
+    values, integrable = _concrete_values(problem.integrand, problem)
     return values, None, integrable
 
 
@@ -341,11 +357,7 @@ def cmd_measure(args) -> int:
     if problem.base_points is None:
         raise InputError("measure needs \"base_points\" for parametrized cells")
     one = ConstructibleExpr.const(Fraction(1))
-    measures = []
-    for pt in problem.base_points:
-        res = integrate.integrate_full(one, problem.cells,
-                                       eliminate=problem.nvars, base_point=pt)
-        measures.append(res.value.constant_value())
+    measures, _ = _concrete_values(one, problem)
     payload = {"measures": [_rat(v) for v in measures]}
 
     code = EXIT_OK
@@ -543,9 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceeded:
         return _fail("oracle exceeded the class budget; raise --budget or lower --verify-N",
                      EXIT_PRECISION)
-    except (
-        decompose.PrecisionExhausted, oracle.StabilizationError, EvaluationPrecisionError
-    ) as e:
+    except (decompose.PrecisionExhausted, EvaluationPrecisionError) as e:
         return _fail(str(e), EXIT_PRECISION)
     except sums.DivergentSumError as e:
         return _fail(str(e), EXIT_INPUT)

@@ -160,10 +160,6 @@ def poly_of(coeffs, argument: DTerm) -> DTerm:
     return _from_view(argument, cs)
 
 
-def d_const(x) -> Const:
-    return Const(Fraction(x))
-
-
 def d_add(a: DTerm, b: DTerm) -> DTerm:
     ba, ca = _poly_view(a)
     bb, cb = _poly_view(b)
@@ -658,16 +654,6 @@ def eval_constructible(
     """
     reps, depths, prime = _point_box(point, prime)
     return _constructible_value(f, reps, depths, prime.p)
-
-
-def max_variable_index(f: ConstructibleExpr) -> int:
-    """Largest variable index appearing, -1 for a constant."""
-    out = -1
-    for term in f.terms:
-        for fac in term.val_factors + term.norm_factors:
-            for i in free_variables(fac.h):
-                out = max(out, i)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ therefore
     eps * delta * sum_k q^(-a(k - v(mu))/n) * k^l * q^-k
   = eps * delta * q^-v(mu) * sum_j (v(mu) + n j)^l * u^j,   u = q^-(a+n),
 
-a progression sum with a rational ratio. Concrete mode evaluates it as a
-number over a given base point. Symbolic mode rebuilds the same closed
-form as a constructible function of the base: with the bound-valuation
-residues pinned, the window ends j0, j1 become v(h)/n for bound terms h
-rescaled into the coset grid, so u^j0 is a norm power of h and the
-tail/Faulhaber polynomials in j0 become v-powers of h.
+a progression sum with a rational ratio. Its closed form is a
+constructible function of the base: with the bound-valuation residues
+fixed, the window ends j0, j1 become v(h)/n for bound terms h rescaled
+into the coset grid, so u^j0 is a norm power of h and the tail/Faulhaber
+polynomials in j0 become v-powers of h. A concrete value is that closed
+form evaluated at the base point, once the point's window is known to
+be non-empty.
 
 A term is integrable exactly when its window is cut on every side where
 the geometric ratio does not already decay; this is read off (a, n, the
@@ -33,9 +34,10 @@ from . import polys, sums
 from .cells import (
     Cell,
     CellCondition,
+    _bound_valuation,
+    _norm_window,
     coset_of,
     fiber_membership,
-    fiber_valuation_range,
     level_set_measure,
 )
 from .decompose import PreparedTerm, decompose_univariate
@@ -54,9 +56,7 @@ from .expr import (
     d_pow,
     d_scale,
     eval_constructible,
-    eval_dterm,
     free_variables,
-    pinned_valuation,
     print_dterm,
 )
 from .oracle import DEFAULT_BUDGET, oracle_measure
@@ -140,105 +140,73 @@ def _decide_integrable(a: int, cond: CellCondition) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one stage, concrete base point
+# one stage
 
 def integrate_cell(
     ci: CellIntegrand, base_point: list[PAdicScalar] | None = None
 ) -> Fraction | ConstructibleExpr:
     """Integrate the prepared terms over the cell's last stage.
 
-    With base_point (scalars for the earlier stages) the result is an
-    exact rational; without it, a constructible function of the base.
+    Without base_point the result is the stage's closed form, a
+    constructible function of the base. It holds where the bound residue
+    pins hold and the valuation window is not empty: over an empty window
+    the closed form need not vanish. A stage with constant bounds decides
+    both here; eliminate_stages guards the others. With base_point (scalars
+    for the earlier stages) the result is 0 where the zero coset, a failed
+    pin or an empty window rules the point out, and otherwise the closed
+    form built with the bound residues read at the point, evaluated there.
     Raises NotIntegrableError when some term diverges structurally.
     """
     cond = ci.cell.conditions[-1]
     prime = ci.cell.prime
-    if base_point is not None:
-        if len(base_point) != ci.cell.arity - 1:
-            raise ValueError(
-                f"base point has {len(base_point)} coordinates, "
-                f"cell base has {ci.cell.arity - 1}"
-            )
-        return _integrate_concrete(ci, cond, list(base_point), prime)
-    return _integrate_symbolic(ci, cond, prime)
-
-
-def _integrate_concrete(
-    ci: CellIntegrand,
-    cond: CellCondition,
-    base: list[PAdicScalar],
-    prime: Prime,
-) -> Fraction:
+    if base_point is not None and len(base_point) != ci.cell.arity - 1:
+        raise ValueError(
+            f"base point has {len(base_point)} coordinates, "
+            f"cell base has {ci.cell.arity - 1}"
+        )
+    zero = ConstructibleExpr.zero() if base_point is None else Fraction(0)
     if cond.coset.is_zero():
-        return Fraction(0)
+        return zero
     for t in ci.terms:
         _decide_integrable(t.a, cond)
-    rng = fiber_valuation_range(cond, base)
+    if base_point is None and not _constant_bounds(cond):
+        return _integrate_symbolic(ci, cond, prime)
+    base = list(base_point or ())
+    window = _norm_window(cond, base)
+    if _window_empty(cond, window):
+        return zero
+    form = _integrate_symbolic(ci, cond, prime, window)
+    return form if base_point is None else eval_constructible(form, base, prime)
+
+
+def _constant_bounds(cond: CellCondition) -> bool:
+    return all(b is None or isinstance(b, Const) for b in (cond.lower, cond.upper))
+
+
+def _window_empty(cond: CellCondition, window) -> bool:
+    """Whether a window read by cells._norm_window admits no level: a pin
+    fails, or no k = v(mu) mod n lies between its ends."""
+    k_min, k_max, pins_hold = window
+    if not pins_hold:
+        return True
+    if k_min == NEG_INF or k_max == INF:
+        return False
     n = cond.coset.n
-    # the range helper ignores residue pins; a violated pin empties the fiber
-    if cond.lower is not None and cond.lower_val_residue is not None:
-        v = int(rng.k_max) + (1 if cond.lower_strict else 0)
-        if v % n != cond.lower_val_residue:
-            return Fraction(0)
-    if cond.upper is not None and cond.upper_val_residue is not None:
-        v = int(rng.k_min) - (1 if cond.upper_strict else 0)
-        if v % n != cond.upper_val_residue:
-            return Fraction(0)
-    if rng.is_empty():
-        return Fraction(0)
-    vmu = int(cond.coset.mu.valuation)
-    eps = level_set_measure(cond.coset).epsilon
-    q = prime.p
-    total = Fraction(0)
-    for t in ci.terms:
-        dval = eval_constructible(t.delta, base, prime)
-        if dval == 0:
-            continue
-        u = Fraction(q) ** (-(t.a + n))
-        total += dval * _window_value(t.l, u, rng, vmu, n)
-    return eps * Fraction(q) ** (-vmu) * total
+    first = int(k_min) + (int(cond.coset.mu.valuation) - int(k_min)) % n
+    return first > k_max
 
-
-def _window_value(l: int, u: Fraction, rng, vmu: int, n: int) -> Fraction:
-    """sum over attainable k of k^l u^((k - vmu)/n), binomially in j."""
-    total = Fraction(0)
-    if rng.k_min == NEG_INF:
-        k_last = int(rng.k_max) - (int(rng.k_max) - vmu) % n
-        j1 = (k_last - vmu) // n
-        # j -> -j turns the downward sum into an upward one with ratio 1/u
-        for i in range(l + 1):
-            c = Fraction(comb(l, i)) * Fraction(vmu) ** (l - i) * Fraction(n) ** i
-            if c == 0:
-                continue
-            s = sums.sum_progression(sums.ProgressionSum(i, 1 / u, 0, 1, -j1, INF))
-            total += c * (s if i % 2 == 0 else -s)
-        return total
-    k0 = rng.first()
-    assert k0 is not None
-    j0 = (k0 - vmu) // n
-    j1 = INF if rng.k_max == INF else j0 + rng.count() - 1
-    for i in range(l + 1):
-        c = Fraction(comb(l, i)) * Fraction(vmu) ** (l - i) * Fraction(n) ** i
-        if c == 0:
-            continue
-        total += c * sums.sum_progression(sums.ProgressionSum(i, u, 0, 1, j0, j1))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# one stage, symbolic over the base
 
 def _pinned_residue(cond: CellCondition, side: str) -> int:
+    """v(bound) mod n over every base point the pins admit."""
     n = cond.coset.n
     bound = cond.lower if side == "lower" else cond.upper
     pin = cond.lower_val_residue if side == "lower" else cond.upper_val_residue
+    if isinstance(bound, Const):
+        # a pin that contradicts a constant bound empties the stage, where
+        # the closed form holds vacuously
+        return _bound_valuation(bound, [], cond.prime) % n
     if pin is not None:
         return pin
-    if isinstance(bound, Const):
-        v = rational_valuation(bound.value, cond.prime.p)
-        if v == INF:
-            raise ValueError(f"{side} bound is identically zero")
-        return int(v) % n
     if n == 1:
         return 0
     raise ResiduesNotFixedError(
@@ -248,12 +216,11 @@ def _pinned_residue(cond: CellCondition, side: str) -> int:
 
 
 def _integrate_symbolic(
-    ci: CellIntegrand, cond: CellCondition, prime: Prime
+    ci: CellIntegrand, cond: CellCondition, prime: Prime, window=None
 ) -> ConstructibleExpr:
-    if cond.coset.is_zero():
-        return ConstructibleExpr.zero()
-    for t in ci.terms:
-        _decide_integrable(t.a, cond)
+    """The closed form over the base points where the pins hold and the
+    window is not empty. The bound residues mod n come from the window
+    read at one base point when given, else from _pinned_residue."""
     n = cond.coset.n
     vmu = int(cond.coset.mu.valuation)
     mu = cond.coset.mu.value
@@ -261,16 +228,15 @@ def _integrate_symbolic(
     eps = level_set_measure(cond.coset).epsilon
 
     # h0, h1 are the bounds rescaled onto the coset grid: v(h0) = n*j0 and
-    # v(h1) = n*j1 for the first and last attainable j over any base point
-    # respecting the pins.
+    # v(h1) = n*j1 for the first and last attainable j.
     h0 = h1 = None
     if cond.upper is not None:
-        r = _pinned_residue(cond, "upper")
         c = 1 if cond.upper_strict else 0
+        r = _pinned_residue(cond, "upper") if window is None else int(window[0]) - c
         h0 = d_scale(cond.upper, Fraction(q) ** (c + (vmu - r - c) % n) / mu)
     if cond.lower is not None:
-        r = _pinned_residue(cond, "lower")
         c = 1 if cond.lower_strict else 0
+        r = _pinned_residue(cond, "lower") if window is None else int(window[1]) + c
         h1 = d_scale(cond.lower, 1 / (Fraction(q) ** (c + (r - c - vmu) % n) * mu))
 
     out = []
@@ -282,13 +248,18 @@ def _integrate_symbolic(
             coeff = Fraction(comb(t.l, i)) * Fraction(vmu) ** (t.l - i) * Fraction(n) ** i
             if coeff == 0:
                 continue
-            acc.append(_window_expr(i, u, pw, h0, h1, n).scale(coeff))
+            acc.append(_window_expr(i, u, pw, h0, h1, n, q).scale(coeff))
         out.append(t.delta * ConstructibleExpr.sum_of(acc))
     return ConstructibleExpr.sum_of(out).scale(eps * Fraction(q) ** (-vmu))
 
 
-def _valuation_poly(h: DTerm, cs: polys.PolyQ, scale: Fraction) -> ConstructibleExpr:
-    """The polynomial cs evaluated at scale * v(h)."""
+def _valuation_poly(
+    h: DTerm, cs: polys.PolyQ, scale: Fraction, q: int
+) -> ConstructibleExpr:
+    """The polynomial cs evaluated at scale * v(h); a number for constant h."""
+    if isinstance(h, Const):
+        v = int(rational_valuation(h.value, q))
+        return ConstructibleExpr.const(polys.evaluate(cs, scale * v))
     terms = []
     for e, c in enumerate(cs):
         if c == 0:
@@ -299,9 +270,15 @@ def _valuation_poly(h: DTerm, cs: polys.PolyQ, scale: Fraction) -> Constructible
     return ConstructibleExpr.of(terms)
 
 
-def _norm_power(h: DTerm, power: Fraction) -> ConstructibleExpr:
+def _norm_power(h: DTerm, power: Fraction, q: int) -> ConstructibleExpr:
+    """|h|^power; a number for constant h, whose valuation the coset grid
+    makes a multiple of power's denominator."""
     if power == 0:
         return ConstructibleExpr.const(1)
+    if isinstance(h, Const):
+        e = power * int(rational_valuation(h.value, q))
+        assert e.denominator == 1, "a grid bound has an integral norm power"
+        return ConstructibleExpr.const(Fraction(q) ** -int(e))
     return cexpr_term(1, (), (NormFactor(h, power),))
 
 
@@ -312,6 +289,7 @@ def _window_expr(
     h0: DTerm | None,
     h1: DTerm | None,
     n: int,
+    q: int,
 ) -> ConstructibleExpr:
     """sum_{j0 <= j <= j1} j^i u^j with j0 = v(h0)/n, j1 = v(h1)/n.
 
@@ -322,25 +300,25 @@ def _window_expr(
         # a = -n: every level weighs the same, only counting remains
         assert h0 is not None and h1 is not None
         fa = sums.faulhaber_coeffs(i)
-        upper_part = _valuation_poly(h1, fa, Fraction(1, n))
+        upper_part = _valuation_poly(h1, fa, Fraction(1, n), q)
         lower_part = _valuation_poly(
-            h0, polys.taylor_shift(fa, Fraction(-1)), Fraction(1, n)
+            h0, polys.taylor_shift(fa, Fraction(-1)), Fraction(1, n), q
         )
         return upper_part + lower_part.scale(-1)
     if h0 is not None and h1 is not None:
         t = sums.window_coeffs(i, u)
-        head = _norm_power(h0, pw) * _valuation_poly(h0, t, Fraction(1, n))
-        tail = _norm_power(h1, pw) * _valuation_poly(
-            h1, polys.taylor_shift(t, Fraction(1)), Fraction(1, n)
+        head = _norm_power(h0, pw, q) * _valuation_poly(h0, t, Fraction(1, n), q)
+        tail = _norm_power(h1, pw, q) * _valuation_poly(
+            h1, polys.taylor_shift(t, Fraction(1)), Fraction(1, n), q
         )
         return head + tail.scale(-u)
     if h0 is not None:
         t = sums.window_coeffs(i, u)
-        return _norm_power(h0, pw) * _valuation_poly(h0, t, Fraction(1, n))
+        return _norm_power(h0, pw, q) * _valuation_poly(h0, t, Fraction(1, n), q)
     assert h1 is not None
     # reflect j -> -j: sum_{j <= j1} j^i u^j = (-1)^i sum_{m >= -j1} m^i (1/u)^m
     t = sums.window_coeffs(i, 1 / u)
-    body = _norm_power(h1, pw) * _valuation_poly(h1, t, Fraction(-1, n))
+    body = _norm_power(h1, pw, q) * _valuation_poly(h1, t, Fraction(-1, n), q)
     return body.scale(Fraction(-1) ** i)
 
 
@@ -445,12 +423,14 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
                 raise UnsupportedIntegrandError(
                     "v-factor vanishes identically on the cell"
                 )
-            # (v(c) + d*K)^e with K = v(t - gamma)
+            # (v(c) + d*K)^e with K = v(t - gamma); v(c) is a number for constant c
             e = vf.power
+            vc = int(rational_valuation(c.value, q)) if isinstance(c, Const) else None
             expansion = {
                 m: cexpr_term(
-                    Fraction(comb(e, m)) * Fraction(d) ** m,
-                    (ValFactor(c, e - m),) if e - m else (),
+                    Fraction(comb(e, m)) * Fraction(d) ** m
+                    * (1 if vc is None else Fraction(vc) ** (e - m)),
+                    (ValFactor(c, e - m),) if e - m and vc is None else (),
                     (),
                 )
                 for m in range(e + 1)
@@ -476,10 +456,17 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
                     f"coset grid mod {n}"
                 )
             a_total += int(a_inc)
-            # |c (t-gamma)^d|^e = |c|^e q^(-de vmu) * q^(-a(k - vmu)/n)
-            extra = extra * cexpr_term(
-                Fraction(q) ** (-int(comp)), (), (NormFactor(c, nf.power),)
-            )
+            # |c (t-gamma)^d|^e = |c|^e q^(-de vmu) * q^(-a(k - vmu)/n); |c|^e
+            # is a number for constant c unless e v(c) is fractional, which
+            # evaluation reports
+            scale = Fraction(q) ** (-int(comp))
+            kept_c = (NormFactor(c, nf.power),)
+            if isinstance(c, Const):
+                ec = nf.power * int(rational_valuation(c.value, q))
+                if ec.denominator == 1:
+                    scale *= Fraction(q) ** -int(ec)
+                    kept_c = ()
+            extra = extra * cexpr_term(scale, (), kept_c)
         if dead:
             continue
         base = extra * cexpr_term(1, tuple(kept_v), tuple(kept_n))
@@ -580,38 +567,11 @@ def check_partition(
         )
 
 
-def _stage_guards(cond: CellCondition) -> tuple[tuple[DTerm, int, int], ...]:
-    # explicit pins restrict the base; derived residues (n = 1, constant
-    # bounds) are facts and need no guard
-    n = cond.coset.n
-    out = []
-    if cond.lower is not None and cond.lower_val_residue is not None:
-        out.append((cond.lower, n, cond.lower_val_residue))
-    if cond.upper is not None and cond.upper_val_residue is not None:
-        out.append((cond.upper, n, cond.upper_val_residue))
-    return tuple(out)
-
-
-def _guard_holds(
-    guard: tuple[DTerm, int, int], point: list[PAdicScalar], prime: Prime
-) -> bool:
-    bound, n, r = guard
-    value, err = eval_dterm(bound, point, prime)
-    v = pinned_valuation(value.value, err, prime.p)
-    if v is None:
-        raise ValueError("pin guard bound is not separated from zero")
-    return v % n == r
-
-
-def _resolve_guard(
-    guard: tuple[DTerm, int, int], conds: tuple[CellCondition, ...]
-) -> bool | None:
-    """Decide a pin guard from the prefix structure alone, if possible.
-
-    A guard v(x_i) = r mod n is settled by stage i when that stage pins
-    v(x_i) itself: a zero-centered coset whose modulus n_i is a multiple
-    of n, or a constant point."""
-    bound, n, r = guard
+def _pin_settled(bound: DTerm, n: int, r: int, conds) -> bool | None:
+    """Decide a pin v(bound) = r mod n from the prefix structure alone, if
+    possible. A pin on x_i is settled by stage i when that stage fixes
+    v(x_i) mod n itself: a zero-centered coset whose modulus n_i is a
+    multiple of n, or a constant point."""
     if not isinstance(bound, Var) or bound.index >= len(conds):
         return None
     cond = conds[bound.index]
@@ -627,6 +587,102 @@ def _resolve_guard(
     return None
 
 
+def _stage_settled(cond: CellCondition, prefix) -> bool | None:
+    """Whether a stage's symbolic result holds on its whole prefix cell
+    (True), nowhere on it (False), or only where the base point passes the
+    stage as a guard (None): where its pins on varying bounds hold and,
+    when it is two-sided, its window is not empty. Derived residues (n = 1)
+    are facts, and integrate_cell decides constant bounds itself."""
+    if _constant_bounds(cond):
+        return True
+    # a one-sided window is never empty
+    always = cond.lower is None or cond.upper is None
+    for bound, pin in (
+        (cond.lower, cond.lower_val_residue),
+        (cond.upper, cond.upper_val_residue),
+    ):
+        if pin is not None and not isinstance(bound, Const):
+            held = _pin_settled(bound, cond.coset.n, pin, prefix)
+            if held is False:
+                return False
+            always = always and held is True
+    return True if always else None
+
+
+@dataclass(frozen=True)
+class GuardedPiece:
+    """A symbolic result on the base cell `conditions` (empty: no base
+    variables left), valid where the base point passes every guard stage
+    (see _stage_settled)."""
+
+    conditions: tuple[CellCondition, ...]
+    guards: tuple[CellCondition, ...]
+    value: ConstructibleExpr
+
+
+def eliminate_stages(
+    f: ConstructibleExpr, cells: list[Cell], k: int
+) -> tuple[GuardedPiece, ...] | None:
+    """Eliminate the last k variables of every cell symbolically, stage by
+    stage, merging results over common cell prefixes. A stage whose result
+    depends on the base point becomes a guard; a guard left on an
+    eliminated variable raises ValueError. None when some stage is not
+    integrable: one divergent cell zeroes the whole integral.
+    """
+    arities = {c.arity for c in cells}
+    if len(arities) != 1:
+        raise ValueError("cells of mixed arity")
+    arity = arities.pop()
+    if not 0 <= k <= arity:
+        raise ValueError("base point does not match the variables kept")
+    pieces = [GuardedPiece(c.conditions, (), f) for c in cells]
+    for _ in range(k):
+        grouped: dict[tuple, list[ConstructibleExpr]] = {}
+        for piece in pieces:
+            conds = piece.conditions
+            try:
+                value = integrate_cell(prepare_integrand(piece.value, Cell(conds)))
+            except NotIntegrableError:
+                return None
+            prefix = conds[:-1]
+            settled = _stage_settled(conds[-1], prefix)
+            if settled is False:
+                continue
+            guards = piece.guards if settled else piece.guards + (conds[-1],)
+            grouped.setdefault((prefix, guards), []).append(value)
+        pieces = [
+            GuardedPiece(prefix, guards, ConstructibleExpr.sum_of(values))
+            for (prefix, guards), values in grouped.items()
+        ]
+    for piece in pieces:
+        for g in piece.guards:
+            bounds = [b for b in (g.lower, g.upper) if b is not None]
+            if any(i >= arity - k for b in bounds for i in free_variables(b)):
+                raise ValueError(
+                    "a pin or window guard references an eliminated variable; "
+                    "pin the stages in elimination order, or split the base "
+                    "cell so that its windows are decided"
+                )
+    return tuple(pieces)
+
+
+def evaluate_pieces(
+    pieces: tuple[GuardedPiece, ...], base_point: tuple, prime: Prime
+) -> Fraction:
+    """The eliminated integral at base_point (rationals for the kept
+    variables): each piece counts where the point lies in its base cell
+    and its guards hold."""
+    point = [PAdicScalar(Fraction(x), prime) for x in base_point]
+    total = Fraction(0)
+    for piece in pieces:
+        if piece.conditions and not fiber_membership(Cell(piece.conditions), point):
+            continue
+        if any(_window_empty(g, _norm_window(g, point)) for g in piece.guards):
+            continue
+        total += eval_constructible(piece.value, point, prime)
+    return total
+
+
 def integrate_full(
     f: ConstructibleExpr,
     cells: list[Cell],
@@ -635,73 +691,22 @@ def integrate_full(
 ) -> EliminationResult:
     """Eliminate the trailing variables of every cell and evaluate.
 
-    All cells must share one arity. Elimination runs symbolically stage
-    by stage, merging results over common cell prefixes; the survivors
-    are evaluated at base_point (rationals for the untouched leading
-    variables). Cells with n >= 2 symbolic bounds must come in pinned
-    already; each pin becomes a guard on the base, checked at the final
-    evaluation, so pinned bounds may only involve surviving variables.
+    All cells must share one arity. eliminate_stages runs once; its
+    pieces are evaluated at base_point (rationals for the untouched
+    leading variables). Cells with n >= 2 symbolic bounds must come in
+    pinned already.
     """
     if not cells:
         return EliminationResult(ConstructibleExpr.zero(), True)
-    arities = {c.arity for c in cells}
-    if len(arities) != 1:
-        raise ValueError("cells of mixed arity")
-    arity = arities.pop()
-    prime = cells[0].prime
     if eliminate is None:
-        eliminate = arity - len(base_point)
-    if not 0 <= eliminate <= arity or arity - eliminate != len(base_point):
+        eliminate = cells[0].arity - len(base_point)
+    if cells[0].arity - eliminate != len(base_point):
         raise ValueError("base point does not match the variables kept")
-
-    Guards = tuple[tuple[DTerm, int, int], ...]
-    pairs: list[tuple[tuple[CellCondition, ...], Guards, ConstructibleExpr]] = [
-        (c.conditions, (), f) for c in cells
-    ]
-    for _ in range(eliminate):
-        grouped: dict[tuple, list[ConstructibleExpr]] = {}
-        for conds, guards, expr in pairs:
-            ci = prepare_integrand(expr, Cell(conds))
-            try:
-                piece = integrate_cell(ci)
-            except NotIntegrableError:
-                return EliminationResult(ConstructibleExpr.zero(), False)
-            assert isinstance(piece, ConstructibleExpr)
-            prefix = conds[:-1]
-            kept = []
-            violated = False
-            for g in guards + _stage_guards(conds[-1]):
-                settled = _resolve_guard(g, prefix)
-                if settled is None:
-                    kept.append(g)
-                elif settled is False:
-                    violated = True
-                    break
-            if violated:
-                continue
-            grouped.setdefault((prefix, tuple(kept)), []).append(piece)
-        pairs = [
-            (conds, guards, ConstructibleExpr.sum_of(es))
-            for (conds, guards), es in grouped.items()
-        ]
-
-    keep = len(base_point)
-    for _, guards, _ in pairs:
-        for bound, _, _ in guards:
-            if any(i >= keep for i in free_variables(bound)):
-                raise ValueError(
-                    "pin guard references an eliminated variable; pin the "
-                    "stages in elimination order instead"
-                )
-    point = [PAdicScalar(Fraction(x), prime) for x in base_point]
-    total = Fraction(0)
-    for conds, guards, expr in pairs:
-        if conds and not fiber_membership(Cell(conds), point):
-            continue
-        if not all(_guard_holds(g, point, prime) for g in guards):
-            continue
-        total += eval_constructible(expr, point, prime)
-    return EliminationResult(ConstructibleExpr.const(total), True)
+    pieces = eliminate_stages(f, cells, eliminate)
+    if pieces is None:
+        return EliminationResult(ConstructibleExpr.zero(), False)
+    value = evaluate_pieces(pieces, base_point, cells[0].prime)
+    return EliminationResult(ConstructibleExpr.const(value), True)
 
 
 # ---------------------------------------------------------------------------

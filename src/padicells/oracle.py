@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .cells import Cell, CellCondition
 from .expr import (
@@ -66,10 +65,6 @@ DIFF, LOWER, UPPER = 1, 2, 4
 
 class UnboundedDomainError(ValueError):
     """The cell escapes Z_p^n, so residue enumeration cannot cover it."""
-
-
-class StabilizationError(ArithmeticError):
-    """Boundary mass did not drop below tolerance by the final resolution."""
 
 
 class BudgetExceeded(ArithmeticError):
@@ -253,22 +248,3 @@ def oracle_measure(
 ) -> OracleResult:
     return oracle_integrate(ConstructibleExpr.const(1), domain, p, N, budget)
 
-
-def stabilize(
-    op: Callable[[int], OracleResult],
-    N_start: int,
-    N_max: int,
-    tolerance: Fraction,
-) -> OracleResult:
-    """Rerun op at N, N+2, ... until boundary mass drops below tolerance."""
-    if not N_start < N_max:
-        raise ValueError("need N_start < N_max")
-    result = None
-    for N in range(N_start, N_max + 1, 2):
-        result = op(N)
-        if result.boundary_mass < tolerance:
-            return result
-    assert result is not None
-    raise StabilizationError(
-        f"did not stabilize: boundary mass {result.boundary_mass} at N={result.resolution}"
-    )

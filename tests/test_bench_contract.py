@@ -1,0 +1,61 @@
+"""The benchmark's contract with the library, checked in the tier-1 suite.
+
+bench/ is loaded as it stands, never edited from here: every padicells
+function its tracer patches must exist, and the first operation of the
+oracle, univariate and engine corpora must run and pass its own checks.
+A library change that breaks the benchmark then fails here, not only in a
+benchmark run.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+import time
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+SEED = 11
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while it executes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load("tracer")
+workloads = load("workloads")
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [(m, f) for m, f, _ in tracer.TRACED if m.split(".")[0] == "padicells"],
+)
+def test_traced_function_exists(module, function):
+    assert callable(getattr(importlib.import_module(module), function, None))
+
+
+def test_oracle_result_keeps_sampled():
+    # workloads and the tracer both read OracleResult.sampled
+    from padicells.cells import zp_cell
+    from padicells.expr import ConstructibleExpr
+    from padicells.oracle import oracle_integrate
+    from padicells.padic import Prime
+
+    res = oracle_integrate(ConstructibleExpr.const(1), zp_cell(Prime(3)), Prime(3), 2)
+    assert res.sampled is False
+
+
+@pytest.mark.parametrize("corpus", ["oracle_ops", "univariate_ops", "engine_ops"])
+def test_first_operation_runs(corpus):
+    op = getattr(workloads, corpus)(SEED)[0]
+    if op.decompose is not None:
+        op.decompose()
+    start = time.perf_counter()
+    op.run()
+    assert time.perf_counter() - start < 1.0, op.label

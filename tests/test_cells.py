@@ -3,24 +3,23 @@ from fractions import Fraction
 import pytest
 
 from padicells.cells import (
+    BoundZeroError,
     Cell,
     CellCondition,
-    InfiniteMeasureError,
     LevelSetMeasure,
     cell_from_json,
     cell_to_json,
     coset_of,
-    fiber_measure,
     fiber_membership,
-    fiber_valuation_range,
     level_set_measure,
     pin_bound_residues,
     point_cell,
     punctured_ball_cell,
     zp_cell,
 )
-from padicells.expr import Const, Var, parse_dterm
-from padicells.padic import INF, Prime, coset_representatives, scalar
+from padicells.expr import Const, ConstructibleExpr, NormFactor, Var, cexpr_term, parse_dterm
+from padicells.integrate import NotIntegrableError, integrate_cell, prepare_integrand
+from padicells.padic import Prime, coset_representatives, scalar
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 F = Fraction
@@ -78,49 +77,68 @@ def test_level_set_measure_rejects_zero():
     assert level_set_measure(coset_of(P3, 3, 2)).valuation_class == 1
 
 
+def measure(c: CellCondition, base=(), integrand=None) -> Fraction:
+    """The stage's fiber integral over a base point (of 1 by default),
+    through integrate_cell; the base stages are copies of Z_p."""
+    prefix = tuple(cond(prime=c.prime, upper=1, upper_strict=False) for _ in base)
+    cell = Cell(prefix + (c,))
+    f = ConstructibleExpr.const(1) if integrand is None else integrand
+    return integrate_cell(prepare_integrand(f, cell), [scalar(x, c.prime) for x in base])
+
+
+def shells(eps, p, ks) -> Fraction:
+    """Measure of the valuation shells v(t) = k, k in ks, of density eps."""
+    return sum((eps * F(1, p) ** k for k in ks), F(0))
+
+
 def test_fiber_valuation_range_examples():
-    r = fiber_valuation_range(cond(upper=1, upper_strict=False), [])
-    assert (r.k_min, r.k_max, r.modulus, r.residue) == (0, INF, 1, 0)
+    # k >= 0, every level: sum_{k >= 0} (2/3) 3^-k, all of Z_3
+    assert measure(cond(upper=1, upper_strict=False)) == F(2, 3) / (1 - F(1, 3))
 
-    r = fiber_valuation_range(cond(lower=9, lower_strict=True), [])
-    assert r.k_max == 1 and r.k_min == float("-inf")
-    assert [k for k in range(-4, 6) if r.contains(k)] == [-4, -3, -2, -1, 0, 1]
+    # k <= 1, unbounded below: 1 is not integrable there, |t|^-2 weighs
+    # level k by 3^(2k) and gives (2/3) sum_{k <= 1} 3^k = 3
+    with pytest.raises(NotIntegrableError):
+        measure(cond(lower=9, lower_strict=True))
+    got = measure(cond(lower=9, lower_strict=True),
+                  integrand=cexpr_term(1, (), (NormFactor(Var(0), F(-2)),)))
+    assert got == F(2, 3) * F(3) / (1 - F(1, 3))
 
-    r = fiber_valuation_range(cond(mu=3, n=2, lower=81, upper=1), [])
-    assert [k for k in range(-2, 8) if r.contains(k)] == [1, 3]
+    # k in {1, 3}: odd levels of 3*P_2 between v(1) and v(81)
+    assert measure(cond(mu=3, n=2, lower=81, upper=1)) == shells(F(1, 3), 3, (1, 3))
 
 
 def test_fiber_valuation_range_zero_bound_errors():
-    with pytest.raises(ZeroDivisionError):
-        fiber_valuation_range(cond(lower=0), [])
-    with pytest.raises(ValueError):
-        fiber_valuation_range(cond(mu=0), [])
+    with pytest.raises(BoundZeroError):
+        measure(cond(lower=0, upper=1))
+    with pytest.raises(BoundZeroError):
+        integrate_cell(prepare_integrand(ConstructibleExpr.const(1),
+                                         Cell((cond(lower=0, upper=1),))))
+    assert measure(cond(mu=0)) == 0
 
 
 def test_fiber_measure_examples():
-    assert fiber_measure(cond(upper=1, upper_strict=False), []) == 1
-    assert fiber_measure(cond(n=2, upper=1, upper_strict=False), []) == F(3, 8)
-    assert fiber_measure(cond(upper=1, upper_strict=True), []) == F(1, 3)
+    assert measure(cond(upper=1, upper_strict=False)) == 1
+    assert measure(cond(n=2, upper=1, upper_strict=False)) == F(3, 8)
+    assert measure(cond(upper=1, upper_strict=True)) == F(1, 3)
 
 
 def test_fiber_measure_point_and_empty_and_infinite():
-    assert fiber_measure(cond(mu=0), []) == 0
-    assert fiber_measure(cond(mu=3, n=2, lower=3, upper=1), []) == 0  # k in (0,1) empty
-    with pytest.raises(InfiniteMeasureError):
-        fiber_measure(cond(), [])  # no upper bound: valuations unbounded below
+    assert measure(cond(mu=0)) == 0
+    assert measure(cond(mu=3, n=2, lower=3, upper=1)) == 0  # k in (0,1) empty
+    with pytest.raises(NotIntegrableError):
+        measure(cond())  # no upper bound: valuations unbounded below
 
 
 def test_fiber_measure_finite_window():
     # k in {1, 3} inside 3*P_2: eps/3 + eps/27 with eps = 1/3
-    got = fiber_measure(cond(mu=3, n=2, lower=81, upper=1), [])
+    got = measure(cond(mu=3, n=2, lower=81, upper=1))
     assert got == F(1, 3) * (F(1, 3) + F(1, 27))
 
 
 def test_fiber_measure_with_parametrized_bound():
     c = CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
                       upper=Var(0), upper_strict=False)
-    cell = Cell((cond(mu=0, center=0), c))  # dummy first stage binds x0... not needed
-    got = fiber_measure(c, [scalar(9, P3)])
+    got = measure(c, base=(9,))
     # |t| <= |9|: measure of 9 Z_3 minus nothing: sum_{k>=2} (2/3) 3^-k = 1/9
     assert got == F(1, 9)
 
@@ -131,9 +149,9 @@ def test_partition_of_unit_ball():
         for n in (1, 2, 3, 4):
             total = F(0)
             for mu in coset_representatives(p, n):
-                total += fiber_measure(
+                total += measure(
                     CellCondition(center=Const(F(0)), coset=coset_of(prime, mu, n),
-                                  upper=Const(F(1)), upper_strict=False), [])
+                                  upper=Const(F(1)), upper_strict=False))
             assert total == 1, (p, n)
 
 
@@ -206,7 +224,7 @@ def test_punctured_ball_constructor():
     assert fiber_membership(ball, [scalar(5, P3)]) is True
     assert fiber_membership(ball, [scalar(2, P3)]) is False  # puncture
     assert fiber_membership(ball, [scalar(4, P3)]) is False  # outside radius
-    assert fiber_measure(ball.conditions[0], []) == F(1, 3)
+    assert measure(ball.conditions[0]) == F(1, 3)
 
 
 def test_pin_validation():

@@ -179,6 +179,60 @@ def test_integrate_symbolic_round_trip(capsys, tmp_path):
     assert got == Fraction(1, 108)
 
 
+def test_integrate_symbolic_refuses_guarded_cells(capsys, tmp_path):
+    # the two pin_bound_residues refinements of |x1| <= |x0| in P_2 used to
+    # print a sum worth 3/8 at x0 = 1, where the integral is 27/80
+    pinned = [cell(stage(), dict(stage(beta="x0", n=2), beta_residue=r)) for r in (0, 1)]
+    fields = dict(p=3, variables={"params": 1, "integrate": 1},
+                  integrand="abs(x1)", cells=pinned)
+    code, out, err = run(capsys, "integrate", problem(tmp_path, mode="symbolic", **fields))
+    assert code == 1 and out == ""
+    assert "cell 0" in json.loads(err)["error"]
+
+    path = problem(tmp_path, name="at1.json", base_points=[["1"], ["3"]], **fields)
+    code, out, _ = run(capsys, "integrate", path)
+    assert code == 0
+    assert json.loads(out)["values"] == ["27/80", "1/240"]
+
+
+def test_integrate_symbolic_folds_constant_factors(capsys, tmp_path):
+    path = problem(
+        tmp_path, p=3, variables={"params": 1, "integrate": 1},
+        integrand="v(x1)*abs(x1)^2*abs(x0)", cells=[cell(stage(), stage(beta="x0"))],
+        mode="symbolic",
+    )
+    code, out, _ = run(capsys, "integrate", path)
+    assert code == 0
+    assert json.loads(out)["expression"] == "9/338*abs(x0)^4 + 9/13*v(x0)*abs(x0)^4"
+
+
+def window_cell():
+    """|9| < |x1| <= |x0| over x0 in Z_3."""
+    return cell(stage(), stage(alpha="9", beta="x0"))
+
+
+def test_integrate_empty_window_is_zero(capsys, tmp_path):
+    # printed -2/243 from the closed form over an empty window
+    path = problem(
+        tmp_path, p=3, variables={"params": 1, "integrate": 1},
+        integrand="abs(x1)", cells=[window_cell()], base_points=[["27"], ["3"]],
+    )
+    code, out, _ = run(capsys, "integrate", path)
+    assert code == 0
+    assert json.loads(out)["values"] == ["0", "2/27"]
+
+
+def test_integrate_window_on_eliminated_variable_exits_1(capsys, tmp_path):
+    # printed 179/351 and passed --verify-N 5; the oracle gives 124/243
+    path = problem(
+        tmp_path, p=3, variables={"params": 0, "integrate": 2},
+        integrand="abs(x1)", cells=[window_cell()],
+    )
+    code, out, err = run(capsys, "integrate", path, "--verify-N", "5")
+    assert code == 1 and out == ""
+    assert "eliminated variable" in json.loads(err)["error"]
+
+
 def test_integrate_undetermined_norm_exits_2(capsys, tmp_path):
     # at x0 = 1 the series argument sits outside the unit polydisc, so the
     # series is 0 and the norm of its inverse is not determined
@@ -211,6 +265,14 @@ def test_measure_square_coset(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["measures"] == ["3/8"]
     assert doc["verify"]["pass"] is True
+
+
+def test_measure_empty_cell_is_zero(capsys, tmp_path):
+    # {|1| < |t| < |3|} at p=3 measured -8/9
+    path = problem(tmp_path, p=3, cells=[cell(stage(alpha="1", beta="3", beta_strict=True))])
+    code, out, _ = run(capsys, "measure", path)
+    assert code == 0
+    assert json.loads(out) == {"measures": ["0"]}
 
 
 def test_verify_report_shape(capsys, tmp_path):

@@ -1,13 +1,19 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicells import polys
+from padicells import polys, sums
 from padicells.cells import (
     Cell,
     CellCondition,
+    _norm_window,
     coset_of,
+    level_set_measure,
     pin_bound_residues,
     point_cell,
     punctured_ball_cell,
@@ -21,7 +27,9 @@ from padicells.expr import (
     ValFactor,
     Var,
     cexpr_term,
+    d_scale,
     eval_constructible,
+    parse_constructible,
 )
 from padicells.integrate import (
     CellIntegrand,
@@ -33,6 +41,8 @@ from padicells.integrate import (
     SimpleFunctionExpr,
     SimpleTerm,
     UnsupportedIntegrandError,
+    _decide_integrable,
+    _integrate_symbolic,
     check_partition,
     constructible_to_simple,
     eliminate_last_variable,
@@ -49,7 +59,7 @@ from padicells.integrate import (
     sum_eliminate_simple,
 )
 from padicells.oracle import oracle_integrate
-from padicells.padic import INF, PAdicScalar, Prime
+from padicells.padic import INF, NEG_INF, PAdicScalar, Prime
 from padicells.sums import DivergentSumError
 
 F = Fraction
@@ -75,6 +85,132 @@ def annulus(p: Prime, lo_val: int, hi_val: int, n: int = 1) -> Cell:
         upper_strict=False,
     )
     return Cell((cond,))
+
+
+# ---------------------------------------------------------------------------
+# reference_concrete keeps the concrete stage integrator that integrate_cell
+# replaced, line for line: it sums the progression of attainable levels
+# number by number, with its own valuation range and its own pin and
+# empty-window tests. integrate_cell(ci, point) evaluates the symbolic
+# closed form instead, and must give the same values and errors.
+
+
+@dataclass(frozen=True)
+class ValuationRange:
+    """Attainable v(t - center) values: k_min <= k <= k_max, k = residue mod modulus."""
+
+    k_min: int | float
+    k_max: int | float
+    modulus: int
+    residue: int
+
+    def is_empty(self) -> bool:
+        if self.k_min == NEG_INF or self.k_max == INF:
+            return self.k_min > self.k_max
+        return self.first() is None
+
+    def first(self) -> int | None:
+        """Smallest attainable k, for finite k_min."""
+        if self.k_min == NEG_INF:
+            raise ValueError("no smallest valuation in an unbounded-below range")
+        k0 = int(self.k_min) + (self.residue - int(self.k_min)) % self.modulus
+        if k0 > self.k_max:
+            return None
+        return k0
+
+    def count(self) -> int | float:
+        if self.is_empty():
+            return 0
+        if self.k_max == INF:
+            return INF
+        first = self.first()
+        assert first is not None
+        return (int(self.k_max) - first) // self.modulus + 1
+
+
+def fiber_valuation_range(
+    cond: CellCondition, base_point: list[PAdicScalar]
+) -> ValuationRange:
+    """The progression of valuations the stage admits over a base point:
+    the norm bounds' window, with k = v(mu) mod n forced by the coset."""
+    if cond.coset.is_zero():
+        raise ValueError("a point stage has no valuation progression")
+    k_min, k_max, _ = _norm_window(cond, base_point)
+    n = cond.coset.n
+    return ValuationRange(k_min, k_max, n, int(cond.coset.mu.valuation) % n)
+
+
+def reference_concrete(ci: CellIntegrand, base_point: list[PAdicScalar]) -> Fraction:
+    cond = ci.cell.conditions[-1]
+    prime = ci.cell.prime
+    if len(base_point) != ci.cell.arity - 1:
+        raise ValueError(
+            f"base point has {len(base_point)} coordinates, "
+            f"cell base has {ci.cell.arity - 1}"
+        )
+    return _integrate_concrete(ci, cond, list(base_point), prime)
+
+
+def _integrate_concrete(
+    ci: CellIntegrand,
+    cond: CellCondition,
+    base: list[PAdicScalar],
+    prime: Prime,
+) -> Fraction:
+    if cond.coset.is_zero():
+        return Fraction(0)
+    for t in ci.terms:
+        _decide_integrable(t.a, cond)
+    rng = fiber_valuation_range(cond, base)
+    n = cond.coset.n
+    # the range helper ignores residue pins; a violated pin empties the fiber
+    if cond.lower is not None and cond.lower_val_residue is not None:
+        v = int(rng.k_max) + (1 if cond.lower_strict else 0)
+        if v % n != cond.lower_val_residue:
+            return Fraction(0)
+    if cond.upper is not None and cond.upper_val_residue is not None:
+        v = int(rng.k_min) - (1 if cond.upper_strict else 0)
+        if v % n != cond.upper_val_residue:
+            return Fraction(0)
+    if rng.is_empty():
+        return Fraction(0)
+    vmu = int(cond.coset.mu.valuation)
+    eps = level_set_measure(cond.coset).epsilon
+    q = prime.p
+    total = Fraction(0)
+    for t in ci.terms:
+        dval = eval_constructible(t.delta, base, prime)
+        if dval == 0:
+            continue
+        u = Fraction(q) ** (-(t.a + n))
+        total += dval * _window_value(t.l, u, rng, vmu, n)
+    return eps * Fraction(q) ** (-vmu) * total
+
+
+def _window_value(l: int, u: Fraction, rng, vmu: int, n: int) -> Fraction:
+    """sum over attainable k of k^l u^((k - vmu)/n), binomially in j."""
+    total = Fraction(0)
+    if rng.k_min == NEG_INF:
+        k_last = int(rng.k_max) - (int(rng.k_max) - vmu) % n
+        j1 = (k_last - vmu) // n
+        # j -> -j turns the downward sum into an upward one with ratio 1/u
+        for i in range(l + 1):
+            c = Fraction(comb(l, i)) * Fraction(vmu) ** (l - i) * Fraction(n) ** i
+            if c == 0:
+                continue
+            s = sums.sum_progression(sums.ProgressionSum(i, 1 / u, 0, 1, -j1, INF))
+            total += c * (s if i % 2 == 0 else -s)
+        return total
+    k0 = rng.first()
+    assert k0 is not None
+    j0 = (k0 - vmu) // n
+    j1 = INF if rng.k_max == INF else j0 + rng.count() - 1
+    for i in range(l + 1):
+        c = Fraction(comb(l, i)) * Fraction(vmu) ** (l - i) * Fraction(n) ** i
+        if c == 0:
+            continue
+        total += c * sums.sum_progression(sums.ProgressionSum(i, u, 0, 1, j0, j1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +252,28 @@ def test_fractional_power_on_square_coset():
     assert integrate_cell(ci, []) == F(9, 26)
 
 
+def test_prepare_folds_constant_coefficients():
+    # v(3t)^2 |9t| on Z_3: v(3) = 1 and |9| = 1/9 become numbers
+    ci = prepare_integrand(parse_constructible("v(3*x0)^2*abs(9*x0)"), zp_cell(P3))
+    for t in ci.terms:
+        for term in t.delta.terms:
+            assert not term.val_factors and not term.norm_factors
+    # sum_k (2/3) 3^-k (1 + k)^2 3^-(k + 2)
+    want = sum(F(2, 3) * F(1, 3**k) * (1 + k) ** 2 * F(1, 3 ** (k + 2)) for k in range(80))
+    assert abs(integrate_cell(ci, []) - want) < F(1, 3**150)
+
+
+def test_fractional_constant_norm_still_raises():
+    # |3t|^(1/2) on a square coset: a = 1 lands on the grid, but
+    # |3|^(1/2) has no integer exponent, so it stays and evaluation says so
+    cell = punctured_ball_cell(P3, 0, 0, coset_of(P3, 1, 2))
+    ci = prepare_integrand(parse_constructible("abs(3*x0)^(1/2)"), cell)
+    with pytest.raises(ValueError, match="fractional norm power"):
+        integrate_cell(ci, [])
+    with pytest.raises(ValueError, match="fractional norm power"):
+        reference_concrete(ci, [])
+
+
 def test_fractional_power_off_grid_rejected():
     with pytest.raises(UnsupportedIntegrandError):
         prepare_integrand(norm_pow(0, F(1, 2)), zp_cell(P3))
@@ -149,6 +307,19 @@ def test_empty_window_is_zero():
     )
     ci = prepare_integrand(norm_pow(0, 1), Cell((cond,)))
     assert integrate_cell(ci, []) == F(0)
+    # empty by more than one level: {|1| < |t| < |3|} leaves 2 <= k <= -1,
+    # where the closed form of the measure is -8/9, not 0; `measure`
+    # printed that before the window was tested
+    cond = CellCondition(
+        center=Const(F(0)), coset=coset_of(P3, 1, 1),
+        lower=Const(F(1)), upper=Const(F(3)),
+    )
+    one = ConstructibleExpr.const(1)
+    ci = prepare_integrand(one, Cell((cond,)))
+    assert eval_constructible(_integrate_symbolic(ci, cond, P3), [], P3) == F(-8, 9)
+    assert integrate_cell(ci, []) == 0
+    assert integrate_cell(ci).is_zero()
+    assert integrate_full(one, [Cell((cond,))]).value.constant_value() == 0
 
 
 def test_downward_window_reflection():
@@ -210,10 +381,12 @@ def test_symbolic_matches_concrete_on_pinned_cells():
         pin = pinned.conditions[1].upper_val_residue
         for x in (F(1), F(2), F(3), F(9), F(5)):
             xs = scalars(P3, x)
+            want = reference_concrete(ci, xs)
+            assert integrate_cell(ci, xs) == want
             if int(xs[0].valuation) % 2 != pin:
-                assert integrate_cell(ci, xs) == 0
+                assert want == 0
                 continue
-            assert eval_constructible(sym, xs, P3) == integrate_cell(ci, xs)
+            assert eval_constructible(sym, xs, P3) == want
 
 
 def test_symbolic_flat_ratio_uses_faulhaber():
@@ -232,6 +405,7 @@ def test_symbolic_flat_ratio_uses_faulhaber():
     for x in (F(3), F(9), F(27), F(2)):
         xs = scalars(P3, x)
         want = F(2, 3) * (int(xs[0].valuation) + 1)
+        assert reference_concrete(ci, xs) == want
         assert integrate_cell(ci, xs) == want
         assert eval_constructible(sym, xs, P3) == want
 
@@ -245,7 +419,9 @@ def test_symbolic_downward_window():
     sym = integrate_cell(ci)
     for x in (F(1), F(3), F(1, 3), F(1, 27)):
         xs = scalars(P3, x)
-        assert eval_constructible(sym, xs, P3) == integrate_cell(ci, xs)
+        want = reference_concrete(ci, xs)
+        assert eval_constructible(sym, xs, P3) == want
+        assert integrate_cell(ci, xs) == want
 
 
 def test_symbolic_random_windows_match_concrete():
@@ -261,7 +437,85 @@ def test_symbolic_random_windows_match_concrete():
         term = IntegrandTerm(ConstructibleExpr.const(F(rng.randint(1, 9))), a, l)
         ci = CellIntegrand.of(cell, [term])
         sym = integrate_cell(ci)
-        assert eval_constructible(sym, [], p) == integrate_cell(ci, [])
+        want = reference_concrete(ci, [])
+        assert eval_constructible(sym, [], p) == want
+        assert integrate_cell(ci, []) == want
+
+
+# ---------------------------------------------------------------------------
+# integrate_cell against the reference on generated stages
+
+UNITS = (1, -1, 7, 11)
+
+
+@st.composite
+def stage_integrals(draw):
+    """A one- or two-stage cell integrand and a base point. The last stage
+    draws n in {1, 2, 3}, bounds absent, constant or (over x0) varying,
+    strict or not, pinned or not; its windows are often empty, and often
+    by more than one level."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    prime = Prime(p)
+    arity = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((1, 2, 3)))
+    if draw(st.integers(0, 9)) == 0:
+        mu = F(0)
+    else:
+        mu = F(p) ** draw(st.integers(-1, 2)) * draw(st.sampled_from(UNITS))
+    kinds = ("none", "const", "var") if arity == 2 else ("none", "const")
+
+    def bound():
+        kind = draw(st.sampled_from(kinds + kinds[1:]))
+        scale = F(p) ** draw(st.integers(-2, 3)) * draw(st.sampled_from((1, -1)))
+        if kind == "none":
+            return None, None
+        pin = draw(st.sampled_from((None, None) + tuple(range(n))))
+        if kind == "const":
+            return Const(scale), pin
+        return d_scale(Var(0), scale), pin
+
+    lower, lower_pin = bound()
+    upper, upper_pin = bound()
+    last = CellCondition(
+        center=Const(F(0)),
+        coset=coset_of(prime, mu, n),
+        lower=lower,
+        upper=upper,
+        lower_strict=draw(st.booleans()),
+        upper_strict=draw(st.booleans()),
+        lower_val_residue=lower_pin,
+        upper_val_residue=upper_pin,
+    )
+    cell = Cell(zp_cell(prime).conditions * (arity - 1) + (last,))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        c = F(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+        vfs = nfs = ()
+        if arity == 2:
+            if draw(st.booleans()):
+                vfs = (ValFactor(Var(0), draw(st.integers(1, 2))),)
+            e = draw(st.integers(-1, 2))
+            nfs = (NormFactor(Var(0), F(e)),) if e else ()
+        a = draw(st.integers(-2 * n, 2 * n))
+        terms.append(IntegrandTerm(cexpr_term(c, vfs, nfs), a, draw(st.integers(0, 2))))
+    point = []
+    if arity == 2:
+        x0 = F(p) ** draw(st.integers(-2, 4)) * draw(st.sampled_from(UNITS))
+        point = scalars(prime, x0)
+    return CellIntegrand.of(cell, terms), point
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(stage_integrals())
+def test_integrate_cell_matches_reference(case):
+    ci, point = case
+    try:
+        want = reference_concrete(ci, point)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            integrate_cell(ci, point)
+        return
+    assert integrate_cell(ci, point) == want
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +673,34 @@ def test_partial_elimination_keeps_base_variable():
     at0 = integrate_full(g, pinned, eliminate=1, base_point=(F(4),))
     assert at1.value.constant_value() == F(1, 240)
     assert at0.value.constant_value() == F(27, 80)
+
+
+def window_cell() -> Cell:
+    """|9| < |x1| <= |x0| over x0 in Z_3: the window v(x0) <= k <= 1 is
+    empty once v(x0) >= 2, and by more than one level once v(x0) >= 3."""
+    inner = CellCondition(
+        center=Const(F(0)), coset=coset_of(P3, 1, 1),
+        lower=Const(F(9)), lower_strict=True, upper=Var(0), upper_strict=False,
+    )
+    return Cell((zp_cell(P3).conditions[0], inner))
+
+
+def test_window_guard_zeroes_empty_base_points():
+    # abs(x1) at x0 = 27 gave -2/243 from the unguarded closed form
+    g = norm_pow(1, 1)
+    cell = window_cell()
+    ci = prepare_integrand(g, cell)
+    for x0, want in ((F(27), F(0)), (F(9), F(0)), (F(3), F(2, 3) * F(1, 9)),
+                     (F(1), F(2, 3) * (1 + F(1, 9)))):
+        assert reference_concrete(ci, scalars(P3, x0)) == want
+        at = integrate_full(g, [cell], eliminate=1, base_point=(x0,))
+        assert at.value.constant_value() == want
+
+
+def test_window_guard_on_an_eliminated_variable_raises():
+    # integrating over both variables printed 179/351; the oracle gives 124/243
+    with pytest.raises(ValueError, match="eliminated variable"):
+        integrate_full(norm_pow(1, 1), [window_cell()])
 
 
 def product_cell(p: Prime) -> Cell:

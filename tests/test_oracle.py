@@ -1,4 +1,4 @@
-"""Enumeration oracle: frozen closed forms, boundary accounting, stabilization.
+"""Enumeration oracle: frozen closed forms and boundary accounting.
 
 The hand values all come from geometric series over valuation shells: the
 shell {v(t) = k} inside Z_p has measure (1 - 1/p) p^-k, so for instance
@@ -47,12 +47,10 @@ from padicells.oracle import (
     BOUNDARY,
     INSIDE,
     BudgetExceeded,
-    StabilizationError,
     UnboundedDomainError,
     _stage_decision,
     oracle_integrate,
     oracle_measure,
-    stabilize,
 )
 from padicells.padic import Prime, coset_representatives
 
@@ -251,32 +249,6 @@ def test_two_stage_product_cell():
     r = oracle_measure(two_stage_cell(), P3, 3)
     assert r.value == F(1, 3)
     assert r.boundary_mass == 0
-
-
-def test_stabilize_reaches_tolerance():
-    def op(N):
-        return oracle_integrate(norm_t(), zp_cell(P3), P3, N)
-
-    r = stabilize(op, 2, 10, F(1, 1000))
-    assert r.resolution == 8  # 3^-8 is the first step below 1/1000
-    assert abs(r.value - F(3, 4)) <= r.boundary_mass
-
-
-def test_stabilize_immediate_when_determined():
-    def op(N):
-        return oracle_measure(punctured_ball_cell(P3, 0, 1), P3, N)
-
-    r = stabilize(op, 2, 8, F(1, 100))
-    assert r.resolution == 2
-    assert r.value == F(1, 3)
-
-
-def test_stabilize_gives_up():
-    def op(N):
-        return oracle_measure(point_cell(P3, 0), P3, N)
-
-    with pytest.raises(StabilizationError, match="did not stabilize"):
-        stabilize(op, 2, 4, F(1, 3**6))
 
 
 def test_determinism():
