@@ -22,6 +22,7 @@ from functools import lru_cache
 from .expr import (
     Const,
     DTerm,
+    EvaluationPrecisionError,
     eval_dterm,
     free_variables,
     parse_dterm,
@@ -108,19 +109,9 @@ class Cell:
     def arity(self) -> int:
         return len(self.conditions)
 
-    @property
-    def type_vector(self) -> tuple[int, ...]:
-        return tuple(0 if c.coset.is_zero() else 1 for c in self.conditions)
-
 
 # ---------------------------------------------------------------------------
 # level-set density
-
-@dataclass(frozen=True)
-class LevelSetMeasure:
-    epsilon: Fraction
-    valuation_class: int
-
 
 @lru_cache(maxsize=None)
 def _epsilon_counted(p: int, n: int) -> Fraction:
@@ -141,22 +132,17 @@ def _epsilon_counted(p: int, n: int) -> Fraction:
     return eps
 
 
-def level_set_measure(c: Coset, p: Prime | None = None) -> LevelSetMeasure:
-    """Density of one valuation level of mu*P_n.
+def level_set_measure(c: Coset) -> Fraction:
+    """Density epsilon of one valuation level of mu*P_n.
 
     Measure{u : v(u) = k, u in mu*P_n} equals epsilon * p^-k for every
     attainable k (those with k = v(mu) mod n) and 0 otherwise. epsilon is
     found by counting n-th-power unit residues; computing it at two
     moduli asserts independence from the level.
     """
-    if p is not None and p != c.prime:
-        raise ValueError("prime does not match the coset's")
     if c.is_zero():
         raise ValueError("level sets of the zero coset are points")
-    prime = c.prime
-    eps = _epsilon_counted(prime.p, c.n)
-    vmu = c.mu.valuation
-    return LevelSetMeasure(eps, int(vmu) % c.n)
+    return _epsilon_counted(c.prime.p, c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,75 +158,92 @@ def _bound_valuation(term: DTerm, base_point: list[PAdicScalar], prime: Prime) -
     return v
 
 
-def _norm_window(
-    cond: CellCondition, base_point: list[PAdicScalar]
-) -> tuple[int | float, int | float, bool]:
-    """(k_min, k_max, pins hold) for k = v(t - center) over a base point.
-
-    The lower norm bound caps the valuation above (|lower| < p^-k reads
-    k < v(lower)), the upper norm bound cuts it below; a residue pin
-    holds when the bound's valuation sits in its class mod n.
-    """
-    prime, n = cond.prime, cond.coset.n
-    k_min: int | float = NEG_INF
-    k_max: int | float = INF
-    pins_hold = True
-    if cond.lower is not None:
-        v = _bound_valuation(cond.lower, base_point, prime)
-        k_max = v - 1 if cond.lower_strict else v
-        pins_hold = cond.lower_val_residue in (None, v % n)
-    if cond.upper is not None:
-        v = _bound_valuation(cond.upper, base_point, prime)
-        k_min = v + 1 if cond.upper_strict else v
-        pins_hold = pins_hold and cond.upper_val_residue in (None, v % n)
-    return k_min, k_max, pins_hold
-
-
 @dataclass(frozen=True)
 class StageWindow:
-    """One stage over a fixed base point: its exact center and the
-    valuations k = v(t - center) that its norm bounds and residue pins
-    admit (none when a pin fails). The coset test is separate."""
+    """The levels k = v(t - center) one stage admits over a base point,
+    read from the valuations of its norm bounds (None for an absent bound).
 
-    center: Fraction
+    The lower bound caps k above (|lower| < p^-k reads k < v(lower)), the
+    upper bound cuts it below; a failed residue pin admits no k. The coset
+    further asks k = v(mu) mod n, which empty() takes into account.
+    """
+
+    coset: Coset
+    v_lower: int | None
+    v_upper: int | None
     k_min: int | float
     k_max: int | float
 
+    @staticmethod
+    def of(cond: CellCondition, v_lower: int | None, v_upper: int | None) -> "StageWindow":
+        """The window of cond where its bounds have valuations v_lower and
+        v_upper, given for each bound present."""
+        n = cond.coset.n
+        k_min: int | float = NEG_INF
+        k_max: int | float = INF
+        pins_hold = True
+        if cond.lower is not None:
+            k_max = v_lower - 1 if cond.lower_strict else v_lower
+            pins_hold = cond.lower_val_residue in (None, v_lower % n)
+        if cond.upper is not None:
+            k_min = v_upper + 1 if cond.upper_strict else v_upper
+            pins_hold = pins_hold and cond.upper_val_residue in (None, v_upper % n)
+        if not pins_hold:
+            k_min, k_max = INF, NEG_INF
+        return StageWindow(cond.coset, v_lower, v_upper, k_min, k_max)
+
+    def levels(self) -> tuple[int | float, int | float]:
+        """The least and the greatest attainable level (infinite on an open
+        side); the first exceeds the last when the window is empty."""
+        lo, hi = self.k_min, self.k_max
+        if self.coset.is_zero():
+            # t is the center: the one level is INF
+            return (INF, INF) if hi == INF else (INF, NEG_INF)
+        if lo > hi:
+            return lo, hi
+        n, r = self.coset.n, int(self.coset.mu.valuation)
+        first = lo if lo == NEG_INF else int(lo) + (r - int(lo)) % n
+        last = hi if hi == INF else int(hi) - (int(hi) - r) % n
+        return first, last
+
+    def empty(self) -> bool:
+        first, last = self.levels()
+        return first > last
+
 
 def stage_window(cond: CellCondition, base_point: list[PAdicScalar]) -> StageWindow:
-    """Read a stage's constants over a base point: the center, which must
-    evaluate exactly, and the window of its bounds and pins."""
+    """The window of a stage over a base point (scalars for the variables
+    its bounds use)."""
+    prime = cond.prime
+    return StageWindow.of(
+        cond,
+        None if cond.lower is None else _bound_valuation(cond.lower, base_point, prime),
+        None if cond.upper is None else _bound_valuation(cond.upper, base_point, prime),
+    )
+
+
+def stage_center(cond: CellCondition, base_point: list[PAdicScalar]) -> PAdicScalar:
+    """A stage's center over a base point, which must evaluate exactly."""
     center, err = eval_dterm(cond.center, base_point, cond.prime)
     if err != INF:
-        raise _precision_error("center")
-    k_min, k_max, pins_hold = _norm_window(cond, base_point)
-    if not pins_hold:
-        k_min, k_max = INF, NEG_INF
-    return StageWindow(center.value, k_min, k_max)
+        raise EvaluationPrecisionError("center not determined at this precision")
+    return center
 
 
-def fiber_membership(
-    A: Cell, point: list[PAdicScalar], depth: int | None = None
-) -> bool:
+def fiber_membership(A: Cell, point: list[PAdicScalar]) -> bool:
     """Exact membership of a point, stage by stage: t - center must have
     a valuation in the stage's window and lie in its coset."""
     if len(point) != A.arity:
         raise ValueError(f"point has {len(point)} coordinates, cell has {A.arity}")
-    p = A.prime
     for i, cond in enumerate(A.conditions):
-        window = stage_window(cond, point[:i])
-        diff = point[i] - PAdicScalar(window.center, p)
+        base = point[:i]
+        diff = point[i] - stage_center(cond, base)
+        window = stage_window(cond, base)
         if not window.k_min <= diff.valuation <= window.k_max:
             return False
-        if not in_coset(diff, cond.coset, depth):
+        if not in_coset(diff, cond.coset):
             return False
     return True
-
-
-def _precision_error(what: str):
-    from .expr import EvaluationPrecisionError
-
-    return EvaluationPrecisionError(f"{what} not determined at this precision")
 
 
 # ---------------------------------------------------------------------------

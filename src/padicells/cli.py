@@ -62,10 +62,6 @@ class Problem:
         self.mode = mode
         self.base_points = base_points
 
-    @property
-    def arity(self) -> int:
-        return self.params + self.nvars
-
 
 def _parse_rational(raw) -> Fraction:
     if isinstance(raw, bool) or isinstance(raw, float):
@@ -565,7 +561,9 @@ def main(argv: list[str] | None = None) -> int:
         # a RuntimeError subclass, but caused by the input's nesting depth
         return _fail("input nested too deeply", EXIT_INPUT)
     except (RuntimeError, AssertionError) as e:
-        # integrate.PartitionError, failed self-checks and broken invariants
+        # failed self-checks (the power-coset witness check of padic.in_coset,
+        # the level-density check of cells.level_set_measure) and broken
+        # invariants
         return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)
 
 

@@ -30,6 +30,7 @@ from .cells import (
     cell_to_json,
     point_cell,
     punctured_ball_cell,
+    stage_center,
     stage_window,
 )
 from .expr import Const, ConstructibleExpr
@@ -221,9 +222,7 @@ def _ball_hull(domain: Cell | None, p: Prime) -> tuple[Fraction, int]:
         raise ValueError("domain must be a full ball, not an annulus")
     if cond.upper is None or not isinstance(cond.upper, Const):
         raise ValueError("domain must carry a constant radius bound")
-    j = rational_valuation(cond.upper.value, p.p)
-    if cond.upper_strict:
-        j += 1
+    j = stage_window(cond, []).k_min
     c = cond.center.value
     if j < 0 or rational_valuation(c, p.p) < 0:
         raise ValueError("domain escapes Z_p")
@@ -364,15 +363,6 @@ class VerifyReport:
     counterexamples: tuple[str, ...]
 
 
-def _constant_value(delta: ConstructibleExpr) -> Fraction:
-    total = Fraction(0)
-    for term in delta.terms:
-        if term.val_factors or term.norm_factors:
-            raise ValueError("prepared delta must be constant over an empty base")
-        total += term.coeff
-    return total
-
-
 @dataclass(frozen=True)
 class _ReadTerm:
     """A prepared term as the verifier reads it, once: the center of its
@@ -403,10 +393,11 @@ def _read_term(term: PreparedTerm, p: Prime, pN: int) -> _ReadTerm:
     if cell.arity != 1:
         raise ValueError(f"point has 1 coordinates, cell has {cell.arity}")
     cond = cell.conditions[0]
+    center = stage_center(cond, []).value
     window = stage_window(cond, [])
     _center_value(cond)  # prepared cells have constant centers
-    delta = _constant_value(term.delta)
-    a, b = window.center.numerator, window.center.denominator
+    delta = term.delta.constant_value()
+    a, b = center.numerator, center.denominator
     vb = int_valuation(b, p.p)
     k_min, k_max = window.k_min, window.k_max
     coset = cond.coset
@@ -423,7 +414,7 @@ def _read_term(term: PreparedTerm, p: Prime, pN: int) -> _ReadTerm:
         ):
             lifts[r] = k
     return _ReadTerm(
-        window.center,
+        center,
         lifts,
         coset.is_zero(),
         INF if delta == 0 else rational_valuation(delta, p.p),
@@ -528,7 +519,7 @@ def prepared_to_json(terms: list[PreparedTerm]) -> dict:
         cells.append(cell_to_json(term.cell))
         rows.append(
             {
-                "delta": _rat(_constant_value(term.delta)),
+                "delta": _rat(term.delta.constant_value()),
                 "a": term.a,
                 "l": term.l,
                 "gamma": _rat(cond.center.value),

@@ -34,11 +34,12 @@ from . import polys, sums
 from .cells import (
     Cell,
     CellCondition,
+    StageWindow,
     _bound_valuation,
-    _norm_window,
     coset_of,
     fiber_membership,
     level_set_measure,
+    stage_window,
 )
 from .decompose import PreparedTerm, decompose_univariate
 from .expr import (
@@ -59,8 +60,7 @@ from .expr import (
     free_variables,
     print_dterm,
 )
-from .oracle import DEFAULT_BUDGET, oracle_measure
-from .padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
+from .padic import INF, PAdicScalar, Prime, rational_valuation
 
 
 class NotIntegrableError(ArithmeticError):
@@ -73,10 +73,6 @@ class ResiduesNotFixedError(ValueError):
 
 class UnsupportedIntegrandError(ValueError):
     """Integrand does not reduce to monomials in t - center on the cell."""
-
-
-class PartitionError(RuntimeError):
-    """Claimed cell partition fails the measure cross-check."""
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +168,15 @@ def integrate_cell(
     if base_point is None and not _constant_bounds(cond):
         return _integrate_symbolic(ci, cond, prime)
     base = list(base_point or ())
-    window = _norm_window(cond, base)
-    if _window_empty(cond, window):
+    window = stage_window(cond, base)
+    if window.empty():
         return zero
-    form = _integrate_symbolic(ci, cond, prime, window)
+    form = _integrate_symbolic(ci, cond, prime, window.v_lower, window.v_upper)
     return form if base_point is None else eval_constructible(form, base, prime)
 
 
 def _constant_bounds(cond: CellCondition) -> bool:
     return all(b is None or isinstance(b, Const) for b in (cond.lower, cond.upper))
-
-
-def _window_empty(cond: CellCondition, window) -> bool:
-    """Whether a window read by cells._norm_window admits no level: a pin
-    fails, or no k = v(mu) mod n lies between its ends."""
-    k_min, k_max, pins_hold = window
-    if not pins_hold:
-        return True
-    if k_min == NEG_INF or k_max == INF:
-        return False
-    n = cond.coset.n
-    first = int(k_min) + (int(cond.coset.mu.valuation) - int(k_min)) % n
-    return first > k_max
 
 
 def _pinned_residue(cond: CellCondition, side: str) -> int:
@@ -216,27 +199,32 @@ def _pinned_residue(cond: CellCondition, side: str) -> int:
 
 
 def _integrate_symbolic(
-    ci: CellIntegrand, cond: CellCondition, prime: Prime, window=None
+    ci: CellIntegrand,
+    cond: CellCondition,
+    prime: Prime,
+    v_lower: int | None = None,
+    v_upper: int | None = None,
 ) -> ConstructibleExpr:
     """The closed form over the base points where the pins hold and the
-    window is not empty. The bound residues mod n come from the window
-    read at one base point when given, else from _pinned_residue."""
+    window is not empty. The bound residues mod n come from the bound
+    valuations read at one base point when given, else from
+    _pinned_residue."""
     n = cond.coset.n
     vmu = int(cond.coset.mu.valuation)
     mu = cond.coset.mu.value
     q = prime.p
-    eps = level_set_measure(cond.coset).epsilon
+    eps = level_set_measure(cond.coset)
 
     # h0, h1 are the bounds rescaled onto the coset grid: v(h0) = n*j0 and
     # v(h1) = n*j1 for the first and last attainable j.
     h0 = h1 = None
     if cond.upper is not None:
         c = 1 if cond.upper_strict else 0
-        r = _pinned_residue(cond, "upper") if window is None else int(window[0]) - c
+        r = _pinned_residue(cond, "upper") if v_upper is None else v_upper
         h0 = d_scale(cond.upper, Fraction(q) ** (c + (vmu - r - c) % n) / mu)
     if cond.lower is not None:
         c = 1 if cond.lower_strict else 0
-        r = _pinned_residue(cond, "lower") if window is None else int(window[1]) + c
+        r = _pinned_residue(cond, "lower") if v_lower is None else v_lower
         h1 = d_scale(cond.lower, 1 / (Fraction(q) ** (c + (r - c - vmu) % n) * mu))
 
     out = []
@@ -540,33 +528,6 @@ def eliminate_last_variable(
     return EliminationResult(ConstructibleExpr.const(sum(pieces, Fraction(0))), True)
 
 
-def check_partition(
-    cells: list[Cell],
-    domain: Cell,
-    N: int = 4,
-    budget: int = DEFAULT_BUDGET,
-) -> None:
-    """Measure cross-check that the cells tile the domain.
-
-    Compares the enumerated measure of the domain against the cell total;
-    disagreement beyond the enumeration slack raises PartitionError."""
-    if not cells:
-        raise PartitionError("partition check failed: no cells")
-    p = domain.prime
-    dom = oracle_measure(domain, p, N, budget)
-    total = Fraction(0)
-    slack = dom.boundary_mass
-    for c in cells:
-        r = oracle_measure(c, p, N, budget)
-        total += r.value
-        slack += r.boundary_mass
-    if abs(dom.value - total) > slack:
-        raise PartitionError(
-            f"partition check failed: cells measure {total}, domain measures "
-            f"{dom.value}, slack {slack}"
-        )
-
-
 def _pin_settled(bound: DTerm, n: int, r: int, conds) -> bool | None:
     """Decide a pin v(bound) = r mod n from the prefix structure alone, if
     possible. A pin on x_i is settled by stage i when that stage fixes
@@ -587,6 +548,43 @@ def _pin_settled(bound: DTerm, n: int, r: int, conds) -> bool | None:
     return None
 
 
+def _window_settled(cond: CellCondition, prefix) -> bool | None:
+    """Decide from the prefix structure alone whether a two-sided window
+    whose pins hold is non-empty, if possible. That takes one varying
+    bound, a bare x_i whose stage i confines v(x_i) by itself: zero
+    centered, a nonzero coset and constant bounds. The window grows or
+    shrinks monotonically with v(x_i): it is non-empty everywhere when it
+    is at the least favorable admissible v(x_i), and empty everywhere when
+    it is at the most favorable one."""
+    lower_varies = not isinstance(cond.lower, Const)
+    if lower_varies == (not isinstance(cond.upper, Const)):
+        return None
+    bound, fixed = (cond.lower, cond.upper) if lower_varies else (cond.upper, cond.lower)
+    if not isinstance(bound, Var) or bound.index >= len(prefix):
+        return None
+    base = prefix[bound.index]
+    if base.coset.is_zero() or not _is_zero_term(base.center) or not _constant_bounds(base):
+        return None
+    lo, hi = stage_window(base, []).levels()
+    if lo > hi:
+        return False  # the prefix cell is empty
+    v_fixed = _bound_valuation(fixed, [], cond.prime)
+
+    def empty_at(v) -> bool:
+        if lower_varies:
+            return StageWindow.of(cond, v, v_fixed).empty()
+        return StageWindow.of(cond, v_fixed, v).empty()
+
+    # a larger v(lower) raises the window's top, a larger v(upper) its floor;
+    # an infinite extreme is never reached
+    worst, best = (lo, hi) if lower_varies else (hi, lo)
+    if isinstance(worst, int) and not empty_at(worst):
+        return True
+    if isinstance(best, int) and empty_at(best):
+        return False
+    return None
+
+
 def _stage_settled(cond: CellCondition, prefix) -> bool | None:
     """Whether a stage's symbolic result holds on its whole prefix cell
     (True), nowhere on it (False), or only where the base point passes the
@@ -595,18 +593,21 @@ def _stage_settled(cond: CellCondition, prefix) -> bool | None:
     are facts, and integrate_cell decides constant bounds itself."""
     if _constant_bounds(cond):
         return True
-    # a one-sided window is never empty
-    always = cond.lower is None or cond.upper is None
-    for bound, pin in (
-        (cond.lower, cond.lower_val_residue),
-        (cond.upper, cond.upper_val_residue),
-    ):
-        if pin is not None and not isinstance(bound, Const):
-            held = _pin_settled(bound, cond.coset.n, pin, prefix)
-            if held is False:
-                return False
-            always = always and held is True
-    return True if always else None
+    held = [
+        _pin_settled(bound, cond.coset.n, pin, prefix)
+        for bound, pin in (
+            (cond.lower, cond.lower_val_residue),
+            (cond.upper, cond.upper_val_residue),
+        )
+        if pin is not None and not isinstance(bound, Const)
+    ]
+    if False in held:
+        return False
+    if None in held:
+        return None
+    if cond.lower is None or cond.upper is None:
+        return True  # a one-sided window is never empty
+    return _window_settled(cond, prefix)
 
 
 @dataclass(frozen=True)
@@ -677,7 +678,7 @@ def evaluate_pieces(
     for piece in pieces:
         if piece.conditions and not fiber_membership(Cell(piece.conditions), point):
             continue
-        if any(_window_empty(g, _norm_window(g, point)) for g in piece.guards):
+        if any(stage_window(g, point).empty() for g in piece.guards):
             continue
         total += eval_constructible(piece.value, point, prime)
     return total
@@ -747,15 +748,6 @@ class ZetaRational:
             out = expanded
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.prime.p,
-            "numerator": [str(c) for c in self.numerator],
-            "denominator_factors": [
-                {"c": c, "d": d} for c, d in self.denominator_factors
-            ],
-        }
-
 
 def _denominator_poly(c: int, d: int, q: int) -> polys.PolyQ:
     out = [Fraction(0)] * (d + 1)
@@ -781,10 +773,7 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
         val = t.delta.constant_value()
         assert val != 0, "ball pieces carry a nonzero unit scale"
         dv = int(rational_valuation(val, q))
-        assert isinstance(cond.upper, Const)
-        j = int(rational_valuation(cond.upper.value, q))
-        if cond.upper_strict:
-            j += 1
+        j = int(stage_window(cond, []).k_min)
         degree = dv if t.a == 0 else dv + t.a * j
         if degree < 0:
             raise ValueError(

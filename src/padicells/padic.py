@@ -18,10 +18,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-class CosetDepthError(ValueError):
-    """The working modulus is too shallow to decide n-th power membership."""
-
-
 def as_fraction(x: int | str | Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -238,31 +234,24 @@ def _self_check_witness(p: int, n: int, depth: int, target: int) -> None:
     )
 
 
-def in_coset(x: PAdicScalar, coset: Coset, depth: int | None = None) -> bool:
+def in_coset(x: PAdicScalar, coset: Coset) -> bool:
     """Exact membership of x in the coset.
 
-    depth is the working modulus exponent for the unit n-th power test; it
-    defaults to the Hensel-sufficient bound 2*v_p(n) + 1 and may be raised
-    but not lowered; a lower depth raises CosetDepthError whatever x is.
-    Positive answers for n > 1 are re-checked by lifting a root witness
-    two digits deeper, once per unit residue mod p^(depth+2).
+    The unit n-th power test works modulo p^depth with the Hensel-sufficient
+    depth 2*v_p(n) + 1. Positive answers for n > 1 are re-checked by
+    lifting a root witness two digits deeper, once per unit residue mod
+    p^(depth+2).
     """
     if coset.is_zero():
         return x.is_zero()
     if x.is_zero():
         return False
     x._check(coset.mu)
-    p = coset.prime.p
     n = coset.n
-    least = hensel_power_depth(n, p)
-    if depth is None:
-        depth = least
-    elif depth < least:
-        raise CosetDepthError(
-            f"depth {depth} below the Hensel-sufficient bound {least} for p={p}, n={n}"
-        )
     if n == 1:
         return True  # every nonzero x is a first power times mu
+    p = coset.prime.p
+    depth = hensel_power_depth(n, p)
     ratio = x.value / coset.mu.value
     v = rational_valuation(ratio, p)
     if v % n != 0:

@@ -52,10 +52,6 @@ def neg(f: PolyQ) -> PolyQ:
     return tuple(-c for c in f)
 
 
-def sub(f: PolyQ, g: PolyQ) -> PolyQ:
-    return add(f, neg(g))
-
-
 def mul(f: PolyQ, g: PolyQ) -> PolyQ:
     if not f or not g:
         return ()
@@ -83,33 +79,6 @@ def pow_int(f: PolyQ, e: int) -> PolyQ:
 
 def derivative(f: PolyQ) -> PolyQ:
     return normalize(tuple(f[i] * i for i in range(1, len(f))))
-
-
-def divmod_poly(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
-    if is_zero(g):
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg = degree(g)
-    lead = g[-1]
-    while len(r) - 1 >= dg and normalize(tuple(r)):
-        r = list(normalize(tuple(r)))
-        if len(r) - 1 < dg:
-            break
-        k = len(r) - 1 - dg
-        c = r[-1] / lead
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] -= c * g[i]
-        r.pop()
-    return normalize(tuple(q)), normalize(tuple(r))
-
-
-def div_exact(f: PolyQ, g: PolyQ) -> PolyQ:
-    q, r = divmod_poly(f, g)
-    if not is_zero(r):
-        raise ValueError("inexact polynomial division")
-    return q
 
 
 def taylor_shift(f: PolyQ, c: Fraction) -> PolyQ:

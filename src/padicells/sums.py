@@ -89,15 +89,6 @@ def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     ))
 
 
-def tail_coeffs(i: int, u: Fraction) -> polys.PolyQ:
-    """T with sum_{j>=x} j^i u^j = u^x * T(x), as a polynomial in x.
-
-    Valid for any integer x when |u| < 1 (shift j = x + j')."""
-    if not abs(u) < 1:
-        raise DivergentSumError("ratio outside the open unit interval")
-    return window_coeffs(i, u)
-
-
 def bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0..B_n with B_1 = +1/2, from sum_{j<=m} C(m+1, j) B_j = m + 1."""
     out: list[Fraction] = []

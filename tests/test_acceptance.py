@@ -187,7 +187,7 @@ def test_criterion_7_level_densities_against_two_modulus_counts():
                 image = {pow(y, n, pM) for y in range(1, pM) if y % p != 0}
                 counted.append(F(len(image), pM))
             assert counted[0] == counted[1], (p, n, counted)
-            eps = level_set_measure(coset_of(Prime(p), 1, n)).epsilon
+            eps = level_set_measure(coset_of(Prime(p), 1, n))
             assert eps == counted[0], (p, n, eps, counted)
 
 

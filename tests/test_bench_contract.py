@@ -1,12 +1,14 @@
 """The benchmark's contract with the library, checked in the tier-1 suite.
 
 bench/ is loaded as it stands, never edited from here: every padicells
-function its tracer patches must exist, and the first operation of the
+function its tracer patches and every padicells module attribute its
+corpora and runner name must exist, and the first operation of the
 oracle, univariate and engine corpora must run and pass its own checks.
 A library change that breaks the benchmark then fails here, not only in a
 benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -38,6 +40,39 @@ workloads = load("workloads")
 )
 def test_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(module), function, None))
+
+
+MODULES = {"cells", "decompose", "expr", "integrate", "oracle", "padic", "polys", "sums"}
+
+
+def module_references(name: str) -> set[tuple[str, str]]:
+    """(module, attribute) for every `cells.x`, `padicells.cells.x` and the
+    like in a bench source file, read without running it."""
+    tree = ast.parse((BENCH / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in MODULES:
+            out.add((owner.id, node.attr))
+        elif (isinstance(owner, ast.Attribute) and owner.attr in MODULES
+              and isinstance(owner.value, ast.Name) and owner.value.id == "padicells"):
+            out.add((owner.attr, node.attr))
+    return out
+
+
+REFERENCES = sorted(module_references("workloads") | module_references("run"))
+
+
+def test_bench_references_are_found():
+    # the corpora build every problem through module attributes
+    assert len(module_references("workloads")) > 30
+
+
+@pytest.mark.parametrize("module, attribute", REFERENCES)
+def test_bench_module_reference_resolves(module, attribute):
+    assert hasattr(importlib.import_module(f"padicells.{module}"), attribute)
 
 
 def test_oracle_result_keeps_sampled():

@@ -14,8 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from padicells import cli, integrate
+from padicells import cli, oracle
+from padicells.cells import cell_from_json
 from padicells.expr import parse_constructible, print_constructible
+from padicells.padic import Prime
 
 
 def run(capsys, *argv):
@@ -233,6 +235,41 @@ def test_integrate_window_on_eliminated_variable_exits_1(capsys, tmp_path):
     assert "eliminated variable" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("base, upper, want", [
+    # |x0| <= |x1| <= 1 over x0 in Z_3: never empty (exited 1 before)
+    (stage(), "1", {"symbolic": "9/13", "oracle": "89271868/129140163",
+                    "bound": "1/729", "pass": True}),
+    # |x0| <= |x1| <= |3| over v(x0) = 0: always empty
+    (stage(alpha="1", alpha_strict=False), "3",
+     {"symbolic": "0", "oracle": "0", "bound": "0", "pass": True}),
+])
+def test_integrate_window_settled_by_the_base_stage(capsys, tmp_path, base, upper, want):
+    path = problem(
+        tmp_path, p=3, variables={"params": 0, "integrate": 2}, integrand="abs(x1)",
+        cells=[cell(base, stage(beta=upper, alpha="x0", alpha_strict=False))],
+    )
+    code, out, _ = run(capsys, "integrate", path, "--verify-N", "6")
+    assert code == 0
+    assert json.loads(out)["verify"] == want
+
+
+def test_integrate_window_partly_empty_over_the_base_exits_1(capsys, tmp_path):
+    # |x0| <= |x1| <= |3| over x0 in Z_3: empty where v(x0) = 0 only, and
+    # the oracle shows the integral is not 0 either
+    raw = cell(stage(), stage(beta="3", alpha="x0", alpha_strict=False))
+    path = problem(
+        tmp_path, p=3, variables={"params": 0, "integrate": 2},
+        integrand="abs(x1)", cells=[raw],
+    )
+    code, out, err = run(capsys, "integrate", path, "--verify-N", "6")
+    assert code == 1 and out == ""
+    assert "eliminated variable" in json.loads(err)["error"]
+    orc = oracle.oracle_integrate(
+        parse_constructible("abs(x1)"), cell_from_json(raw, Prime(3)), Prime(3), 6
+    )
+    assert orc.value > orc.boundary_mass
+
+
 def test_integrate_undetermined_norm_exits_2(capsys, tmp_path):
     # at x0 = 1 the series argument sits outside the unit polydisc, so the
     # series is 0 and the norm of its inverse is not determined
@@ -426,7 +463,7 @@ def test_golden_integrands_round_trip():
 # internal faults and start-up
 
 @pytest.mark.parametrize("fault", [
-    integrate.PartitionError("partition check failed: cells measure 1, domain measures 1/2"),
+    RuntimeError("power-coset self-check failed lifting witness 2 for p=3, n=2"),
     AssertionError("ball pieces carry a nonzero unit scale"),
 ])
 def test_internal_fault_exits_4(capsys, tmp_path, monkeypatch, fault):
@@ -454,6 +491,16 @@ def test_cli_import_does_not_load_sympy():
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, padicells.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
+
+
+def test_integrate_import_does_not_load_oracle():
+    # the oracle is the independent reference the engine is checked against
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, padicells.integrate; print('padicells.oracle' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "False\n"

@@ -13,7 +13,6 @@ from padicells.cells import (
     Cell,
     CellCondition,
     _bound_valuation,
-    _precision_error,
     coset_of,
     pin_bound_residues,
     punctured_ball_cell,
@@ -26,7 +25,6 @@ from padicells.decompose import (
     VerifyReport,
     _ball_hull,
     _center_value,
-    _constant_value,
     decompose_univariate,
     hensel_lift,
     prepared_to_json,
@@ -68,7 +66,7 @@ def poly(*coeffs):
 # test it called. It runs exact membership for every residue against every
 # cell, so verify_prepared must return the same report wherever it runs.
 
-def reference_membership(A, point, depth=None):
+def reference_membership(A, point):
     """Exact membership of a point, stage by stage."""
     if len(point) != A.arity:
         raise ValueError(f"point has {len(point)} coordinates, cell has {A.arity}")
@@ -77,10 +75,10 @@ def reference_membership(A, point, depth=None):
         base = point[:i]
         center, err = eval_dterm(cond.center, base, p)
         if err != INF:
-            raise _precision_error("center")
+            raise EvaluationPrecisionError("center not determined at this precision")
         diff = point[i] - center
         k = diff.valuation
-        if not in_coset(diff, cond.coset, depth):
+        if not in_coset(diff, cond.coset):
             return False
         if cond.lower is not None:
             v = _bound_valuation(cond.lower, base, p)
@@ -102,7 +100,7 @@ def reference_membership(A, point, depth=None):
 def _reference_prepared_valuation(term, k):
     """v of the prepared description at v(t-gamma) = k; None if not integral."""
     cond = term.cell.conditions[-1]
-    delta = _constant_value(term.delta)
+    delta = term.delta.constant_value()
     if delta == 0:
         return INF
     vd = rational_valuation(delta, cond.prime.p)
@@ -157,7 +155,7 @@ def reference_verify(terms, f, p, N, domain=None):
         if cond.coset.is_zero():
             # the lift IS the center: compare exactly at the point
             checks += 1
-            delta = _constant_value(term.delta)
+            delta = term.delta.constant_value()
             vd = INF if delta == 0 else rational_valuation(delta, p.p)
             if vf != vd:
                 note(f"point cell at {gamma}: v(f) = {vf}, prepared {vd}")

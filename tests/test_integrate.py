@@ -1,6 +1,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ from padicells import polys, sums
 from padicells.cells import (
     Cell,
     CellCondition,
-    _norm_window,
+    _bound_valuation,
     coset_of,
     level_set_measure,
     pin_bound_residues,
@@ -36,14 +37,13 @@ from padicells.integrate import (
     EliminationResult,
     IntegrandTerm,
     NotIntegrableError,
-    PartitionError,
     ResiduesNotFixedError,
     SimpleFunctionExpr,
     SimpleTerm,
     UnsupportedIntegrandError,
     _decide_integrable,
     _integrate_symbolic,
-    check_partition,
+    _stage_settled,
     constructible_to_simple,
     eliminate_last_variable,
     evaluate_simple,
@@ -90,9 +90,10 @@ def annulus(p: Prime, lo_val: int, hi_val: int, n: int = 1) -> Cell:
 # ---------------------------------------------------------------------------
 # reference_concrete keeps the concrete stage integrator that integrate_cell
 # replaced, line for line: it sums the progression of attainable levels
-# number by number, with its own valuation range and its own pin and
-# empty-window tests. integrate_cell(ci, point) evaluates the symbolic
-# closed form instead, and must give the same values and errors.
+# number by number, with its own valuation range, its own window reader
+# (_norm_window, as cells had it) and its own pin and empty-window tests.
+# integrate_cell(ci, point) evaluates the symbolic closed form instead, and
+# must give the same values and errors.
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,30 @@ class ValuationRange:
         first = self.first()
         assert first is not None
         return (int(self.k_max) - first) // self.modulus + 1
+
+
+def _norm_window(
+    cond: CellCondition, base_point: list[PAdicScalar]
+) -> tuple[int | float, int | float, bool]:
+    """(k_min, k_max, pins hold) for k = v(t - center) over a base point.
+
+    The lower norm bound caps the valuation above (|lower| < p^-k reads
+    k < v(lower)), the upper norm bound cuts it below; a residue pin
+    holds when the bound's valuation sits in its class mod n.
+    """
+    prime, n = cond.prime, cond.coset.n
+    k_min: int | float = NEG_INF
+    k_max: int | float = INF
+    pins_hold = True
+    if cond.lower is not None:
+        v = _bound_valuation(cond.lower, base_point, prime)
+        k_max = v - 1 if cond.lower_strict else v
+        pins_hold = cond.lower_val_residue in (None, v % n)
+    if cond.upper is not None:
+        v = _bound_valuation(cond.upper, base_point, prime)
+        k_min = v + 1 if cond.upper_strict else v
+        pins_hold = pins_hold and cond.upper_val_residue in (None, v % n)
+    return k_min, k_max, pins_hold
 
 
 def fiber_valuation_range(
@@ -175,7 +200,7 @@ def _integrate_concrete(
     if rng.is_empty():
         return Fraction(0)
     vmu = int(cond.coset.mu.valuation)
-    eps = level_set_measure(cond.coset).epsilon
+    eps = level_set_measure(cond.coset)
     q = prime.p
     total = Fraction(0)
     for t in ci.terms:
@@ -624,13 +649,6 @@ def test_eliminate_sums_over_partition():
     assert res.value.constant_value() == F(3, 4)
 
 
-def test_check_partition_accepts_and_rejects():
-    pieces = [annulus(P3, 0, 0), punctured_ball_cell(P3, 0, 1)]
-    check_partition(pieces, zp_cell(P3), N=4)
-    with pytest.raises(PartitionError, match="partition check failed"):
-        check_partition(pieces[1:], zp_cell(P3), N=4)
-
-
 # ---------------------------------------------------------------------------
 # multi-variable driver
 
@@ -701,6 +719,60 @@ def test_window_guard_on_an_eliminated_variable_raises():
     # integrating over both variables printed 179/351; the oracle gives 124/243
     with pytest.raises(ValueError, match="eliminated variable"):
         integrate_full(norm_pow(1, 1), [window_cell()])
+
+
+def test_point_stage_guard_is_null():
+    # reading this guard raised OverflowError: a zero coset has v(mu) = INF
+    inner = CellCondition(
+        center=Const(F(0)), coset=coset_of(P3, 0, 1),
+        lower=Const(F(9)), lower_strict=False, upper=Var(0), upper_strict=False,
+    )
+    cell = Cell((zp_cell(P3).conditions[0], inner))
+    for x0 in (F(1), F(3), F(27)):
+        at = integrate_full(norm_pow(1, 1), [cell], eliminate=1, base_point=(x0,))
+        assert at.value.constant_value() == 0
+
+
+def prefix_window_cells():
+    """Two-sided stages whose one varying bound is x0, over a stage 0 that
+    confines v(x0) itself: every strictness, a window never, sometimes or
+    always empty, and n = 2 on either stage with every pin."""
+    windows = ((0, None), (0, 0), (1, 2))
+    for n0, n1, (lo0, hi0), lower_varies, c, lower_strict, upper_strict in product(
+        (1, 2), (1, 2), windows, (True, False), (0, 1, 3), (False, True), (False, True)
+    ):
+        base = CellCondition(
+            center=Const(F(0)), coset=coset_of(P3, 1, n0),
+            upper=Const(F(3) ** lo0), upper_strict=False,
+            lower=None if hi0 is None else Const(F(3) ** hi0), lower_strict=False,
+        )
+        fixed = Const(F(3) ** c)
+        inner = CellCondition(
+            center=Const(F(0)), coset=coset_of(P3, 1, n1),
+            lower=Var(0) if lower_varies else fixed,
+            upper=fixed if lower_varies else Var(0),
+            lower_strict=lower_strict, upper_strict=upper_strict,
+        )
+        yield from pin_bound_residues(Cell((base, inner)))
+
+
+def test_window_settled_by_the_prefix_matches_oracle():
+    # abs(x1) over x0 in Z_3, |x0| <= |x1| <= 1 exited 1; the value is 9/13
+    g = norm_pow(1, 1)
+    settled = {True: 0, False: 0, None: 0}
+    for cell in prefix_window_cells():
+        outcome = _stage_settled(cell.conditions[1], cell.conditions[:1])
+        settled[outcome] += 1
+        if outcome is None:
+            with pytest.raises(ValueError, match="eliminated variable"):
+                integrate_full(g, [cell])
+            continue
+        got = integrate_full(g, [cell]).value.constant_value()
+        orc = oracle_integrate(g, cell, P3, 5)
+        assert abs(got - orc.value) <= orc.boundary_mass, cell
+        if outcome is False:
+            assert got == 0
+    assert min(settled.values()) > 20, settled
 
 
 def product_cell(p: Prime) -> Cell:

