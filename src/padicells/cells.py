@@ -337,22 +337,44 @@ def cell_to_json(cell: Cell) -> dict:
     return {"conditions": [condition_to_json(c) for c in cell.conditions]}
 
 
+def parse_rational(raw) -> Fraction:
+    """A rational written as a JSON integer or string; no floats or bools."""
+    if isinstance(raw, (bool, float)):
+        raise ValueError(f"rationals must be integers or strings, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise ValueError(f"not a rational: {raw!r}") from None
+
+
+def _typed(raw, kind: type, key: str):
+    """raw when it is a JSON value of the kind; a JSON bool is no integer."""
+    if type(raw) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise ValueError(f"\"{key}\" must be a JSON {name}, got {raw!r}")
+    return raw
+
+
 def condition_from_json(data: dict, prime: Prime) -> CellCondition:
     def term(key: str) -> DTerm | None:
         raw = data.get(key)
         return None if raw is None else parse_dterm(raw)
 
+    def pin(key: str) -> int | None:
+        raw = data.get(key)
+        return None if raw is None else _typed(raw, int, key)
+
     lower = term("alpha")
     upper = term("beta")
     return CellCondition(
         center=parse_dterm(data["gamma"]),
-        coset=coset_of(prime, Fraction(str(data["mu"])), int(data["n"])),
+        coset=coset_of(prime, parse_rational(data["mu"]), _typed(data["n"], int, "n")),
         lower=lower,
         upper=upper,
-        lower_strict=bool(data.get("alpha_strict", True)),
-        upper_strict=bool(data.get("beta_strict", True)),
-        lower_val_residue=data.get("alpha_residue"),
-        upper_val_residue=data.get("beta_residue"),
+        lower_strict=_typed(data.get("alpha_strict", True), bool, "alpha_strict"),
+        upper_strict=_typed(data.get("beta_strict", True), bool, "beta_strict"),
+        lower_val_residue=pin("alpha_residue"),
+        upper_val_residue=pin("beta_residue"),
     )
 
 

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import decompose, integrate, oracle, polys, sums
-from .cells import Cell, cell_from_json, cell_to_json, zp_cell
+from .cells import Cell, cell_from_json, cell_to_json, parse_rational, zp_cell
 from .decompose import _rat
 from .expr import (
     ConstructibleExpr,
-    Const,
     EvaluationPrecisionError,
     ParseError,
-    as_poly_in,
+    dterm_to_const_poly,
     parse_constructible,
     print_constructible,
 )
@@ -61,15 +59,6 @@ class Problem:
         self.cells = cells  # list[Cell] or the string "auto"
         self.mode = mode
         self.base_points = base_points
-
-
-def _parse_rational(raw) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise InputError(f"rationals must be integers or strings, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise InputError(f"not a rational: {raw!r}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -107,9 +96,11 @@ def load_problem(path: str, prime_flag: int | None) -> Problem:
             or set(variables) != {"params", "integrate"}):
         raise InputError("\"variables\" must hold \"params\" and \"integrate\"")
     params, nvars = variables["params"], variables["integrate"]
-    if not (isinstance(params, int) and isinstance(nvars, int)
+    if not (type(params) is int and type(nvars) is int
             and params >= 0 and nvars >= 1):
-        raise InputError("\"params\" must be >= 0 and \"integrate\" >= 1")
+        raise InputError(
+            "\"params\" must be an integer >= 0 and \"integrate\" an integer >= 1"
+        )
 
     integrand = None
     if "integrand" in data:
@@ -150,7 +141,7 @@ def load_problem(path: str, prime_flag: int | None) -> Problem:
         for pt in points_raw:
             if not isinstance(pt, list) or len(pt) != params:
                 raise InputError(f"base points need {params} coordinates")
-            base_points.append(tuple(_parse_rational(x) for x in pt))
+            base_points.append(tuple(parse_rational(x) for x in pt))
     return Problem(prime, params, nvars, integrand, cells, mode, base_points)
 
 
@@ -173,10 +164,9 @@ def _as_poly_abs(f: ConstructibleExpr):
     nf = term.norm_factors[0]
     if nf.power.denominator != 1 or nf.power < 1:
         raise wrong
-    monos = as_poly_in(nf.h, 0)
-    if monos is None or not all(isinstance(c, Const) for c in monos):
+    coeffs = dterm_to_const_poly(nf.h)
+    if coeffs is None:
         raise wrong
-    coeffs = polys.normalize(tuple(c.value for c in monos))
     if polys.is_zero(coeffs):
         raise InputError("f identically zero")
     return term.coeff, coeffs, int(nf.power)
@@ -216,25 +206,28 @@ def _fail(message: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 # verification shared by integrate/measure/verify
 
-def _oracle_total(g: ConstructibleExpr, cells: list[Cell], prime: Prime,
-                  N: int, budget: int):
-    value = Fraction(0)
-    bound = Fraction(0)
-    for cell in cells:
-        res = oracle.oracle_integrate(g, cell, prime, N, budget)
-        value += res.value
+def _verify(problem: Problem, g: ConstructibleExpr, symbolic: Fraction,
+            args) -> tuple[dict, int]:
+    """Compare symbolic against the oracle's integral of g over the
+    problem's cells (Z_p for "auto") at depth args.verify_N: the report and
+    its exit code."""
+    _require_verifiable(problem)
+    domain = ([zp_cell(problem.prime)] if problem.cells == "auto"
+              else problem.cells)
+    got = bound = Fraction(0)
+    for cell in domain:
+        res = oracle.oracle_integrate(g, cell, problem.prime, args.verify_N,
+                                      args.budget)
+        got += res.value
         bound += res.boundary_mass
-    return value, bound
-
-
-def _verify_report(symbolic: Fraction, oracle_value: Fraction,
-                   bound: Fraction) -> dict:
-    return {
+    passed = abs(symbolic - got) <= bound
+    report = {
         "symbolic": _rat(symbolic),
-        "oracle": _rat(oracle_value),
+        "oracle": _rat(got),
         "bound": _rat(bound),
-        "pass": abs(symbolic - oracle_value) <= bound,
+        "pass": passed,
     }
+    return report, EXIT_OK if passed else EXIT_VERIFY
 
 
 def _require_verifiable(problem: Problem) -> None:
@@ -316,7 +309,7 @@ def cmd_integrate(args) -> int:
         coords = [s for s in args.point.split(",") if s]
         if len(coords) != problem.params:
             raise InputError(f"--point needs {problem.params} coordinates")
-        problem.base_points = [tuple(_parse_rational(c) for c in coords)]
+        problem.base_points = [tuple(parse_rational(c) for c in coords)]
 
     values, expression, integrable = _integrate_problem(problem, args.precision)
     if expression is not None:
@@ -334,14 +327,7 @@ def cmd_integrate(args) -> int:
 
     code = EXIT_OK
     if args.verify_N is not None:
-        _require_verifiable(problem)
-        domain = ([zp_cell(problem.prime)] if problem.cells == "auto"
-                  else problem.cells)
-        got, bound = _oracle_total(problem.integrand, domain, problem.prime,
-                                   args.verify_N, args.budget)
-        payload["verify"] = _verify_report(values[0], got, bound)
-        if not payload["verify"]["pass"]:
-            code = EXIT_VERIFY
+        payload["verify"], code = _verify(problem, problem.integrand, values[0], args)
     _emit(payload, args.pretty)
     return code
 
@@ -358,12 +344,7 @@ def cmd_measure(args) -> int:
 
     code = EXIT_OK
     if args.verify_N is not None:
-        _require_verifiable(problem)
-        got, bound = _oracle_total(one, problem.cells, problem.prime,
-                                   args.verify_N, args.budget)
-        payload["verify"] = _verify_report(measures[0], got, bound)
-        if not payload["verify"]["pass"]:
-            code = EXIT_VERIFY
+        payload["verify"], code = _verify(problem, one, measures[0], args)
     _emit(payload, args.pretty)
     return code
 
@@ -371,15 +352,11 @@ def cmd_measure(args) -> int:
 def cmd_verify(args) -> int:
     problem = load_problem(args.path, args.p)
     problem.mode = "concrete"
-    _require_verifiable(problem)
+    _require_verifiable(problem)  # refuse parameters before integrating
     values, _, _ = _integrate_problem(problem, args.precision)
-    domain = ([zp_cell(problem.prime)] if problem.cells == "auto"
-              else problem.cells)
-    got, bound = _oracle_total(problem.integrand, domain, problem.prime,
-                               args.verify_N, args.budget)
-    report = _verify_report(values[0], got, bound)
+    report, code = _verify(problem, problem.integrand, values[0], args)
     _emit(report, args.pretty)
-    return EXIT_OK if report["pass"] else EXIT_VERIFY
+    return code
 
 
 def _parse_poly_arg(text: str):
@@ -393,7 +370,7 @@ def _parse_poly_arg(text: str):
         raise InputError(
             "the polynomial is a JSON array of rationals, lowest degree first"
         )
-    coeffs = polys.normalize(tuple(_parse_rational(c) for c in raw))
+    coeffs = polys.normalize(tuple(parse_rational(c) for c in raw))
     if polys.is_zero(coeffs):
         raise InputError("f identically zero")
     return coeffs
@@ -450,26 +427,13 @@ def cmd_parse(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _default_budget() -> int:
-    raw = os.environ.get("PADIC_CELLS_BUDGET")
-    if raw is None:
-        return oracle.DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InputError(f"PADIC_CELLS_BUDGET is not an integer: {raw!r}") from None
-    if budget < 1:
-        raise InputError("PADIC_CELLS_BUDGET must be positive")
-    return budget
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=None,
                         help="prime, overriding the problem file")
     common.add_argument("--precision", type=int, default=8, metavar="N",
                         help="working depth for decomposition (default 8)")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
                         help="class budget for oracle enumeration")
     style = common.add_mutually_exclusive_group()
     style.add_argument("--json", dest="pretty", action="store_false",
@@ -535,9 +499,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.precision < 1:
             raise InputError("--precision must be >= 1")
-        if args.budget is None:
-            args.budget = _default_budget()
-        elif args.budget < 1:
+        if args.budget < 1:
             raise InputError("--budget must be positive")
         return args.handler(args)
     except InputError as e:

@@ -144,22 +144,6 @@ def _from_view(base: DTerm | None, coeffs: polys.PolyQ) -> DTerm:
     return Poly(coeffs, base)
 
 
-def poly_of(coeffs, argument: DTerm) -> DTerm:
-    """Canonical polynomial in `argument`; folds constants and composes
-    with an inner Poly so nested single-base polynomials never stack."""
-    cs = polys.poly_from(coeffs)
-    if isinstance(argument, Const):
-        return Const(polys.evaluate(cs, argument.value))
-    if isinstance(argument, Poly):
-        acc: polys.PolyQ = ()
-        power: polys.PolyQ = (Fraction(1),)
-        for c in cs:
-            acc = polys.add(acc, polys.scale(power, c))
-            power = polys.mul(power, argument.coeffs)
-        return _from_view(argument.argument, acc)
-    return _from_view(argument, cs)
-
-
 def d_add(a: DTerm, b: DTerm) -> DTerm:
     ba, ca = _poly_view(a)
     bb, cb = _poly_view(b)

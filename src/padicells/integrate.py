@@ -36,7 +36,6 @@ from .cells import (
     CellCondition,
     StageWindow,
     _bound_valuation,
-    coset_of,
     fiber_membership,
     level_set_measure,
     stage_window,
@@ -232,11 +231,9 @@ def _integrate_symbolic(
         u = Fraction(q) ** (-(t.a + n))
         pw = Fraction(t.a + n, n)
         acc = []
-        for i in range(t.l + 1):
-            coeff = Fraction(comb(t.l, i)) * Fraction(vmu) ** (t.l - i) * Fraction(n) ** i
-            if coeff == 0:
-                continue
-            acc.append(_window_expr(i, u, pw, h0, h1, n, q).scale(coeff))
+        for i, coeff in enumerate(sums.reindex_coeffs(t.l, vmu, n)):
+            if coeff != 0:
+                acc.append(_window_expr(i, u, pw, h0, h1, n, q).scale(coeff))
         out.append(t.delta * ConstructibleExpr.sum_of(acc))
     return ConstructibleExpr.sum_of(out).scale(eps * Fraction(q) ** (-vmu))
 
@@ -899,90 +896,27 @@ def evaluate_simple(f: SimpleFunctionExpr, z: tuple[int, ...], q: int) -> Fracti
     return total
 
 
-def simple_to_constructible(f: SimpleFunctionExpr) -> ConstructibleExpr:
-    """Reads z_i as v(x_i): z^e becomes a v-power, q^-cz a norm power.
-
-    Only range-free terms have a constructible image; eliminate the
-    ranges first."""
-    out = []
-    for t in f.terms:
-        if any(lo is not None for lo in t.lower) or any(up != INF for up in t.upper):
-            raise ValueError("range constraints have no constructible image")
-        vfs = tuple(
-            ValFactor(Var(i), e) for i, e in enumerate(t.powers) if e
-        )
-        nfs = tuple(
-            NormFactor(Var(i), Fraction(c)) for i, c in enumerate(t.q_coeffs) if c
-        )
-        out.append(CTerm(t.coeff, vfs, nfs))
-    return ConstructibleExpr.of(out)
-
-
-def constructible_to_simple(g: ConstructibleExpr, arity: int) -> SimpleFunctionExpr:
-    """Inverse reading for expressions whose factors are bare variables."""
-    terms = []
-    for t in g.terms:
-        powers = [0] * arity
-        q_coeffs = [0] * arity
-        for vf in t.val_factors:
-            if not isinstance(vf.h, Var) or vf.h.index >= arity:
-                raise ValueError("v-factor argument is not a counting variable")
-            powers[vf.h.index] += vf.power
-        for nf in t.norm_factors:
-            if not isinstance(nf.h, Var) or nf.h.index >= arity:
-                raise ValueError("norm argument is not a counting variable")
-            if nf.power.denominator != 1:
-                raise ValueError("fractional norm power has no counting reading")
-            q_coeffs[nf.h.index] += int(nf.power)
-        terms.append(SimpleTerm(
-            t.coeff,
-            tuple(powers),
-            tuple(q_coeffs),
-            (None,) * arity,
-            (INF,) * arity,
-        ))
-    return SimpleFunctionExpr(arity, tuple(terms))
-
-
 def sum_eliminate_simple(f: SimpleFunctionExpr, p: Prime) -> SimpleFunctionExpr:
     """Sum out the last counting variable exactly.
 
-    sum_z z^e q^(-cz) over lo <= z <= hi is the integral of
-    v(t)^e |t|^(c-1) * q/(q-1) over {lo <= v(t) <= hi}: each level v = z
-    carries measure (1 - 1/q) q^-z and the density cancels it back to 1.
-    Divergent tails raise, as does a range with no lower end.
+    sum_z z^e q^(-cz) over lo <= z <= hi is the progression sum with ratio
+    q^-c. Divergent tails raise, as does a range with no lower end.
     """
     if f.arity == 0:
         raise ValueError("no variable left to sum")
     last = f.arity - 1
-    q = p.p
     merged: dict[tuple, Fraction] = {}
     for t in f.terms:
         lo, hi = t.lower[last], t.upper[last]
         if lo is None:
             raise ValueError(f"unsupported range: z_{last} has no lower end")
-        if hi != INF and hi < lo:
-            continue
-        e, c = t.powers[last], t.q_coeffs[last]
-        cond = CellCondition(
-            center=Const(Fraction(0)),
-            coset=coset_of(p, 1, 1),
-            lower=Const(Fraction(q) ** int(hi)) if hi != INF else None,
-            lower_strict=False,
-            upper=Const(Fraction(q) ** lo),
-            upper_strict=False,
-        )
-        cell = Cell((cond,))
-        integrand = cexpr_term(
-            Fraction(q, q - 1),
-            (ValFactor(Var(0), e),) if e else (),
-            (NormFactor(Var(0), Fraction(c - 1)),) if c != 1 else (),
-        )
+        ratio = Fraction(p.p) ** -t.q_coeffs[last]
         try:
-            value = integrate_cell(prepare_integrand(integrand, cell), [])
-        except NotIntegrableError as exc:
+            value = sums.sum_progression(
+                sums.ProgressionSum(t.powers[last], ratio, 0, 1, lo, hi)
+            )
+        except sums.DivergentSumError as exc:
             raise sums.DivergentSumError(f"divergent sum over z_{last}") from exc
-        assert isinstance(value, Fraction)
         if value == 0:
             continue
         key = (t.powers[:last], t.q_coeffs[:last], t.lower[:last], t.upper[:last])

@@ -51,18 +51,18 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality below _MR_LIMIT; sympy decides above it."""
+    """Deterministic primality below _MR_LIMIT; larger n are refused."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{n!r} is not an integer")
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"{n} is too large: primality is decided only below {_MR_LIMIT}"
+        )
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_LIMIT:
-        from sympy import isprime
-
-        return bool(isprime(n))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -3,10 +3,11 @@
 The substitution k = k0 + n*j turns every instance into combinations of
 S_i(u, J) = sum_{j=0..J} j^i u^j with u = t^n. Those come from repeated
 application of u*d/du to the geometric series: S_i over all j >= 0 is
-N_i(u)/(1-u)^(i+1) with polynomial numerators N_i, finite ranges follow
-by subtracting a shifted tail, and u = 1 degenerates to the Faulhaber
-polynomials. Everything is exact rational arithmetic; convergence of
-infinite ranges means |u| < 1 as a real number and is decided exactly.
+N_i(u)/(1-u)^(i+1) with polynomial numerators N_i. Every window, finite
+or a tail, is read off one polynomial: window_coeffs for u != 1 and the
+Faulhaber polynomials for u = 1. Everything is exact rational
+arithmetic; convergence of infinite ranges means |u| < 1 as a real
+number and is decided exactly.
 """
 
 from __future__ import annotations
@@ -69,13 +70,6 @@ def _head(i: int, u: Fraction) -> Fraction:
     return polys.evaluate(_numerators(i), u) / (1 - u) ** (i + 1)
 
 
-def full_sum(i: int, u: Fraction) -> Fraction:
-    """sum_{j>=0} j^i u^j for |u| < 1."""
-    if not abs(u) < 1:
-        raise DivergentSumError("ratio outside the open unit interval")
-    return _head(i, u)
-
-
 @lru_cache(maxsize=1024, typed=True)
 def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), any u != 1.
@@ -108,32 +102,24 @@ def faulhaber_coeffs(l: int) -> polys.PolyQ:
     return polys.normalize(tuple(coeffs))
 
 
-def power_sum(i: int, J: int) -> Fraction:
-    """sum_{j=0..J} j^i, J >= 0."""
-    if J < 0:
-        return Fraction(0)
-    total = polys.evaluate(faulhaber_coeffs(i), Fraction(J))
-    return total + 1 if i == 0 else total
+def reindex_coeffs(l: int, c: int, n: int) -> polys.PolyQ:
+    """(c + n*j)^l as coefficients in j: a sum of k^l over k = c + n*j is
+    sum_i coeff_i * (the sum of j^i)."""
+    return tuple(
+        Fraction(comb(l, i)) * Fraction(c) ** (l - i) * Fraction(n) ** i
+        for i in range(l + 1)
+    )
 
 
-def bounded_sum(i: int, u: Fraction, J: int) -> Fraction:
-    """sum_{j=0..J} j^i u^j, exact for any rational u.
-
-    For u != 1 the identity  S = N_i/(1-u)^(i+1) - u^(J+1)*T_i(J+1)  holds
-    as rational functions, so it applies outside the unit interval too.
-    """
-    if J < 0:
-        return Fraction(0)
+def _sum_to(i: int, u: Fraction, J: int | float) -> Fraction:
+    """sum_{j=0..J} j^i u^j for J >= 0; J = INF needs |u| < 1."""
     if u == 1:
-        return power_sum(i, J)
-    tail = polys.evaluate(window_coeffs(i, u), Fraction(J + 1))
-    return _head(i, u) - u ** (J + 1) * tail
-
-
-def _sum_from_zero(i: int, u: Fraction, J: int | float) -> Fraction:
+        # S(J) - S(-1), where S(-1) = -0^i
+        return polys.evaluate(faulhaber_coeffs(i), Fraction(J)) + (i == 0)
+    T = window_coeffs(i, u)  # u^0 T(0) = T[0]
     if J == INF:
-        return full_sum(i, u)
-    return bounded_sum(i, u, int(J))
+        return T[0]
+    return T[0] - u ** (J + 1) * polys.evaluate(T, Fraction(J + 1))
 
 
 def sum_progression(s: ProgressionSum) -> Fraction:
@@ -149,11 +135,8 @@ def sum_progression(s: ProgressionSum) -> Fraction:
         raise DivergentSumError(
             f"sum over an unbounded range with ratio {s.t}^{s.modulus}"
         )
-    n = Fraction(s.modulus)
     total = Fraction(0)
-    for i in range(s.l + 1):
-        coeff = Fraction(comb(s.l, i)) * Fraction(k0) ** (s.l - i) * n**i
-        if coeff == 0:
-            continue
-        total += coeff * _sum_from_zero(i, u, J)
+    for i, coeff in enumerate(reindex_coeffs(s.l, k0, s.modulus)):
+        if coeff != 0:
+            total += coeff * _sum_to(i, u, J)
     return s.t**k0 * total

@@ -372,6 +372,10 @@ def test_zeta_rejects_zero_and_composite(capsys):
     assert code == 1
     assert "rational" in err
 
+    code, _, err = run(capsys, "zeta", "[0,1]", "--p", str(2**127 - 1))
+    assert code == 1
+    assert "3317044064679887385961981" in err
+
 
 # ---------------------------------------------------------------------------
 # golden bytes: exact stdout of integrate --verify-N, measure, verify and
@@ -555,32 +559,44 @@ def test_malformed_json(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
-# ---------------------------------------------------------------------------
-# budget plumbing and determinism
+LOOSE_FIELDS = [
+    ("n", 2.7, '"n" must be a JSON integer'),
+    ("mu", 0.5, "rationals must be integers or strings"),
+    ("alpha_strict", 0, '"alpha_strict" must be a JSON boolean'),
+    ("beta_strict", "no", '"beta_strict" must be a JSON boolean'),
+    ("beta_residue", True, '"beta_residue" must be a JSON integer'),
+    ("params", True, '"params" must be an integer'),
+    ("integrate", True, '"integrate" an integer'),
+]
 
-def test_env_budget_too_small(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PADIC_CELLS_BUDGET", "10")
+
+@pytest.mark.parametrize("field, value, needle", LOOSE_FIELDS,
+                         ids=[field for field, _, _ in LOOSE_FIELDS])
+def test_loosely_typed_field_exits_1(capsys, tmp_path, field, value, needle):
+    variables = {"params": 0, "integrate": 1}
+    stage0 = stage(n=2)
+    if field in variables:
+        variables[field] = value
+    else:
+        stage0[field] = value
+    path = problem(tmp_path, p=3, variables=variables, cells=[cell(stage0)])
+    code, _, err = run(capsys, "parse", path)
+    assert code == 1
+    assert needle in json.loads(err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# budget and determinism
+
+def test_budget_flag(capsys, tmp_path):
     path = problem(tmp_path, p=3, integrand="abs(x0)")
-    code, _, err = run(capsys, "integrate", path, "--verify-N", "5")
+    code, _, err = run(capsys, "integrate", path, "--verify-N", "5", "--budget", "10")
     assert code == 2
     assert "budget" in err
-
-
-def test_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PADIC_CELLS_BUDGET", "10")
-    path = problem(tmp_path, p=3, integrand="abs(x0)")
     code, out, _ = run(capsys, "integrate", path, "--verify-N", "5",
                        "--budget", "1000000")
     assert code == 0
     assert json.loads(out)["verify"]["pass"] is True
-
-
-def test_env_budget_malformed(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PADIC_CELLS_BUDGET", "lots")
-    path = problem(tmp_path, p=3, integrand="abs(x0)")
-    code, _, err = run(capsys, "integrate", path)
-    assert code == 1
-    assert "PADIC_CELLS_BUDGET" in err
 
 
 def test_repeated_runs_byte_identical(capsys, tmp_path):

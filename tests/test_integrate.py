@@ -31,6 +31,7 @@ from padicells.expr import (
     d_scale,
     eval_constructible,
     parse_constructible,
+    parse_dterm,
 )
 from padicells.integrate import (
     CellIntegrand,
@@ -44,7 +45,6 @@ from padicells.integrate import (
     _decide_integrable,
     _integrate_symbolic,
     _stage_settled,
-    constructible_to_simple,
     eliminate_last_variable,
     evaluate_simple,
     group_prepared,
@@ -55,7 +55,6 @@ from padicells.integrate import (
     prepare_integrand,
     prepared_power,
     root_counts,
-    simple_to_constructible,
     sum_eliminate_simple,
 )
 from padicells.oracle import oracle_integrate
@@ -578,15 +577,9 @@ def test_prepare_expands_valuation_powers():
 
 
 def test_prepare_rejects_non_monomial():
-    f = cexpr_term(1, (), (NormFactor(polys_t2_minus_1(), F(1)),))
+    f = cexpr_term(1, (), (NormFactor(parse_dterm("x0^2 - 1"), F(1)),))
     with pytest.raises(UnsupportedIntegrandError, match="not a monomial"):
         prepare_integrand(f, zp_cell(P3))
-
-
-def polys_t2_minus_1():
-    from padicells.expr import poly_of
-
-    return poly_of([F(-1), F(0), F(1)], Var(0))
 
 
 def test_prepare_keeps_base_factors():
@@ -959,23 +952,6 @@ def test_simple_sum_two_variables():
     want_z1 = sum(F(3) ** (-z) for z in range(0, 3))
     got = evaluate_simple(twice, (), 3)
     assert abs(got - want_z0 * want_z1) < F(1, 9**390)
-
-
-def test_simple_constructible_round_trip():
-    f = SimpleFunctionExpr(
-        2,
-        (
-            SimpleTerm(F(3), (1, 0), (2, 1), (None, None), (INF, INF)),
-            SimpleTerm(F(-1), (0, 2), (0, 0), (None, None), (INF, INF)),
-        ),
-    )
-    g = simple_to_constructible(f)
-    back = constructible_to_simple(g, 2)
-    for z in [(0, 0), (1, 2), (3, 1)]:
-        assert evaluate_simple(back, z, 3) == evaluate_simple(f, z, 3)
-    ranged = SimpleFunctionExpr(1, (SimpleTerm(F(1), (0,), (1,), (0,), (INF,)),))
-    with pytest.raises(ValueError, match="no constructible image"):
-        simple_to_constructible(ranged)
 
 
 def test_simple_sum_against_partial_sums():

@@ -32,12 +32,15 @@ def test_is_prime_matches_sympy():
     assert [n for n in range(-3, 4000) if padic.is_prime(n)] == \
         [n for n in range(-3, 4000) if sympy.isprime(n)]
     # Carmichael numbers, strong pseudoprimes to several prime bases, and
-    # large primes on either side of the deterministic limit
+    # large numbers just below the deterministic limit
     cases = [561, 41041, 3215031751, 3825123056546413051,
-             318665857834031151167461, 2**61 - 1, 2**89 - 1, 2**89 + 1,
-             padic._MR_LIMIT, padic._MR_LIMIT - 2, 2**127 - 1, 2**127 + 1]
+             318665857834031151167461, 2**61 - 1, padic._MR_LIMIT - 2]
     for n in cases:
         assert padic.is_prime(n) == sympy.isprime(n), n
+    # at and above the limit primality is refused, not guessed
+    for n in (padic._MR_LIMIT, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match=str(padic._MR_LIMIT)):
+            padic.is_prime(n)
 
 
 def test_valuation_examples():
