@@ -347,30 +347,51 @@ def parse_rational(raw) -> Fraction:
         raise ValueError(f"not a rational: {raw!r}") from None
 
 
+_JSON_KINDS = {bool: "boolean", int: "integer", str: "string", list: "array"}
+
+
 def _typed(raw, kind: type, key: str):
     """raw when it is a JSON value of the kind; a JSON bool is no integer."""
     if type(raw) is not kind:
-        name = "boolean" if kind is bool else "integer"
-        raise ValueError(f"\"{key}\" must be a JSON {name}, got {raw!r}")
+        raise ValueError(f"\"{key}\" must be a JSON {_JSON_KINDS[kind]}, got {raw!r}")
     return raw
 
 
+def _json_object(raw, what: str, required: tuple[str, ...],
+                 known: tuple[str, ...]) -> dict:
+    """raw when it is a JSON object with every required key and no unknown
+    one: a misspelled optional key would otherwise silently take its default."""
+    if type(raw) is not dict:
+        raise ValueError(f"a {what} must be a JSON object, got {raw!r}")
+    for key in required:
+        if key not in raw:
+            raise ValueError(f"a {what} needs the field \"{key}\"")
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown field \"{key}\" in a {what}")
+    return raw
+
+
+_CONDITION_KEYS = ("alpha", "alpha_strict", "alpha_residue", "beta", "beta_strict",
+                   "beta_residue", "gamma", "mu", "n")
+
+
 def condition_from_json(data: dict, prime: Prime) -> CellCondition:
+    data = _json_object(data, "condition", ("gamma", "mu", "n"), _CONDITION_KEYS)
+
     def term(key: str) -> DTerm | None:
         raw = data.get(key)
-        return None if raw is None else parse_dterm(raw)
+        return None if raw is None else parse_dterm(_typed(raw, str, key))
 
     def pin(key: str) -> int | None:
         raw = data.get(key)
         return None if raw is None else _typed(raw, int, key)
 
-    lower = term("alpha")
-    upper = term("beta")
     return CellCondition(
-        center=parse_dterm(data["gamma"]),
+        center=parse_dterm(_typed(data["gamma"], str, "gamma")),
         coset=coset_of(prime, parse_rational(data["mu"]), _typed(data["n"], int, "n")),
-        lower=lower,
-        upper=upper,
+        lower=term("alpha"),
+        upper=term("beta"),
         lower_strict=_typed(data.get("alpha_strict", True), bool, "alpha_strict"),
         upper_strict=_typed(data.get("beta_strict", True), bool, "beta_strict"),
         lower_val_residue=pin("alpha_residue"),
@@ -379,5 +400,7 @@ def condition_from_json(data: dict, prime: Prime) -> CellCondition:
 
 
 def cell_from_json(data: dict, prime: Prime) -> Cell:
-    return Cell(tuple(condition_from_json(c, prime) for c in data["conditions"]))
+    data = _json_object(data, "cell", ("conditions",), ("conditions",))
+    conditions = _typed(data["conditions"], list, "conditions")
+    return Cell(tuple(condition_from_json(c, prime) for c in conditions))
 

@@ -6,7 +6,7 @@ derive cells from a univariate polynomial absolute value). All output is
 JSON with rationals rendered as canonical "num/den" strings, never floats,
 and with a fixed key order so repeated runs are byte identical.
 
-Exit codes: 0 success, 1 malformed input (schema or syntax), 2 precision
+Exit codes: 0 success, 1 malformed input (schema, syntax or usage), 2 precision
 or enumeration exhaustion, 3 a verification check failed its bound, 4 an
 internal fault (a failed self-check or invariant, never the input's fault).
 """
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import decompose, integrate, oracle, polys, sums
-from .cells import Cell, cell_from_json, cell_to_json, parse_rational, zp_cell
+from .cells import Cell, _typed, cell_from_json, cell_to_json, parse_rational, zp_cell
 from .decompose import _rat
 from .expr import (
     ConstructibleExpr,
@@ -40,6 +40,13 @@ EXIT_INTERNAL = 4
 
 class InputError(Exception):
     """Problem file or argument rejected before any computation."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are malformed input (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def load_problem(path: str, prime_flag: int | None) -> Problem:
     data = _load_json(path)
     if "version" not in data:
         raise InputError("problem file lacks the required \"version\" field")
-    if data["version"] != PROBLEM_VERSION:
+    if _typed(data["version"], int, "version") != PROBLEM_VERSION:
         raise InputError(f"unsupported problem version {data['version']!r}")
 
     p_raw = prime_flag if prime_flag is not None else data.get("p")
@@ -284,10 +291,10 @@ def _integrate_problem(problem: Problem, precision: int):
     """Returns (values per base point, expression or None, integrable)."""
     if problem.cells == "auto":
         scale, cis = _auto_integrands(problem, precision)
+        # arity-1 cells have constant bounds: the closed form is a number
+        res = integrate.eliminate_last_variable(cis)
         if problem.mode == "symbolic":
-            res = integrate.eliminate_last_variable(cis)
             return None, res.value.scale(scale), res.integrable
-        res = integrate.eliminate_last_variable(cis, base_point=[])
         return [res.value.constant_value() * scale], None, res.integrable
 
     if problem.integrand is None:
@@ -442,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="indented JSON output")
     common.set_defaults(pretty=False)
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="padicells",
         description="exact integration over p-adic cells",
     )
@@ -494,9 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.precision < 1:
             raise InputError("--precision must be >= 1")
         if args.budget < 1:

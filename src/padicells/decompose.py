@@ -54,10 +54,10 @@ class PrecisionExhausted(ArithmeticError):
 
 @dataclass(frozen=True)
 class HenselRoot:
+    """A Z_p-root known mod p^precision through its representative approx."""
+
     approx: Fraction
-    multiplicity: int
     precision: int
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,12 @@ def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
         x = x - polys.evaluate(f, x) / polys.evaluate(df, x)
         w = rational_valuation(polys.evaluate(f, x), p.p)
     if w == INF or rational_valuation(x, p.p) < 0:
-        return HenselRoot(x, 1, target_N, True)
+        return HenselRoot(x, target_N)
     assert isinstance(e, int)
     modulus = p.p ** (target_N + max(e, 0))
     num, den = x.numerator, x.denominator
     approx = Fraction(num * pow(den, -1, modulus) % modulus)
-    return HenselRoot(approx, 1, target_N, True)
+    return HenselRoot(approx, target_N)
 
 
 def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[Fraction]:
@@ -154,7 +154,7 @@ class _TrackedRoot:
         if self.exact or self.root.precision >= target_N:
             return self
         lifted = hensel_lift(self.factor, p, self.root.approx, target_N)
-        return replace(self, root=replace(lifted, multiplicity=self.multiplicity))
+        return replace(self, root=lifted)
 
 
 def _factor_over_q(f: polys.PolyQ):
@@ -183,9 +183,7 @@ def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
             r = -g[0] / g[1]
             if rational_valuation(r, p.p) < 0:
                 continue
-            roots.append(
-                _TrackedRoot(HenselRoot(r, m, lift_N, True), True, g, m)
-            )
+            roots.append(_TrackedRoot(HenselRoot(r, lift_N), True, g, m))
             continue
         for seed in _zp_root_seeds(g, p, lift_N):
             lifted = hensel_lift(g, p, seed, lift_N)
@@ -197,9 +195,7 @@ def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
                 for rt in roots
             ):
                 continue
-            roots.append(
-                _TrackedRoot(replace(lifted, multiplicity=m), False, g, m)
-            )
+            roots.append(_TrackedRoot(lifted, False, g, m))
     roots.sort(key=lambda rt: rt.root.approx)
     return roots
 

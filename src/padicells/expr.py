@@ -855,6 +855,14 @@ class _Parser:
 
     # --- fragments ---------------------------------------------------
 
+    def parse_all(self) -> _Frag:
+        """The whole text as one sum; anything left over is an error."""
+        frag = self.parse_sum()
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise ParseError("trailing input", SourceSpan(tok[2], tok[3]))
+        return frag
+
     def parse_sum(self) -> _Frag:
         acc = self.parse_prod()
         while self.peek()[0] in ("+", "-"):
@@ -908,17 +916,9 @@ class _Parser:
             return Fraction(tok[1])
         if tok[0] == "(":
             self.take()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.take()
-                sign = -1
-            num = self.take("INT")[1]
-            den = 1
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.take("INT")[1]
+            e = self._sign() * self._parse_rational()
             self.take(")")
-            return Fraction(sign * num, den)
+            return e
         raise ParseError("expected an exponent", self.span())
 
     def parse_atom(self) -> _Frag:
@@ -935,26 +935,16 @@ class _Parser:
             return inner
         if tok[0] == "NAME":
             name = tok[1]
-            if name == "inv":
-                self.take()
-                self.take("(")
-                arg = self._dterm(self.parse_sum(), "inv")
-                self.take(")")
-                return ("dterm", d_inv(arg))
-            if name == "v":
-                self.take()
-                self.take("(")
-                arg = self._dterm(self.parse_sum(), "v")
-                self.take(")")
-                return ("vfac", arg)
-            if name == "abs":
-                self.take()
-                self.take("(")
-                arg = self._dterm(self.parse_sum(), "abs")
-                self.take(")")
-                return ("absfac", arg)
             if name == "series":
                 return ("dterm", self._parse_series())
+            if name in ("inv", "v", "abs"):
+                self.take()
+                self.take("(")
+                arg = self._dterm(self.parse_sum(), name)
+                self.take(")")
+                if name == "inv":
+                    return ("dterm", d_inv(arg))
+                return ("vfac" if name == "v" else "absfac", arg)
         raise ParseError("expected a term", self.span())
 
     def _parse_rational(self) -> Fraction:
@@ -967,35 +957,28 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def _parse_signed_rational(self) -> Fraction:
-        sign = 1
+    def _sign(self) -> int:
+        """-1 after taking a leading minus, else 1."""
         if self.peek()[0] == "-":
             self.take()
-            sign = -1
-        return sign * self._parse_rational()
-
-    def _parse_signed_int(self) -> int:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        return sign * self.take("INT")[1]
+            return -1
+        return 1
 
     def _parse_series(self) -> RestrictedSeries:
         self.take("NAME")
         self.take("(")
         self.take("[")
-        coeffs = [self._parse_signed_rational()]
+        coeffs = [self._sign() * self._parse_rational()]
         while self.peek()[0] == ",":
             self.take()
-            coeffs.append(self._parse_signed_rational())
+            coeffs.append(self._sign() * self._parse_rational())
         tail = 0
         if self.peek()[0] == ";":
             self.take()
             word = self.take("NAME")
             if word[1] != "tail":
                 raise ParseError("expected 'tail'", SourceSpan(word[2], word[3]))
-            tail = self._parse_signed_int()
+            tail = self._sign() * self.take("INT")[1]
         self.take("]")
         args = []
         while self.peek()[0] == ",":
@@ -1055,11 +1038,7 @@ class _Parser:
 
 
 def parse_dterm(text: str) -> DTerm:
-    p = _Parser(text)
-    frag = p.parse_sum()
-    tok = p.peek()
-    if tok[0] != "EOF":
-        raise ParseError("trailing input", SourceSpan(tok[2], tok[3]))
+    frag = _Parser(text).parse_all()
     if frag[0] != "dterm":
         raise ParseError(
             "v() and abs() build constructible functions, not terms",
@@ -1070,8 +1049,4 @@ def parse_dterm(text: str) -> DTerm:
 
 def parse_constructible(text: str) -> ConstructibleExpr:
     p = _Parser(text)
-    frag = p.parse_sum()
-    tok = p.peek()
-    if tok[0] != "EOF":
-        raise ParseError("trailing input", SourceSpan(tok[2], tok[3]))
-    return p._coerce_expr(frag)
+    return p._coerce_expr(p.parse_all())

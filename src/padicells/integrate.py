@@ -345,50 +345,21 @@ def _monomial_parts(h: DTerm, var: int, gamma: DTerm) -> tuple[DTerm | None, int
     return nz[0][1], nz[0][0]
 
 
-def _substitute_center(h: DTerm, var: int, gamma: DTerm) -> DTerm:
-    if var not in free_variables(h):
-        return h
-    coeffs = as_poly_in(h, var)
-    if coeffs is None:
-        raise UnsupportedIntegrandError(
-            f"factor {print_dterm(h)} is not polynomial in the integration variable"
-        )
-    out: DTerm = Const(Fraction(0))
-    for c in reversed(coeffs):
-        out = d_add(d_mul(out, gamma), c)
-    return out
-
-
 def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
     """Rewrite f on the cell as prepared terms in the last variable.
 
     Each factor touching the variable must become a monomial
     c * (t - center)^d once recentered. Norm powers then feed the
     exponent a (compensated by the coset scale), v-powers expand
-    binomially into powers of v(t - center).
+    binomially into powers of v(t - center). A point stage (zero coset)
+    is a Haar null set and gets no terms.
     """
-    var = cell.arity - 1
     cond = cell.conditions[-1]
+    if cond.coset.is_zero():
+        return CellIntegrand(cell, ())
+    var = cell.arity - 1
     gamma = cond.center
     n = cond.coset.n
-
-    if cond.coset.is_zero():
-        # the stage is a point: the variable is the center, substitute it
-        fixed = []
-        for term in f.terms:
-            vfs = tuple(
-                ValFactor(_substitute_center(v.h, var, gamma), v.power)
-                for v in term.val_factors
-            )
-            nfs = tuple(
-                NormFactor(_substitute_center(m.h, var, gamma), m.power)
-                for m in term.norm_factors
-            )
-            fixed.append(IntegrandTerm(
-                ConstructibleExpr.of([CTerm(term.coeff, vfs, nfs)]), 0, 0
-            ))
-        return CellIntegrand.of(cell, fixed)
-
     vmu = int(cond.coset.mu.valuation)
     q = cell.prime.p
     out: list[IntegrandTerm] = []
@@ -821,9 +792,7 @@ class PoincareReport:
     expected: tuple[Fraction, ...]
 
 
-def poincare_check(
-    f: polys.PolyQ, p: Prime, i_max: int = 6, precision_N: int | None = None
-) -> PoincareReport:
+def poincare_check(f: polys.PolyQ, p: Prime, i_max: int = 6) -> PoincareReport:
     """Consistency check between Z(T) and the root counts N_i.
 
     With M_i = meas{v(f) >= i} = N_i p^-i, the series P(T) = sum M_i T^i
@@ -831,7 +800,7 @@ def poincare_check(
     telescopes. So the partial sums of the series of 1 - T*Z must hit
     N_i p^-i, which this verifies by direct counting.
     """
-    z = igusa_zeta(f, p, precision_N or max(8, i_max + 4))
+    z = igusa_zeta(f, p, max(8, i_max + 4))
     zs = z.series(i_max)
     counts = root_counts(f, p, i_max)
     expected = [Fraction(1)]

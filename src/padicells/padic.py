@@ -18,12 +18,6 @@ INF = float("inf")
 NEG_INF = float("-inf")
 
 
-def as_fraction(x: int | str | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def int_valuation(n: int, p: int) -> int:
     """Multiplicity of p in a nonzero integer."""
     if n == 0:
@@ -82,7 +76,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prime:
-    """A checked prime p. The residue field has q = p elements."""
+    """A checked prime p."""
 
     p: int
 
@@ -90,17 +84,13 @@ class Prime:
         if not is_prime(self.p):
             raise ValueError(f"not a prime: {self.p}")
 
-    @property
-    def q(self) -> int:
-        return self.p
-
 
 @dataclass(frozen=True)
 class PAdicScalar:
     """An exact rational viewed inside Q_p.
 
     Arithmetic is plain rational arithmetic; the prime tag only controls
-    how valuations and norms are read off.
+    how valuations are read off.
     """
 
     value: Fraction
@@ -138,23 +128,9 @@ class PAdicScalar:
     def valuation(self) -> int | float:
         return rational_valuation(self.value, self.prime.p)
 
-    @property
-    def norm(self) -> Fraction:
-        """|x| = p^(-v(x)), with |0| = 0."""
-        if self.value == 0:
-            return Fraction(0)
-        return Fraction(1, self.prime.p) ** self.valuation
-
-    def unit_part(self) -> "PAdicScalar":
-        """x * p^(-v(x)); errors on zero."""
-        if self.value == 0:
-            raise ValueError("the zero scalar has no unit part")
-        v = self.valuation
-        return PAdicScalar(self.value * Fraction(self.prime.p) ** (-v), self.prime)
-
 
 def scalar(x: int | str | Fraction, prime: Prime) -> PAdicScalar:
-    return PAdicScalar(as_fraction(x), prime)
+    return PAdicScalar(Fraction(x), prime)
 
 
 @dataclass(frozen=True)

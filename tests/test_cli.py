@@ -224,6 +224,18 @@ def test_integrate_empty_window_is_zero(capsys, tmp_path):
     assert json.loads(out)["values"] == ["0", "2/27"]
 
 
+def test_integrate_point_stage_is_null_whatever_the_integrand(capsys, tmp_path):
+    # x1 = x0 over x0 in Z_3 has measure 0; a pole on it once exited 1
+    path = problem(
+        tmp_path, p=3, variables={"params": 0, "integrate": 2},
+        integrand="abs(inv(x1))",
+        cells=[cell(stage(), stage(beta=None, gamma="x0", mu="0"))],
+    )
+    code, out, _ = run(capsys, "integrate", path)
+    assert code == 0
+    assert json.loads(out)["values"] == ["0"]
+
+
 def test_integrate_window_on_eliminated_variable_exits_1(capsys, tmp_path):
     # printed 179/351 and passed --verify-N 5; the oracle gives 124/243
     path = problem(
@@ -583,6 +595,49 @@ def test_loosely_typed_field_exits_1(capsys, tmp_path, field, value, needle):
     code, _, err = run(capsys, "parse", path)
     assert code == 1
     assert needle in json.loads(err)["error"]
+
+
+def _stage_without(key):
+    s = stage()
+    del s[key]
+    return s
+
+
+REFUSED = [
+    # (id, problem fields, argv with {path} for the problem file, needle)
+    ("condition_not_object", {"cells": [cell("gamma")]}, ("parse", "{path}"),
+     "a condition must be a JSON object"),
+    ("conditions_not_array", {"cells": [{"conditions": "x"}]}, ("parse", "{path}"),
+     '"conditions" must be a JSON array'),
+    ("cell_not_object", {"cells": [[1]]}, ("parse", "{path}"),
+     "a cell must be a JSON object"),
+    ("no_conditions", {"cells": [{}]}, ("parse", "{path}"), '"conditions"'),
+    *[(f"no_{key}", {"cells": [cell(_stage_without(key))]}, ("parse", "{path}"),
+       f'needs the field "{key}"') for key in ("gamma", "mu", "n")],
+    # read as a strict bound, this printed 1/3 and passed --verify-N 4
+    ("misspelled_key",
+     {"cells": [cell({"gamma": "0", "mu": "1", "n": 1, "beta": "1", "beta_stict": False})]},
+     ("measure", "{path}", "--verify-N", "4"), '"beta_stict"'),
+    *[(f"version_{value}", {"version": value, "integrand": "abs(x0)"},
+       ("integrate", "{path}"), '"version" must be a JSON integer')
+      for value in (True, 1.0)],
+    *[(f"{key}_not_string", {"cells": [cell({**stage(), key: 1})]}, ("parse", "{path}"),
+       f'"{key}" must be a JSON string') for key in ("alpha", "beta", "gamma")],
+    ("unknown_flag", {}, ("parse", "{path}", "--foo"), "--foo"),
+    ("verify_N_not_int", {"integrand": "abs(x0)"},
+     ("integrate", "{path}", "--verify-N", "x"), "--verify-N"),
+    ("no_subcommand", {}, (), "command"),
+]
+
+
+@pytest.mark.parametrize("fields, argv, needle", [r[1:] for r in REFUSED],
+                         ids=[r[0] for r in REFUSED])
+def test_refused_input_exits_1_naming_the_field(capsys, tmp_path, fields, argv, needle):
+    path = problem(tmp_path, p=3, **fields)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert needle in json.loads(line)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,6 @@ def verified(terms, f, p, N, domain=None):
 def test_lift_exact_root():
     r = hensel_lift(poly(-1, 0, 1), P3, 1, 6)
     assert (r.approx - 1) % 3**6 == 0
-    assert r.certified
 
 
 def test_lift_sqrt_minus_one():

@@ -82,7 +82,7 @@ def test_parse_collapses_to_canonical_polys():
 
 
 def test_parse_errors_carry_spans():
-    for bad in ["x0 +", "foo(x0)", "v(x0", "x0 ^ x0", "1/0", "abs(x0)^x1", ""]:
+    for bad in ["x0 +", "foo(x0)", "v(x0", "x0 ^ x0", "1/0", "abs(x0)^x1", "abs(x0)^(1/0)", ""]:
         with pytest.raises(ParseError):
             parse_dterm(bad)
     with pytest.raises(ParseError):

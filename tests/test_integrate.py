@@ -601,14 +601,6 @@ def test_prepare_keeps_base_factors():
     assert eval_constructible(t.delta, scalars(P3, 9), P3) == F(2) * F(1, 81)
 
 
-def test_prepare_point_cell_substitutes_center():
-    f = cexpr_term(1, (ValFactor(Var(0), 1),), (NormFactor(Var(0), F(1)),))
-    ci = prepare_integrand(f, point_cell(P3, 6))
-    (term,) = ci.terms
-    assert (term.a, term.l) == (0, 0)
-    assert eval_constructible(term.delta, [], P3) == F(1) * F(1, 3)
-
-
 def test_cell_integrand_merges_and_validates():
     cell = zp_cell(P3)
     one = ConstructibleExpr.const(1)

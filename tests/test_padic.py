@@ -21,7 +21,6 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 def test_prime_checked():
     with pytest.raises(ValueError):
         Prime(6)
-    assert Prime(7).q == 7
     for bad in (3.0, True, "3", Fraction(3)):
         with pytest.raises(ValueError):
             Prime(bad)
@@ -47,20 +46,6 @@ def test_valuation_examples():
     assert scalar(Fraction(9, 2), P3).valuation == 2
     assert scalar(0, P3).valuation == INF
     assert scalar(Fraction(7, 25), P5).valuation == -2
-
-
-def test_norm_examples():
-    assert scalar(9, P3).norm == Fraction(1, 9)
-    assert scalar(0, P3).norm == 0
-    assert scalar(Fraction(2, 5), P5).norm == 5
-
-
-def test_unit_part_examples():
-    assert scalar(18, P3).unit_part().value == 2
-    assert scalar(Fraction(1, 5), P5).unit_part().value == 1
-    assert scalar(Fraction(-27, 4), P3).unit_part().value == Fraction(-1, 4)
-    with pytest.raises(ValueError):
-        scalar(0, P3).unit_part()
 
 
 def test_valuation_is_additive_and_ultrametric():
