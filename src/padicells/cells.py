@@ -15,6 +15,7 @@ integrate sums in closed form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from .expr import (
     Const,
     DTerm,
     EvaluationPrecisionError,
+    ParseError,
     eval_dterm,
     free_variables,
     parse_dterm,
@@ -138,10 +140,13 @@ def level_set_measure(c: Coset) -> Fraction:
     Measure{u : v(u) = k, u in mu*P_n} equals epsilon * p^-k for every
     attainable k (those with k = v(mu) mod n) and 0 otherwise. epsilon is
     found by counting n-th-power unit residues; computing it at two
-    moduli asserts independence from the level.
+    moduli asserts independence from the level. For n = 1 every unit
+    qualifies, so epsilon is (p - 1)/p without counting.
     """
     if c.is_zero():
         raise ValueError("level sets of the zero coset are points")
+    if c.n == 1:
+        return Fraction(c.prime.p - 1, c.prime.p)
     return _epsilon_counted(c.prime.p, c.n)
 
 
@@ -337,70 +342,103 @@ def cell_to_json(cell: Cell) -> dict:
     return {"conditions": [condition_to_json(c) for c in cell.conditions]}
 
 
-def parse_rational(raw) -> Fraction:
-    """A rational written as a JSON integer or string; no floats or bools."""
-    if isinstance(raw, (bool, float)):
-        raise ValueError(f"rationals must be integers or strings, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ValueError(f"not a rational: {raw!r}") from None
+# The readers below judge every value from outside; each refusal is a
+# ValueError that starts with the value's JSON path: cells[1].conditions[0].mu.
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(raw, path: str) -> Fraction:
+    """A JSON integer, or a string -?INT(/INT)? as the DSL and the CLI's
+    output write rationals; no floats, bools, decimals or exponents."""
+    if type(raw) is int or (type(raw) is str and _RATIONAL.fullmatch(raw)):
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise ValueError(
+        f"{path} must be a rational, a JSON integer or a string like -3/4, got {raw!r}"
+    )
 
 
 _JSON_KINDS = {bool: "boolean", int: "integer", str: "string", list: "array"}
 
 
-def _typed(raw, kind: type, key: str):
-    """raw when it is a JSON value of the kind; a JSON bool is no integer."""
-    if type(raw) is not kind:
-        raise ValueError(f"\"{key}\" must be a JSON {_JSON_KINDS[kind]}, got {raw!r}")
-    return raw
+def _typed(raw, kind: type, path: str, least: int | None = None):
+    """raw when it is a JSON value of the kind (a JSON bool is no integer)
+    and, given least, an integer >= least or an array of least or more items."""
+    if type(raw) is kind and (least is None or (len(raw) if kind is list else raw) >= least):
+        return raw
+    want = f"a JSON {_JSON_KINDS[kind]}"
+    if least is not None:
+        want += f" of {least} or more items" if kind is list else f" >= {least}"
+    raise ValueError(f"{path} must be {want}, got {raw!r}")
 
 
-def _json_object(raw, what: str, required: tuple[str, ...],
+def _json_object(raw, path: str, required: tuple[str, ...],
                  known: tuple[str, ...]) -> dict:
     """raw when it is a JSON object with every required key and no unknown
-    one: a misspelled optional key would otherwise silently take its default."""
+    one: a misspelled optional key would otherwise silently take its default.
+    The empty path is the top level."""
     if type(raw) is not dict:
-        raise ValueError(f"a {what} must be a JSON object, got {raw!r}")
+        raise ValueError(f"{path or 'the top level'} must be a JSON object, got {raw!r}")
+    prefix = f"{path}." if path else ""
     for key in required:
         if key not in raw:
-            raise ValueError(f"a {what} needs the field \"{key}\"")
+            raise ValueError(f"{prefix}{key} is missing")
     for key in raw:
         if key not in known:
-            raise ValueError(f"unknown field \"{key}\" in a {what}")
+            raise ValueError(f"{prefix}{key} is not a known field")
     return raw
+
+
+def _dsl(raw, path: str, parse):
+    """parse applied to a DSL string; a ParseError keeps its span and gains
+    the path."""
+    try:
+        return parse(_typed(raw, str, path))
+    except ParseError as e:
+        raise ParseError(f"{path}: {e.message}", e.span) from None
 
 
 _CONDITION_KEYS = ("alpha", "alpha_strict", "alpha_residue", "beta", "beta_strict",
                    "beta_residue", "gamma", "mu", "n")
 
 
-def condition_from_json(data: dict, prime: Prime) -> CellCondition:
-    data = _json_object(data, "condition", ("gamma", "mu", "n"), _CONDITION_KEYS)
+def condition_from_json(data, prime: Prime, path: str) -> CellCondition:
+    data = _json_object(data, path, ("gamma", "mu", "n"), _CONDITION_KEYS)
 
     def term(key: str) -> DTerm | None:
         raw = data.get(key)
-        return None if raw is None else parse_dterm(_typed(raw, str, key))
+        return None if raw is None else _dsl(raw, f"{path}.{key}", parse_dterm)
 
     def pin(key: str) -> int | None:
         raw = data.get(key)
-        return None if raw is None else _typed(raw, int, key)
+        return None if raw is None else _typed(raw, int, f"{path}.{key}", least=0)
 
-    return CellCondition(
-        center=parse_dterm(_typed(data["gamma"], str, "gamma")),
-        coset=coset_of(prime, parse_rational(data["mu"]), _typed(data["n"], int, "n")),
+    fields = dict(
+        center=_dsl(data["gamma"], f"{path}.gamma", parse_dterm),
+        coset=coset_of(prime, parse_rational(data["mu"], f"{path}.mu"),
+                       _typed(data["n"], int, f"{path}.n", least=1)),
         lower=term("alpha"),
         upper=term("beta"),
-        lower_strict=_typed(data.get("alpha_strict", True), bool, "alpha_strict"),
-        upper_strict=_typed(data.get("beta_strict", True), bool, "beta_strict"),
+        lower_strict=_typed(data.get("alpha_strict", True), bool, f"{path}.alpha_strict"),
+        upper_strict=_typed(data.get("beta_strict", True), bool, f"{path}.beta_strict"),
         lower_val_residue=pin("alpha_residue"),
         upper_val_residue=pin("beta_residue"),
     )
+    try:
+        return CellCondition(**fields)
+    except ValueError as e:  # a residue pin out of range or on an absent bound
+        raise ValueError(f"{path}: {e}") from None
 
 
-def cell_from_json(data: dict, prime: Prime) -> Cell:
-    data = _json_object(data, "cell", ("conditions",), ("conditions",))
-    conditions = _typed(data["conditions"], list, "conditions")
-    return Cell(tuple(condition_from_json(c, prime) for c in conditions))
-
+def cell_from_json(data, prime: Prime, path: str) -> Cell:
+    data = _json_object(data, path, ("conditions",), ("conditions",))
+    raw = _typed(data["conditions"], list, f"{path}.conditions", least=1)
+    conditions = tuple(condition_from_json(c, prime, f"{path}.conditions[{i}]")
+                       for i, c in enumerate(raw))
+    try:
+        return Cell(conditions)
+    except ValueError as e:  # a stage reading a variable it may not
+        raise ValueError(f"{path}: {e}") from None

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import decompose, integrate, oracle, polys, sums
-from .cells import Cell, _typed, cell_from_json, cell_to_json, parse_rational, zp_cell
+from .cells import (Cell, _dsl, _json_object, _typed, cell_from_json, cell_to_json,
+                    parse_rational, zp_cell)
 from .decompose import _rat
 from .expr import (
     ConstructibleExpr,
@@ -68,88 +70,73 @@ class Problem:
         self.base_points = base_points
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise InputError(
             f"{path} is not valid JSON: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from None
-    if not isinstance(data, dict):
-        raise InputError(f"{path} must hold a JSON object")
-    return data
 
 
 def load_problem(path: str, prime_flag: int | None) -> Problem:
-    data = _load_json(path)
-    if "version" not in data:
-        raise InputError("problem file lacks the required \"version\" field")
-    if _typed(data["version"], int, "version") != PROBLEM_VERSION:
-        raise InputError(f"unsupported problem version {data['version']!r}")
+    data = _json_object(_load_json(path), "", ("version",), (
+        "version", "p", "variables", "integrand", "cells", "mode", "base_points"))
+    version = _typed(data["version"], int, "version")
+    if version != PROBLEM_VERSION:
+        raise InputError(f"version must be {PROBLEM_VERSION}, got {version}")
 
-    p_raw = prime_flag if prime_flag is not None else data.get("p")
-    if not isinstance(p_raw, int) or isinstance(p_raw, bool):
-        raise InputError("a prime is required (field \"p\" or flag --p)")
-    try:
-        prime = Prime(p_raw)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    p = _typed(data["p"], int, "p") if "p" in data else None
+    if prime_flag is not None:
+        p = prime_flag
+    if p is None:
+        raise InputError("a prime is required: field p or flag --p")
+    prime = Prime(p)
 
-    variables = data.get("variables", {"params": 0, "integrate": 1})
-    if (not isinstance(variables, dict)
-            or set(variables) != {"params", "integrate"}):
-        raise InputError("\"variables\" must hold \"params\" and \"integrate\"")
-    params, nvars = variables["params"], variables["integrate"]
-    if not (type(params) is int and type(nvars) is int
-            and params >= 0 and nvars >= 1):
-        raise InputError(
-            "\"params\" must be an integer >= 0 and \"integrate\" an integer >= 1"
-        )
+    keys = ("params", "integrate")
+    variables = _json_object(data.get("variables", {"params": 0, "integrate": 1}),
+                             "variables", keys, keys)
+    params = _typed(variables["params"], int, "variables.params", least=0)
+    nvars = _typed(variables["integrate"], int, "variables.integrate", least=1)
 
     integrand = None
     if "integrand" in data:
-        if not isinstance(data["integrand"], str):
-            raise InputError("\"integrand\" must be a DSL string")
-        integrand = parse_constructible(data["integrand"])
+        integrand = _dsl(data["integrand"], "integrand", parse_constructible)
 
     cells_raw = data.get("cells", "auto")
     if cells_raw == "auto":
         cells = "auto"
         if params != 0 or nvars != 1:
             raise InputError("\"auto\" cells need exactly one variable")
-    elif isinstance(cells_raw, list) and cells_raw:
-        try:
-            cells = [cell_from_json(c, prime) for c in cells_raw]
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad cell: {e}") from None
-        arities = {c.arity for c in cells}
-        if arities != {params + nvars}:
-            raise InputError(
-                f"cells have arity {sorted(arities)}, variables say {params + nvars}"
-            )
     else:
-        raise InputError("\"cells\" must be a non-empty list or \"auto\"")
+        cells = [cell_from_json(c, prime, f"cells[{i}]")
+                 for i, c in enumerate(_typed(cells_raw, list, "cells", least=1))]
+        for i, c in enumerate(cells):
+            if c.arity != params + nvars:
+                raise InputError(f"cells[{i}] has {c.arity} conditions, "
+                                 f"variables say {params + nvars}")
 
-    mode = data.get("mode", "concrete")
+    mode = _typed(data.get("mode", "concrete"), str, "mode")
     if mode not in ("concrete", "symbolic"):
-        raise InputError(f"unknown mode {mode!r}")
+        raise InputError(f"mode must be \"concrete\" or \"symbolic\", got {mode!r}")
 
-    points_raw = data.get("base_points")
-    if points_raw is None:
+    if "base_points" in data:
+        base_points = [_point(pt, params, f"base_points[{i}]") for i, pt in
+                       enumerate(_typed(data["base_points"], list, "base_points", least=1))]
+    else:
         # symbolic runs need no points; concrete runs demand them later
         base_points = [()] if params == 0 else None
-    elif not isinstance(points_raw, list) or not points_raw:
-        raise InputError("\"base_points\" must be a non-empty list of points")
-    else:
-        base_points = []
-        for pt in points_raw:
-            if not isinstance(pt, list) or len(pt) != params:
-                raise InputError(f"base points need {params} coordinates")
-            base_points.append(tuple(parse_rational(x) for x in pt))
     return Problem(prime, params, nvars, integrand, cells, mode, base_points)
+
+
+def _point(raw, params: int, path: str) -> tuple[Fraction, ...]:
+    """A base point: a JSON array of params rationals."""
+    if len(_typed(raw, list, path)) != params:
+        raise InputError(f"{path} must hold {params} coordinates, got {len(raw)}")
+    return tuple(parse_rational(x, f"{path}[{j}]") for j, x in enumerate(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +301,7 @@ def cmd_integrate(args) -> int:
         problem.mode = args.mode
     if args.point is not None:
         coords = [s for s in args.point.split(",") if s]
-        if len(coords) != problem.params:
-            raise InputError(f"--point needs {problem.params} coordinates")
-        problem.base_points = [tuple(parse_rational(c) for c in coords)]
+        problem.base_points = [_point(coords, problem.params, "--point")]
 
     values, expression, integrable = _integrate_problem(problem, args.precision)
     if expression is not None:
@@ -343,8 +328,6 @@ def cmd_measure(args) -> int:
     problem = load_problem(args.path, args.p)
     if problem.cells == "auto":
         raise InputError("measure needs explicit cells")
-    if problem.base_points is None:
-        raise InputError("measure needs \"base_points\" for parametrized cells")
     one = ConstructibleExpr.const(Fraction(1))
     measures, _ = _concrete_values(one, problem)
     payload = {"measures": [_rat(v) for v in measures]}
@@ -373,11 +356,9 @@ def _parse_poly_arg(text: str):
         raise InputError(
             "the polynomial is a JSON array of rationals, lowest degree first"
         ) from None
-    if not isinstance(raw, list) or not raw:
-        raise InputError(
-            "the polynomial is a JSON array of rationals, lowest degree first"
-        )
-    coeffs = polys.normalize(tuple(parse_rational(c) for c in raw))
+    coeffs = polys.normalize(tuple(
+        parse_rational(c, f"f[{i}]") for i, c in enumerate(_typed(raw, list, "f", least=1))
+    ))
     if polys.is_zero(coeffs):
         raise InputError("f identically zero")
     return coeffs
@@ -386,10 +367,7 @@ def _parse_poly_arg(text: str):
 def cmd_zeta(args) -> int:
     if args.p is None:
         raise InputError("zeta needs --p")
-    try:
-        prime = Prime(args.p)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    prime = Prime(args.p)
     coeffs = _parse_poly_arg(args.f)
     z = integrate.igusa_zeta(coeffs, prime, precision_N=args.precision)
     payload = {
@@ -400,8 +378,6 @@ def cmd_zeta(args) -> int:
     }
     code = EXIT_OK
     if args.check_poincare is not None:
-        if args.check_poincare < 1:
-            raise InputError("--check-poincare needs a depth >= 1")
         report = integrate.poincare_check(coeffs, prime, args.check_poincare)
         payload["poincare"] = {
             "passed": report.passed,
@@ -434,13 +410,20 @@ def cmd_parse(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+def _positive_int(text: str) -> int:
+    """The argparse type of every depth and budget flag."""
+    if re.fullmatch("[0-9]+", text) and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=None,
                         help="prime, overriding the problem file")
-    common.add_argument("--precision", type=int, default=8, metavar="N",
+    common.add_argument("--precision", type=_positive_int, default=8, metavar="N",
                         help="working depth for decomposition (default 8)")
-    common.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
                         help="class budget for oracle enumeration")
     style = common.add_mutually_exclusive_group()
     style.add_argument("--json", dest="pretty", action="store_false",
@@ -467,28 +450,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("concrete", "symbolic"), default=None)
     sp.add_argument("--point", default=None,
                     help="comma separated parameter values, e.g. 1/3,2")
-    sp.add_argument("--verify-N", dest="verify_N", type=int, default=None,
+    sp.add_argument("--verify-N", dest="verify_N", type=_positive_int, default=None,
                     metavar="N", help="also compare against the oracle at depth N")
     sp.set_defaults(handler=cmd_integrate)
 
     sp = sub.add_parser("measure", parents=[common],
                         help="total measure of the listed cells")
     sp.add_argument("path", help="problem file")
-    sp.add_argument("--verify-N", dest="verify_N", type=int, default=None,
+    sp.add_argument("--verify-N", dest="verify_N", type=_positive_int, default=None,
                     metavar="N", help="also compare against the oracle at depth N")
     sp.set_defaults(handler=cmd_measure)
 
     sp = sub.add_parser("verify", parents=[common],
                         help="compare the exact integral against the oracle")
     sp.add_argument("path", help="problem file")
-    sp.add_argument("--verify-N", dest="verify_N", type=int, default=6,
+    sp.add_argument("--verify-N", dest="verify_N", type=_positive_int, default=6,
                     metavar="N", help="oracle depth (default 6)")
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("zeta", parents=[common],
                         help="rational form of the local zeta function of f")
     sp.add_argument("f", help="JSON array of coefficients, lowest degree first")
-    sp.add_argument("--check-poincare", dest="check_poincare", type=int,
+    sp.add_argument("--check-poincare", dest="check_poincare", type=_positive_int,
                     default=None, metavar="I",
                     help="check root counts against the series up to depth I")
     sp.set_defaults(handler=cmd_zeta)
@@ -503,10 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.precision < 1:
-            raise InputError("--precision must be >= 1")
-        if args.budget < 1:
-            raise InputError("--budget must be positive")
         return args.handler(args)
     except InputError as e:
         return _fail(str(e), EXIT_INPUT)
@@ -523,15 +502,16 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(e), EXIT_PRECISION)
     except sums.DivergentSumError as e:
         return _fail(str(e), EXIT_INPUT)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         return _fail(str(e), EXIT_INPUT)
     except RecursionError:
         # a RuntimeError subclass, but caused by the input's nesting depth
         return _fail("input nested too deeply", EXIT_INPUT)
-    except (RuntimeError, AssertionError) as e:
+    except (RuntimeError, AssertionError, TypeError, KeyError) as e:
         # failed self-checks (the power-coset witness check of padic.in_coset,
         # the level-density check of cells.level_set_measure) and broken
-        # invariants
+        # invariants; the readers refuse every input that could raise a
+        # TypeError or KeyError, so those are faults too
         return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)
 
 

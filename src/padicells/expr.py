@@ -85,11 +85,6 @@ class Mul(DTerm):
 
 
 @_node
-class Neg(DTerm):
-    arg: DTerm
-
-
-@_node
 class Inv(DTerm):
     """Multiplicative inverse with Inv(0) = 0."""
 
@@ -201,7 +196,7 @@ def free_variables(t: DTerm) -> frozenset[int]:
         return frozenset()
     if isinstance(t, (Add, Mul)):
         return free_variables(t.left) | free_variables(t.right)
-    if isinstance(t, (Neg, Inv)):
+    if isinstance(t, Inv):
         return free_variables(t.arg)
     if isinstance(t, Poly):
         return free_variables(t.argument)
@@ -230,9 +225,6 @@ def as_poly_in(t: DTerm, var: int) -> list[DTerm] | None:
         for i, c in enumerate(lb):
             out[i] = d_add(out[i], c)
         return out
-    if isinstance(t, Neg):
-        inner = as_poly_in(t.arg, var)
-        return None if inner is None else [d_neg(c) for c in inner]
     if isinstance(t, Mul):
         la, lb = as_poly_in(t.left, var), as_poly_in(t.right, var)
         if la is None or lb is None:
@@ -339,9 +331,6 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
         a, da = _eval(t.left, reps, depths, p)
         b, db = _eval(t.right, reps, depths, p)
         return a + b, min(da, db)
-    if isinstance(t, Neg):
-        a, da = _eval(t.arg, reps, depths, p)
-        return -a, da
     if isinstance(t, Mul):
         a, da = _eval(t.left, reps, depths, p)
         b, db = _eval(t.right, reps, depths, p)
@@ -658,20 +647,10 @@ def _render(t: DTerm) -> tuple[str, int]:
         cs = ", ".join(str(c) for c in t.coeffs)
         args = ", ".join(_rendered(a)[0] for a in t.arguments)
         return f"series([{cs}; tail {t.tail_valuation}], {args})", _ATOM
-    if isinstance(t, Neg):
-        inner, prec = _rendered(t.arg)
-        if prec < _UNARY:
-            inner = f"({inner})"
-        return f"-{inner}", _UNARY
     if isinstance(t, Add):
         left, lp = _rendered(t.left)
         if lp < _ADD:
             left = f"({left})"
-        if isinstance(t.right, Neg):
-            right, rp = _rendered(t.right.arg)
-            if rp <= _ADD:
-                right = f"({right})"
-            return f"{left} - {right}", _ADD
         right, rp = _rendered(t.right)
         # a sum-shaped or signed right operand would reassociate bare
         if rp <= _ADD or right.startswith("-"):

@@ -74,7 +74,6 @@ class BudgetExceeded(ArithmeticError):
 @dataclass(frozen=True)
 class OracleResult:
     value: Fraction
-    resolution: int
     boundary_mass: Fraction
     sampled: bool = False  # always False: over budget the oracle raises
 
@@ -240,7 +239,7 @@ def oracle_integrate(
             for j in range(q):
                 lift = reps[:axis] + (reps[axis] + j * step,) + reps[axis + 1:]
                 stack.append((lift, deeper, inside))
-    return OracleResult(value, N, boundary)
+    return OracleResult(value, boundary)
 
 
 def oracle_measure(

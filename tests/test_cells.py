@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicells import cells
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -18,7 +19,7 @@ from padicells.cells import (
 )
 from padicells.expr import Const, ConstructibleExpr, NormFactor, Var, cexpr_term, parse_dterm
 from padicells.integrate import NotIntegrableError, integrate_cell, prepare_integrand
-from padicells.padic import Prime, coset_representatives, scalar
+from padicells.padic import Prime, coset_representatives, nth_power_unit_residues, scalar
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 F = Fraction
@@ -66,6 +67,24 @@ def test_epsilon_independent_of_mu_and_matches_counting():
             nth = {pow(w, n, m) for w in range(1, m) if w % p}
             count = sum(1 for x in range(1, m) if x % p and (x % m) in nth)
             assert eps == {F(count, m)}, (p, n)
+
+
+def test_epsilon_for_n_1_counts_no_residues(monkeypatch):
+    # every unit is a first power, so epsilon is (p - 1)/p; counting it
+    # enumerated p^3 residues
+    counted = []
+
+    def residues(p, n, d):
+        assert n != 1, "n = 1 needs no count"
+        counted.append(n)
+        return nth_power_unit_residues(p, n, d)
+
+    monkeypatch.setattr(cells, "nth_power_unit_residues", residues)
+    cells._epsilon_counted.cache_clear()
+    for p in (2, 3, 257):
+        assert level_set_measure(coset_of(Prime(p), 1, 1)) == F(p - 1, p)
+    assert level_set_measure(coset_of(P3, 1, 2)) == F(1, 3)
+    assert counted == [2, 2]  # n >= 2 still counts at both moduli
 
 
 def test_level_set_measure_rejects_zero():
@@ -212,7 +231,7 @@ def test_json_round_trip():
     blob = cell_to_json(cell)
     assert blob["conditions"][1]["gamma"] == "x0^2 - 3"
     assert blob["conditions"][1]["mu"] == "6"
-    assert cell_from_json(blob, P3) == cell
+    assert cell_from_json(blob, P3, "cell") == cell
 
 
 def test_punctured_ball_constructor():

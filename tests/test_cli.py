@@ -6,6 +6,7 @@ JSON document under test and stderr carries diagnostics. Exit codes: 0 ok,
 internal fault.
 """
 
+import copy
 import json
 import shutil
 import subprocess
@@ -13,6 +14,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padicells import cli, oracle
 from padicells.cells import cell_from_json
@@ -277,7 +280,7 @@ def test_integrate_window_partly_empty_over_the_base_exits_1(capsys, tmp_path):
     assert code == 1 and out == ""
     assert "eliminated variable" in json.loads(err)["error"]
     orc = oracle.oracle_integrate(
-        parse_constructible("abs(x1)"), cell_from_json(raw, Prime(3)), Prime(3), 6
+        parse_constructible("abs(x1)"), cell_from_json(raw, Prime(3), "cell"), Prime(3), 6
     )
     assert orc.value > orc.boundary_mass
 
@@ -481,6 +484,9 @@ def test_golden_integrands_round_trip():
 @pytest.mark.parametrize("fault", [
     RuntimeError("power-coset self-check failed lifting witness 2 for p=3, n=2"),
     AssertionError("ball pieces carry a nonzero unit scale"),
+    # the readers refuse every input that could raise these
+    TypeError("unsupported operand type(s) for +: 'int' and 'NoneType'"),
+    KeyError("conditions"),
 ])
 def test_internal_fault_exits_4(capsys, tmp_path, monkeypatch, fault):
     def broken(args):
@@ -541,6 +547,15 @@ def test_parse_reports_dsl_span(capsys, tmp_path):
     assert code == 1
     diag = json.loads(err)
     assert diag["span"]["start"] == 6
+    assert diag["error"].startswith("integrand: ")
+
+    # a cell's terms keep their span too
+    path = problem(tmp_path, p=3, cells=[cell(stage(), stage(beta="x0 * (1"))])
+    code, _, err = run(capsys, "parse", path)
+    assert code == 1
+    diag = json.loads(err)
+    assert diag == {"error": "cells[0].conditions[1].beta: expected ), found EOF",
+                    "span": {"start": 7, "end": 7}}
 
 
 @pytest.mark.parametrize(
@@ -572,13 +587,13 @@ def test_malformed_json(capsys, tmp_path):
 
 
 LOOSE_FIELDS = [
-    ("n", 2.7, '"n" must be a JSON integer'),
-    ("mu", 0.5, "rationals must be integers or strings"),
-    ("alpha_strict", 0, '"alpha_strict" must be a JSON boolean'),
-    ("beta_strict", "no", '"beta_strict" must be a JSON boolean'),
-    ("beta_residue", True, '"beta_residue" must be a JSON integer'),
-    ("params", True, '"params" must be an integer'),
-    ("integrate", True, '"integrate" an integer'),
+    ("n", 2.7, "cells[0].conditions[0].n must be a JSON integer"),
+    ("mu", 0.5, "cells[0].conditions[0].mu must be a rational"),
+    ("alpha_strict", 0, "cells[0].conditions[0].alpha_strict must be a JSON boolean"),
+    ("beta_strict", "no", "cells[0].conditions[0].beta_strict must be a JSON boolean"),
+    ("beta_residue", True, "cells[0].conditions[0].beta_residue must be a JSON integer"),
+    ("params", True, "variables.params must be a JSON integer"),
+    ("integrate", True, "variables.integrate must be a JSON integer"),
 ]
 
 
@@ -603,26 +618,58 @@ def _stage_without(key):
     return s
 
 
+ONE_PARAM = {"variables": {"params": 1, "integrate": 1}, "integrand": "abs(x1)",
+             "cells": [cell(stage(), stage(beta="x0"))]}
+
 REFUSED = [
     # (id, problem fields, argv with {path} for the problem file, needle)
     ("condition_not_object", {"cells": [cell("gamma")]}, ("parse", "{path}"),
-     "a condition must be a JSON object"),
+     "cells[0].conditions[0] must be a JSON object"),
     ("conditions_not_array", {"cells": [{"conditions": "x"}]}, ("parse", "{path}"),
-     '"conditions" must be a JSON array'),
+     "cells[0].conditions must be a JSON array"),
     ("cell_not_object", {"cells": [[1]]}, ("parse", "{path}"),
-     "a cell must be a JSON object"),
-    ("no_conditions", {"cells": [{}]}, ("parse", "{path}"), '"conditions"'),
+     "cells[0] must be a JSON object"),
+    ("no_conditions", {"cells": [{}]}, ("parse", "{path}"), "cells[0].conditions is missing"),
     *[(f"no_{key}", {"cells": [cell(_stage_without(key))]}, ("parse", "{path}"),
-       f'needs the field "{key}"') for key in ("gamma", "mu", "n")],
+       f"cells[0].conditions[0].{key} is missing") for key in ("gamma", "mu", "n")],
     # read as a strict bound, this printed 1/3 and passed --verify-N 4
     ("misspelled_key",
      {"cells": [cell({"gamma": "0", "mu": "1", "n": 1, "beta": "1", "beta_stict": False})]},
-     ("measure", "{path}", "--verify-N", "4"), '"beta_stict"'),
+     ("measure", "{path}", "--verify-N", "4"),
+     "cells[0].conditions[0].beta_stict is not a known field"),
+    # ignored at the top level, this printed a concrete value
+    ("misspelled_top_level_key", {"integrand": "abs(x0)", "mdoe": "symbolic"},
+     ("integrate", "{path}"), "mdoe is not a known field"),
+    ("unknown_variables_key", {"variables": {"params": 0, "integrate": 1, "base": 0}},
+     ("parse", "{path}"), "variables.base is not a known field"),
     *[(f"version_{value}", {"version": value, "integrand": "abs(x0)"},
-       ("integrate", "{path}"), '"version" must be a JSON integer')
+       ("integrate", "{path}"), "version must be a JSON integer")
       for value in (True, 1.0)],
     *[(f"{key}_not_string", {"cells": [cell({**stage(), key: 1})]}, ("parse", "{path}"),
-       f'"{key}" must be a JSON string') for key in ("alpha", "beta", "gamma")],
+       f"cells[0].conditions[0].{key} must be a JSON string")
+      for key in ("alpha", "beta", "gamma")],
+    # Fraction's own grammar took decimals, exponents and padding
+    *[(f"mu_{name}", {"cells": [cell(stage(mu=mu))]}, ("parse", "{path}"),
+       "cells[0].conditions[0].mu must be a rational")
+      for name, mu in (("exponent", "1e3"), ("decimal", "0.5"), ("padded", " 1"))],
+    ("beta_dsl_error", {"cells": [cell(stage(beta="x0 +"))]}, ("parse", "{path}"),
+     "cells[0].conditions[0].beta: expected a term"),
+    ("base_point_not_array", {**ONE_PARAM, "base_points": [1]}, ("integrate", "{path}"),
+     "base_points[0] must be a JSON array"),
+    ("base_point_exponent", {**ONE_PARAM, "base_points": [["1e3"]]},
+     ("integrate", "{path}"), "base_points[0][0] must be a rational"),
+    ("mode_not_string", {"mode": ["concrete"]}, ("parse", "{path}"),
+     "mode must be a JSON string"),
+    ("zeta_exponent", {}, ("zeta", '["1e3",1]', "--p", "3"), "f[0] must be a rational"),
+    ("zeta_not_array", {}, ("zeta", '"x"', "--p", "3"), "f must be a JSON array"),
+    ("point_exponent", ONE_PARAM, ("integrate", "{path}", "--point", "1e3"),
+     "--point[0] must be a rational"),
+    *[(f"{flag[2:]}_zero", {"integrand": "abs(x0)"}, (command, "{path}", flag, "0"),
+       f"argument {flag}: must be a positive integer")
+      for command, flag in (("integrate", "--verify-N"), ("integrate", "--budget"),
+                            ("decompose", "--precision"))],
+    ("check_poincare_zero", {}, ("zeta", "[0,1]", "--p", "3", "--check-poincare", "0"),
+     "argument --check-poincare: must be a positive integer"),
     ("unknown_flag", {}, ("parse", "{path}", "--foo"), "--foo"),
     ("verify_N_not_int", {"integrand": "abs(x0)"},
      ("integrate", "{path}", "--verify-N", "x"), "--verify-N"),
@@ -638,6 +685,96 @@ def test_refused_input_exits_1_naming_the_field(capsys, tmp_path, fields, argv, 
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert needle in json.loads(line)["error"]
+
+
+# ---------------------------------------------------------------------------
+# generated malformed problems: shape and type mutations of the golden
+# corpus (magnitudes have no work budget yet, so they are not generated)
+
+SWAPPED = (None, True, -1, 2.5, "", [], {})
+MALFORMED_DSL = ("", "abs(x0", "x0 +", "x0 $ 1", "1/0", "(x0", "x0 x0")
+BAD_RATIONALS = ("0.5", "1e3", "1E-2", " 1", "1 ", "+1", "1_000", "1/0", "0x10")
+UNKNOWN_KEYS = ("mdoe", "extra", "Gamma", "beta_stict")
+DSL_KEYS = ("integrand", "alpha", "beta", "gamma")
+
+
+def _nodes(value, path=()):
+    """(path, value) for every value of a JSON document, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _path_text(path):
+    """A path as the CLI prints it: cells[0].conditions[1].mu."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+@st.composite
+def mutated_golden(draw):
+    """(argv tail, problem, mutated path, mutation kind) from a golden case."""
+    _, command, fields, flags, _, _ = draw(st.sampled_from(GOLDEN))
+    doc = copy.deepcopy({"version": 1, **fields})
+    nodes = list(_nodes(doc))
+    keyed = [(path, v) for path, v in nodes if path and isinstance(path[-1], str)]
+    choices = {
+        "drop": [(path, None) for path, _ in keyed],
+        "swap": [(path, SWAPPED) for path, _ in nodes if path],
+        "unknown": [(path + (key,), (1,)) for path, v in nodes if isinstance(v, dict)
+                    for key in UNKNOWN_KEYS if key not in v],
+        "dsl": [(path, MALFORMED_DSL) for path, v in keyed
+                if path[-1] in DSL_KEYS and isinstance(v, str)],
+        "rational": [(path, BAD_RATIONALS) for path, _ in keyed if path[-1] == "mu"],
+    }
+    kind = draw(st.sampled_from(sorted(k for k, v in choices.items() if v)))
+    path, values = draw(st.sampled_from(choices[kind]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if values is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from(values))
+    return (command, *flags), doc, path, kind
+
+
+def _check_streams(code, out, err):
+    """Exits 0 and 3 print their report; any other exit prints nothing and
+    writes one JSON line to stderr."""
+    if code in (0, 3):
+        assert json.loads(out) and err == ""
+    else:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert isinstance(json.loads(line)["error"], str)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_golden())
+def test_mutated_golden_problems_exit_cleanly(capsys, tmp_path, case):
+    (command, *flags), doc, path, kind = case
+    file = tmp_path / "mutated.json"
+    file.write_text(json.dumps(doc))
+
+    code, out, err = run(capsys, command, str(file), *flags)
+    assert code in (0, 1, 2, 3), err
+    _check_streams(code, out, err)
+
+    # parse only reads the problem: whatever it refuses is a field error
+    code, out, err = run(capsys, "parse", str(file))
+    _check_streams(code, out, err)
+    if kind in ("unknown", "dsl", "rational"):
+        assert code == 1
+    if code == 1:
+        assert _path_text(path) in json.loads(err)["error"]
 
 
 # ---------------------------------------------------------------------------

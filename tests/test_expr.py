@@ -256,10 +256,6 @@ def direct_eval(t, xs):
     if isinstance(t, Poly):
         x = direct_eval(t.argument, xs)
         return sum((c * x**i for i, c in enumerate(t.coeffs)), F(0))
-    from padicells.expr import Neg
-
-    if isinstance(t, Neg):
-        return -direct_eval(t.arg, xs)
     raise AssertionError(t)
 
 
