@@ -91,10 +91,11 @@ def load_problem(path: str, prime_flag: int | None) -> Problem:
 
     p = _typed(data["p"], int, "p") if "p" in data else None
     if prime_flag is not None:
-        p = prime_flag
-    if p is None:
+        prime = _prime(prime_flag, "--p")
+    elif p is not None:
+        prime = _prime(p, "p")
+    else:
         raise InputError("a prime is required: field p or flag --p")
-    prime = Prime(p)
 
     keys = ("params", "integrate")
     variables = _json_object(data.get("variables", {"params": 0, "integrate": 1}),
@@ -130,6 +131,14 @@ def load_problem(path: str, prime_flag: int | None) -> Problem:
         # symbolic runs need no points; concrete runs demand them later
         base_points = [()] if params == 0 else None
     return Problem(prime, params, nvars, integrand, cells, mode, base_points)
+
+
+def _prime(p: int, source: str) -> Prime:
+    """Prime(p), refused with the field or flag p came from."""
+    try:
+        return Prime(p)
+    except ValueError as e:
+        raise InputError(f"{source}: {e}") from None
 
 
 def _point(raw, params: int, path: str) -> tuple[Fraction, ...]:
@@ -367,7 +376,7 @@ def _parse_poly_arg(text: str):
 def cmd_zeta(args) -> int:
     if args.p is None:
         raise InputError("zeta needs --p")
-    prime = Prime(args.p)
+    prime = _prime(args.p, "--p")
     coeffs = _parse_poly_arg(args.f)
     z = integrate.igusa_zeta(coeffs, prime, precision_N=args.precision)
     payload = {

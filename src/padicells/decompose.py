@@ -381,10 +381,23 @@ class _ReadTerm:
         return None if rem else self.vd + e
 
 
-def _read_term(term: PreparedTerm, p: Prime, pN: int) -> _ReadTerm:
-    """Read a term's cell once, then test every lift r mod pN against it
-    in integers: with center a/b, k = v(r*b - a) - v(b) must lie in the
-    stage's window, and only a coset with n > 1 asks in_coset."""
+def _level_lifts(c0: int, k: int, p: int, N: int):
+    """The lifts r mod p^N with v(r - c0) = k, for 0 <= k < N: c0 + j*p^k
+    reduced mod p^N, for 0 < j < p^(N-k) with p not dividing j."""
+    pN, step = p**N, p**k
+    return ((c0 + j * step) % pN for j in range(1, pN // step) if j % p)
+
+
+def _read_term(term: PreparedTerm, p: Prime, N: int) -> _ReadTerm:
+    """Read a term's cell once and list its members among the lifts
+    r mod p^N, level by level, with k = v(r - center).
+
+    With center a/b, p | b puts every lift at level -v(b). Otherwise
+    c0 = a/b mod p^N is the one lift whose level can reach N or INF, and
+    the lifts at each level k < N are listed directly; only the levels
+    the coset admits are visited, and only a coset with n > 1 asks
+    in_coset of those members. The cost is the number of lifts listed
+    plus one step per level, not p^N."""
     cell = term.cell
     if cell.arity != 1:
         raise ValueError(f"point has 1 coordinates, cell has {cell.arity}")
@@ -397,26 +410,38 @@ def _read_term(term: PreparedTerm, p: Prime, pN: int) -> _ReadTerm:
     vb = int_valuation(b, p.p)
     k_min, k_max = window.k_min, window.k_max
     coset = cond.coset
-    # membership in a zero coset is x == 0, in a coset with n = 1 x != 0
-    trivial = coset.is_zero() or coset.n == 1
-    lifts = {}
-    for r in range(pN):
-        x = r * b - a
-        k = int_valuation(x, p.p) - vb if x else INF
-        if k_min <= k <= k_max and (
-            (x == 0) == coset.is_zero()
-            if trivial
-            else in_coset(PAdicScalar(Fraction(x, b), p), coset)
-        ):
-            lifts[r] = k
+    zero, n, vmu = coset.is_zero(), coset.n, coset.mu.valuation
+    pN = p.p**N
+    lifts: dict[int, int | float] = {}
+    if vb > 0:
+        # p divides b but not a, so r*b - a is a unit for every r
+        if not zero and k_min <= -vb <= k_max and (-vb - vmu) % n == 0:
+            lifts = dict.fromkeys(range(pN), -vb)
+    else:
+        c0 = a * pow(b, -1, pN) % pN
+        x0 = c0 * b - a  # divisible by p^N
+        k0 = int_valuation(x0, p.p) if x0 else INF
+        # membership in a zero coset is r = center, in any other r != center
+        if k_min <= k0 <= k_max and (x0 == 0) == zero:
+            lifts[c0] = k0
+        lo, hi = max(k_min, 0), min(k_max, N - 1)
+        if not zero and lo <= hi:
+            first = int(lo) + (vmu - int(lo)) % n  # least level on the coset's grid
+            for k in range(first, int(hi) + 1, n):
+                lifts.update(dict.fromkeys(_level_lifts(c0, k, p.p, N), k))
+    if n > 1 and not zero:
+        lifts = {
+            r: k for r, k in lifts.items()
+            if in_coset(PAdicScalar(Fraction(r * b - a, b), p), coset)
+        }
     return _ReadTerm(
         center,
         lifts,
-        coset.is_zero(),
+        zero,
         INF if delta == 0 else rational_valuation(delta, p.p),
         term.a,
-        coset.mu.valuation,
-        coset.n,
+        vmu,
+        n,
     )
 
 
@@ -433,8 +458,10 @@ def verify_prepared(
     single member. Coverage is judged against the hull because the
     punctures in 1-cells are null points supplied by companion 0-cells.
 
-    Each cell is read once (center, valuation window, coset) and every
-    lift is tested against every cell with integer arithmetic.
+    Each cell is read once (center, valuation window, coset) and its
+    members are listed level by level, so the cost is O(p^N + members)
+    rather than O(cells * p^N). Overlaps and gaps are still found per
+    lift: every lift counts the cells that listed it.
     """
     fi, fscale = polys.integerize(f)
     vscale = rational_valuation(fscale, p.p)
@@ -448,7 +475,7 @@ def verify_prepared(
     counterexamples: list[str] = []
     checks = 0
     pN = p.p**N
-    read = [_read_term(term, p, pN) for term in terms]
+    read = [_read_term(term, p, N) for term in terms]
     members: list[list[int]] = [[] for _ in range(pN)]
     for i, rt in enumerate(read):
         for r in rt.lifts:

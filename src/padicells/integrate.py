@@ -766,22 +766,22 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
 
 
 def root_counts(f: polys.PolyQ, p: Prime, i_max: int) -> list[int]:
-    """N_i = #{x mod p^i : f(x) = 0 mod p^i}, by enumeration; N_0 = 1."""
+    """N_i = #{x mod p^i : f(x) = 0 mod p^i}; N_0 = 1. A root mod p^i is a
+    root mod p^(i-1), so only the p lifts of each root mod p^(i-1) are
+    tried: about p * (N_0 + ... + N_(i_max-1)) evaluations."""
     for c in f:
         if Fraction(c).denominator != 1:
             raise ValueError("integer coefficients required for residue counting")
-    cs = [int(c) for c in reversed(f)]
+    fi = tuple(int(c) for c in f)
+    roots = [0]
     out = [1]
     for i in range(1, i_max + 1):
-        mod = p.p**i
-        count = 0
-        for x in range(mod):
-            acc = 0
-            for c in cs:
-                acc = (acc * x + c) % mod
-            if acc == 0:
-                count += 1
-        out.append(count)
+        mod, step = p.p**i, p.p ** (i - 1)
+        roots = [
+            x for r in roots for x in range(r, mod, step)
+            if polys.evaluate_int(fi, x) % mod == 0
+        ]
+        out.append(len(roots))
     return out
 
 

@@ -2,8 +2,9 @@
 
 bench/ is loaded as it stands, never edited from here: every padicells
 function its tracer patches and every padicells module attribute its
-corpora and runner name must exist, and the first operation of the
-oracle, univariate and engine corpora must run and pass its own checks.
+corpora and runner name must exist, the first operation of the
+oracle, univariate and engine corpora must run and pass its own checks,
+and the tracer must install after each of their set-ups.
 A library change that breaks the benchmark then fails here, not only in a
 benchmark run.
 """
@@ -12,12 +13,14 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SEED = 11
 
 
@@ -94,3 +97,32 @@ def test_first_operation_runs(corpus):
     start = time.perf_counter()
     op.run()
     assert time.perf_counter() - start < 1.0, op.label
+
+
+# run.py's set-up for one corpus in a fresh process (build the operations,
+# screen them, run the warm-up operation), then the traced run's first
+# step: the tracer must find every module it patches loaded by then
+TRACED_SET_UP = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import tracer, workloads
+ops, known = workloads.screen(workloads.{corpus}_ops({seed}))
+ops[0].run()
+t = tracer.Tracer()
+t.install()
+t.uninstall()
+"""
+
+
+def test_tracer_installs_after_each_set_up():
+    children = {
+        corpus: subprocess.Popen(
+            [sys.executable, "-c", TRACED_SET_UP.format(
+                src=str(ROOT / "src"), bench=str(BENCH), corpus=corpus, seed=SEED)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for corpus in ("oracle", "univariate", "engine")
+    }
+    for corpus, child in children.items():
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 0, (corpus, err)

@@ -392,6 +392,16 @@ def test_zeta_rejects_zero_and_composite(capsys):
     assert "3317044064679887385961981" in err
 
 
+def test_zeta_poincare_check_lifts_roots(capsys):
+    # enumerating every residue mod 3^20 would take over half an hour; lifting
+    # the roots tries 3 lifts at each of the 20 depths
+    code, out, _ = run(capsys, "zeta", "[0,1]", "--p", "3", "--check-poincare", "20")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["poincare"]["passed"] is True
+    assert doc["poincare"]["counts"] == [1] * 21
+
+
 # ---------------------------------------------------------------------------
 # golden bytes: exact stdout of integrate --verify-N, measure, verify and
 # decompose on fixed problems
@@ -660,6 +670,9 @@ REFUSED = [
      ("integrate", "{path}"), "base_points[0][0] must be a rational"),
     ("mode_not_string", {"mode": ["concrete"]}, ("parse", "{path}"),
      "mode must be a JSON string"),
+    ("p_not_prime", {"p": 4}, ("parse", "{path}"), "p: not a prime: 4"),
+    ("flag_p_not_prime", {}, ("parse", "{path}", "--p", "4"), "--p: not a prime: 4"),
+    ("zeta_p_not_prime", {}, ("zeta", "[0,1]", "--p", "4"), "--p: not a prime: 4"),
     ("zeta_exponent", {}, ("zeta", '["1e3",1]', "--p", "3"), "f[0] must be a rational"),
     ("zeta_not_array", {}, ("zeta", '"x"', "--p", "3"), "f must be a JSON array"),
     ("point_exponent", ONE_PARAM, ("integrate", "{path}", "--point", "1e3"),
@@ -680,7 +693,7 @@ REFUSED = [
 @pytest.mark.parametrize("fields, argv, needle", [r[1:] for r in REFUSED],
                          ids=[r[0] for r in REFUSED])
 def test_refused_input_exits_1_naming_the_field(capsys, tmp_path, fields, argv, needle):
-    path = problem(tmp_path, p=3, **fields)
+    path = problem(tmp_path, **{"p": 3, **fields})
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert (code, out) == (1, "")
     (line,) = err.splitlines()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicells import polys
+from padicells import decompose, polys
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -16,6 +16,8 @@ from padicells.cells import (
     coset_of,
     pin_bound_residues,
     punctured_ball_cell,
+    stage_center,
+    stage_window,
     zp_cell,
 )
 from padicells.decompose import (
@@ -25,6 +27,8 @@ from padicells.decompose import (
     VerifyReport,
     _ball_hull,
     _center_value,
+    _read_term,
+    _ReadTerm,
     decompose_univariate,
     hensel_lift,
     prepared_to_json,
@@ -172,10 +176,50 @@ def reference_verify(terms, f, p, N, domain=None):
     return VerifyReport(not counterexamples, pN, checks, tuple(counterexamples))
 
 
+def reference_read_term(term, p, N):
+    """_read_term as it was before it listed each cell's members: every
+    lift r mod p^N is tested against the cell in integers."""
+    cond = term.cell.conditions[0]
+    center = stage_center(cond, []).value
+    window = stage_window(cond, [])
+    delta = term.delta.constant_value()
+    a, b = center.numerator, center.denominator
+    vb = int_valuation(b, p.p)
+    coset = cond.coset
+    trivial = coset.is_zero() or coset.n == 1
+    lifts = {}
+    for r in range(p.p**N):
+        x = r * b - a
+        k = int_valuation(x, p.p) - vb if x else INF
+        if window.k_min <= k <= window.k_max and (
+            (x == 0) == coset.is_zero()
+            if trivial
+            else in_coset(PAdicScalar(F(x, b), p), coset)
+        ):
+            lifts[r] = k
+    return _ReadTerm(
+        center,
+        lifts,
+        coset.is_zero(),
+        INF if delta == 0 else rational_valuation(delta, p.p),
+        term.a,
+        coset.mu.valuation,
+        coset.n,
+    )
+
+
+def read_like_reference(terms, p, N):
+    """_read_term of each term, checked equal to the scanning reference's."""
+    for term in terms:
+        assert _read_term(term, p, N) == reference_read_term(term, p, N), term
+
+
 def verified(terms, f, p, N, domain=None):
-    """verify_prepared's report, checked equal to the reference's."""
+    """verify_prepared's report, checked equal to the reference's, with
+    each term read as the scanning reference reads it."""
     report = verify_prepared(terms, f, p, N, domain)
     assert report == reference_verify(terms, f, p, N, domain)
+    read_like_reference(terms, p, N)
     return report
 
 
@@ -459,6 +503,65 @@ def test_hand_made_cells_match_reference(p, N):
                 verified(terms[i:i + 1], f, p, N, domain)
 
 
+def _edge_terms(p):
+    """Windows a residue pin empties, centers with p in the denominator on
+    and off the coset's level grid, zero cosets that hold no lift, and a
+    window reaching below level 0."""
+    return [
+        _term(CellCondition(
+            center=Const(F(0)), coset=coset_of(p, 1, 2),
+            upper=Const(F(p.p)), upper_strict=False, upper_val_residue=0,
+        )),
+        _term(CellCondition(
+            center=Const(F(2, p.p)), coset=coset_of(p, F(1, p.p), 2),
+            upper=Const(F(p.p) ** -3), upper_strict=False,
+        ), 1, 2),
+        _term(CellCondition(center=Const(F(1, p.p**2)), coset=coset_of(p, 1, 2))),
+        _term(CellCondition(
+            center=Const(F(1, p.p)), coset=coset_of(p, 1, 1), upper=Const(F(1)),
+        )),
+        _term(CellCondition(center=Const(F(1, 7)), coset=coset_of(p, 0, 1))),
+        _term(CellCondition(center=Const(F(10**6)), coset=coset_of(p, 0, 1))),
+        _term(CellCondition(
+            center=Const(F(1)), coset=coset_of(p, 0, 1), lower=Const(F(1)),
+        )),
+        _term(CellCondition(
+            center=Const(F(-4, 11)), coset=coset_of(p, 2, 3),
+            upper=Const(F(p.p) ** -3), upper_strict=True,
+        ), 2, 1),
+    ]
+
+
+TOP_DEPTH = {2: 7, 3: 4, 5: 3}
+
+
+@pytest.mark.parametrize("p", [P2, P3, P5])
+def test_read_term_lists_the_scanned_members(p):
+    terms = _hand_made_terms(p) + _edge_terms(p)
+    for N in range(1, TOP_DEPTH[p.p] + 1):
+        read_like_reference(terms, p, N)
+
+
+def test_verify_work_is_linear_in_lifts_and_cells(monkeypatch):
+    # the scan made cells * p^N valuations; listing members makes one per
+    # lift in the main loop and at most two per cell
+    p, N = P3, 7
+    f = polys.mul(polys.mul(poly(0, 1), poly(-1, 1)), polys.mul(poly(-3, 1), poly(2, 0, 1)))
+    terms = decompose_univariate(f, p, None, 8)
+    assert len(terms) >= 8
+    calls = 0
+    real = decompose.int_valuation
+
+    def counted(n, q):
+        nonlocal calls
+        calls += 1
+        return real(n, q)
+
+    monkeypatch.setattr(decompose, "int_valuation", counted)
+    assert verify_prepared(terms, f, p, N, zp_cell(p)).passed
+    assert calls <= 2 * p.p**N + 2 * len(terms)
+
+
 def test_sub_ball_domain_off_zero():
     f = poly(-4, 1)
     dom = punctured_ball_cell(P3, 4, 2)
@@ -493,7 +596,7 @@ def random_cells(draw):
     """A few arbitrary one-variable terms, a polynomial, a depth and a
     domain: most fail verification; the report must still match."""
     p = PRIMES[draw(st.sampled_from(sorted(PRIMES)))]
-    N = draw(st.integers(1, {2: 7, 3: 4, 5: 3}[p.p]))
+    N = draw(st.integers(1, TOP_DEPTH[p.p]))
     pw = lambda lo, hi: F(p.p) ** draw(st.integers(lo, hi))  # noqa: E731
     terms = []
     for _ in range(draw(st.integers(1, 4))):

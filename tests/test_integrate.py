@@ -886,6 +886,45 @@ def test_root_counts_by_enumeration():
         root_counts(polys.poly_from([F(1, 2), 1]), P3, 1)
 
 
+def reference_root_counts(f, p, i_max):
+    """root_counts as it was before it lifted roots: every residue mod p^i
+    is tried."""
+    cs = [int(c) for c in reversed(f)]
+    out = [1]
+    for i in range(1, i_max + 1):
+        mod = p.p**i
+        count = 0
+        for x in range(mod):
+            acc = 0
+            for c in cs:
+                acc = (acc * x + c) % mod
+            if acc == 0:
+                count += 1
+        out.append(count)
+    return out
+
+
+@st.composite
+def counted_polys(draw):
+    """Degree at most 4 over Z: arbitrary, a monomial x^m, or either times
+    a constant c*p^e."""
+    p = Prime(draw(st.sampled_from([2, 3, 5, 7])))
+    if draw(st.booleans()):
+        coeffs = [0] * draw(st.integers(0, 4)) + [1]
+    else:
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+    scale = draw(st.sampled_from([1, -1, 2, 5])) * p.p ** draw(st.integers(0, 3))
+    i_max = {2: 8, 3: 5, 5: 4, 7: 3}[p.p]
+    return polys.poly_from([scale * c for c in coeffs]), p, i_max
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(counted_polys())
+def test_root_counts_by_lifting_match_enumeration(problem):
+    f, p, i_max = problem
+    assert root_counts(f, p, i_max) == reference_root_counts(f, p, i_max)
+
+
 def test_poincare_consistency():
     cases = [
         (P3, [0, 1]),
