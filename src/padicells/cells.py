@@ -8,9 +8,9 @@ with mu = 0 pins t to the center exactly.
 
 On a fiber the conditions become an arithmetic progression of attainable
 valuations k, and the Haar measure of each level set {v(u) = k} inside
-mu*P_n is epsilon * p^-k for a density epsilon counted exactly from unit
-residues. That reduces every fiber integral to a geometric series, which
-integrate sums in closed form.
+mu*P_n is epsilon * p^-k for a density epsilon read off the index of the
+n-th powers among the units. That reduces every fiber integral to a
+geometric series, which integrate sums in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 from .expr import (
     Const,
@@ -37,9 +37,8 @@ from .padic import (
     Coset,
     PAdicScalar,
     Prime,
-    hensel_power_depth,
     in_coset,
-    nth_power_unit_residues,
+    int_valuation,
 )
 
 
@@ -115,39 +114,20 @@ class Cell:
 # ---------------------------------------------------------------------------
 # level-set density
 
-@lru_cache(maxsize=None)
-def _epsilon_counted(p: int, n: int) -> Fraction:
-    depth = hensel_power_depth(n, p)
-    eps = None
-    for d in (depth, depth + 2):
-        image = nth_power_unit_residues(p, n, d)
-        value = Fraction(len(image), p**d)
-        if eps is None:
-            eps = value
-        elif eps != value:
-            raise RuntimeError(
-                f"level-set density for p={p}, n={n} differs between moduli "
-                f"p^{depth} and p^{depth + 2}: {eps} vs {value}; the power-coset "
-                "membership depth bound does not saturate here"
-            )
-    assert eps is not None
-    return eps
-
-
 def level_set_measure(c: Coset) -> Fraction:
     """Density epsilon of one valuation level of mu*P_n.
 
     Measure{u : v(u) = k, u in mu*P_n} equals epsilon * p^-k for every
-    attainable k (those with k = v(mu) mod n) and 0 otherwise. epsilon is
-    found by counting n-th-power unit residues; computing it at two
-    moduli asserts independence from the level. For n = 1 every unit
-    qualifies, so epsilon is (p - 1)/p without counting.
+    attainable k (those with k = v(mu) mod n) and 0 otherwise, where
+    epsilon = ((p - 1)/p) / [U : U^n] for the units U of Z_p. U is a cyclic
+    group of order w = p - 1 (w = 2 for p = 2, the roots of unity +-1)
+    times a copy of Z_p, so [U : U^n] = gcd(n, w) * p^v_p(n).
     """
     if c.is_zero():
         raise ValueError("level sets of the zero coset are points")
-    if c.n == 1:
-        return Fraction(c.prime.p - 1, c.prime.p)
-    return _epsilon_counted(c.prime.p, c.n)
+    p = c.prime.p
+    index = gcd(c.n, p - 1 if p > 2 else 2) * p ** int_valuation(c.n, p)
+    return Fraction(p - 1, p * index)
 
 
 # ---------------------------------------------------------------------------

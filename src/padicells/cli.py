@@ -517,10 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         # a RuntimeError subclass, but caused by the input's nesting depth
         return _fail("input nested too deeply", EXIT_INPUT)
     except (RuntimeError, AssertionError, TypeError, KeyError) as e:
-        # failed self-checks (the power-coset witness check of padic.in_coset,
-        # the level-density check of cells.level_set_measure) and broken
-        # invariants; the readers refuse every input that could raise a
-        # TypeError or KeyError, so those are faults too
+        # a failed self-check (the power-coset witness check of
+        # padic.in_coset) and broken invariants; the readers refuse every
+        # input that could raise a TypeError or KeyError, so those are
+        # faults too
         return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import polys
 from .padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
@@ -575,6 +576,9 @@ def _constructible_value(
     EvaluationPrecisionError where the box leaves a needed valuation open.
     Each distinct factor argument is evaluated once; the checks still run
     factor by factor in term order, so the first error is the same.
+
+    The sum is kept as a pair of ints num/den, with den the least common
+    multiple of the term denominators, and one Fraction is built at the end.
     """
     seen: dict[DTerm, tuple] = {}
 
@@ -586,35 +590,49 @@ def _constructible_value(
             out = seen[h] = (value, prec, pinned_valuation(value, prec, p))
         return out
 
-    total = Fraction(0)
+    total_num, total_den = 0, 1
     for term in f.terms:
-        acc = term.coeff
+        num, den = term.coeff.numerator, term.coeff.denominator
         for vf in term.val_factors:
             value, prec, v = read(vf.h)
             if v is None:
                 if value == 0 and prec == INF:
                     raise VFactorZeroError("v() of an exact zero inside a constructible term")
                 raise EvaluationPrecisionError("valuation undetermined at this precision")
-            acc *= Fraction(v) ** vf.power
+            if vf.power >= 0:
+                num *= v**vf.power
+            elif v:
+                den *= v ** -vf.power
+            else:
+                raise ZeroDivisionError("negative power of a zero valuation")
         exponent = 0
         for nf in term.norm_factors:
             value, prec, v = read(nf.h)
             if value == 0 and prec == INF:
                 if nf.power < 0:
                     raise ZeroDivisionError("negative power of the norm of zero")
-                acc = Fraction(0)
+                num = 0
                 continue
             if v is None:
                 raise EvaluationPrecisionError("norm undetermined at this precision")
-            e = nf.power * v
-            if e.denominator != 1:
+            e, r = divmod(nf.power.numerator * v, nf.power.denominator)
+            if r:
                 raise ValueError(
                     "fractional norm power does not give an integer exponent here"
                 )
-            exponent += int(e)
-        if acc:
-            total += acc * Fraction(p) ** (-exponent)
-    return total
+            exponent += e
+        if num:
+            if exponent > 0:
+                den *= p**exponent
+            elif exponent < 0:
+                num *= p**-exponent
+            if den == total_den:
+                total_num += num
+            else:
+                g = gcd(den, total_den)
+                total_num = total_num * (den // g) + num * (total_den // g)
+                total_den = total_den // g * den
+    return Fraction(total_num, total_den)
 
 
 def eval_constructible(

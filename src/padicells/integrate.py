@@ -316,6 +316,8 @@ def _is_zero_term(t: DTerm) -> bool:
 
 def _recenter(coeffs: list[DTerm], gamma: DTerm) -> list[DTerm]:
     """Coefficients of the same polynomial in (t - gamma)."""
+    if _is_zero_term(gamma):
+        return coeffs
     top = len(coeffs) - 1
     out = []
     for j in range(top + 1):

@@ -102,13 +102,10 @@ def faulhaber_coeffs(l: int) -> polys.PolyQ:
     return polys.normalize(tuple(coeffs))
 
 
-def reindex_coeffs(l: int, c: int, n: int) -> polys.PolyQ:
-    """(c + n*j)^l as coefficients in j: a sum of k^l over k = c + n*j is
-    sum_i coeff_i * (the sum of j^i)."""
-    return tuple(
-        Fraction(comb(l, i)) * Fraction(c) ** (l - i) * Fraction(n) ** i
-        for i in range(l + 1)
-    )
+def reindex_coeffs(l: int, c: int, n: int) -> tuple[int, ...]:
+    """(c + n*j)^l as integer coefficients in j: a sum of k^l over
+    k = c + n*j is sum_i coeff_i * (the sum of j^i)."""
+    return tuple(comb(l, i) * c ** (l - i) * n**i for i in range(l + 1))
 
 
 def _sum_to(i: int, u: Fraction, J: int | float) -> Fraction:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicells import cells
+from padicells import padic
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -19,7 +19,13 @@ from padicells.cells import (
 )
 from padicells.expr import Const, ConstructibleExpr, NormFactor, Var, cexpr_term, parse_dterm
 from padicells.integrate import NotIntegrableError, integrate_cell, prepare_integrand
-from padicells.padic import Prime, coset_representatives, nth_power_unit_residues, scalar
+from padicells.padic import (
+    Prime,
+    coset_representatives,
+    hensel_power_depth,
+    nth_power_unit_residues,
+    scalar,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 F = Fraction
@@ -70,21 +76,33 @@ def test_epsilon_independent_of_mu_and_matches_counting():
 
 
 def test_epsilon_for_n_1_counts_no_residues(monkeypatch):
-    # every unit is a first power, so epsilon is (p - 1)/p; counting it
-    # enumerated p^3 residues
-    counted = []
-
+    # epsilon is a closed form in p and n: no n, 1 or large, enumerates unit
+    # residues (n = 1024 at p = 2 used to count 2^23 of them)
     def residues(p, n, d):
-        assert n != 1, "n = 1 needs no count"
-        counted.append(n)
-        return nth_power_unit_residues(p, n, d)
+        raise AssertionError(f"counted residues for p={p}, n={n}")
 
-    monkeypatch.setattr(cells, "nth_power_unit_residues", residues)
-    cells._epsilon_counted.cache_clear()
+    monkeypatch.setattr(padic, "nth_power_unit_residues", residues)
     for p in (2, 3, 257):
         assert level_set_measure(coset_of(Prime(p), 1, 1)) == F(p - 1, p)
     assert level_set_measure(coset_of(P3, 1, 2)) == F(1, 3)
-    assert counted == [2, 2]  # n >= 2 still counts at both moduli
+    assert level_set_measure(coset_of(P2, 1, 1024)) == F(1, 2**12)
+    assert level_set_measure(coset_of(P3, 1, 1024)) == F(1, 3)
+
+
+def reference_epsilon_counted(p: int, n: int) -> Fraction:
+    """The counted density: n-th-power unit residues over p^depth, at the
+    Hensel depth and two digits deeper, which must agree."""
+    depth = hensel_power_depth(n, p)
+    counts = {F(len(nth_power_unit_residues(p, n, d)), p**d) for d in (depth, depth + 2)}
+    assert len(counts) == 1, (p, n)
+    return counts.pop()
+
+
+def test_epsilon_closed_form_matches_counting():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 17):
+            assert level_set_measure(coset_of(Prime(p), 1, n)) == \
+                reference_epsilon_counted(p, n), (p, n)
 
 
 def test_level_set_measure_rejects_zero():

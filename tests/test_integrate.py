@@ -28,6 +28,9 @@ from padicells.expr import (
     ValFactor,
     Var,
     cexpr_term,
+    d_add,
+    d_mul,
+    d_pow,
     d_scale,
     eval_constructible,
     parse_constructible,
@@ -44,6 +47,7 @@ from padicells.integrate import (
     UnsupportedIntegrandError,
     _decide_integrable,
     _integrate_symbolic,
+    _recenter,
     _stage_settled,
     eliminate_last_variable,
     evaluate_simple,
@@ -554,6 +558,31 @@ def test_prepare_recenters_monomials():
     ci = prepare_integrand(shifted, cell)
     # |t - 1| over v(t-1) >= 1: sum_{k>=1} (2/3) 9^-k
     assert integrate_cell(ci, []) == F(2, 3) * F(1, 9) / (1 - F(1, 9))
+
+
+def reference_recenter(coeffs, gamma):
+    """The general recentering loop, which _recenter skips at the zero center."""
+    top = len(coeffs) - 1
+    out = []
+    for j in range(top + 1):
+        s = Const(F(0))
+        for i in range(j, top + 1):
+            s = d_add(s, d_scale(d_mul(coeffs[i], d_pow(gamma, i - j)), comb(i, j)))
+        out.append(s)
+    return out
+
+
+# coefficients and centers as a cell's stage in x1 sees them: terms in x0
+X0_TERMS = ("0", "1", "-2/3", "x0", "x0^2 - 1", "3*x0 + 1", "inv(x0)",
+            "series([1, 1/3; tail 2], x0)")
+CENTERS = ("0", "1", "-2/3", "x0", "x0 + 1", "inv(x0)")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.sampled_from(X0_TERMS).map(parse_dterm), min_size=1, max_size=5),
+       st.sampled_from(CENTERS).map(parse_dterm))
+def test_recenter_matches_reference(coeffs, gamma):
+    assert _recenter(coeffs, gamma) == reference_recenter(coeffs, gamma)
 
 
 def polys_minus_one():

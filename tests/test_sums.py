@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicells import polys
 from padicells.padic import INF
@@ -10,6 +13,7 @@ from padicells.sums import (
     ProgressionSum,
     bernoulli_numbers,
     faulhaber_coeffs,
+    reindex_coeffs,
     sum_progression,
     window_coeffs,
 )
@@ -210,6 +214,21 @@ def test_window_coeffs_two_ended_identity():
                     T, F(y + 1)
                 )
                 assert closed == direct, (u, i, x, y)
+
+
+def reference_reindex_coeffs(l, c, n):
+    return tuple(
+        Fraction(comb(l, i)) * Fraction(c) ** (l - i) * Fraction(n) ** i
+        for i in range(l + 1)
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 8), st.integers(-20, 20), st.integers(1, 9))
+def test_reindex_coeffs_matches_reference(l, c, n):
+    got = reindex_coeffs(l, c, n)
+    assert got == reference_reindex_coeffs(l, c, n)
+    assert all(type(x) is int for x in got)
 
 
 def test_window_coeffs_rejects_one():
