@@ -435,6 +435,9 @@ class CTerm:
     val_factors: tuple[ValFactor, ...]
     norm_factors: tuple[NormFactor, ...]
 
+    def __iter__(self):  # unpacks like a raw (coeff, val_factors, norm_factors) triple
+        return iter((self.coeff, self.val_factors, self.norm_factors))
+
 
 @dataclass(frozen=True)
 class ConstructibleExpr:
@@ -444,12 +447,13 @@ class ConstructibleExpr:
 
     @staticmethod
     def of(terms) -> "ConstructibleExpr":
-        """The canonical sum: equal factors merged, zero powers and zero
-        coefficients dropped, factors and terms sorted by printed form."""
+        """The canonical sum of CTerms or raw triples: equal factors merged,
+        zero powers and zero coefficients dropped, factors and terms sorted
+        by printed form."""
         merged: dict = {}
-        for term in terms:
-            key = _factor_key(term)
-            merged[key] = merged.get(key, Fraction(0)) + term.coeff
+        for coeff, vfs, nfs in terms:
+            key = _factor_key(vfs, nfs)
+            merged[key] = merged.get(key, Fraction(0)) + coeff
         items = merged.items()
         if len(merged) > 1:
             items = sorted(items, key=lambda kv: _cterm_sort_key(kv[0]))
@@ -487,30 +491,27 @@ class ConstructibleExpr:
         return ConstructibleExpr.of(self.terms + other.terms)
 
     def scale(self, c) -> "ConstructibleExpr":
+        """c times a canonical expression: a nonzero c keeps every factor
+        key and so the term order, and nothing is merged or sorted again."""
         c = Fraction(c)
         if c == 0:
             return ConstructibleExpr(())
-        return ConstructibleExpr.of(
-            CTerm(t.coeff * c, t.val_factors, t.norm_factors) for t in self.terms
+        return ConstructibleExpr(
+            tuple(CTerm(t.coeff * c, t.val_factors, t.norm_factors) for t in self.terms)
         )
 
     def __mul__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    CTerm(
-                        a.coeff * b.coeff,
-                        a.val_factors + b.val_factors,
-                        a.norm_factors + b.norm_factors,
-                    )
-                )
-        return ConstructibleExpr.of(out)
+        return ConstructibleExpr.of(raw_product(self.terms, other.terms))
 
 
-def _factor_key(term: CTerm) -> tuple:
+def raw_product(a, b) -> list:
+    """The product of two term lists as raw (coeff, val_factors,
+    norm_factors) triples: nothing merged or sorted until `of`."""
+    return [(ca * cb, va + vb, na + nb) for ca, va, na in a for cb, vb, nb in b]
+
+
+def _factor_key(vfs, nfs) -> tuple:
     """A term's factors in canonical form: (val factors, norm factors)."""
-    vfs, nfs = term.val_factors, term.norm_factors
     if len(vfs) < 2 and len(nfs) < 2:
         # nothing to merge or sort: keep the factors unless a power is zero
         # or not of the type a merge gives (int for v, Fraction for abs)

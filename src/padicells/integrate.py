@@ -44,13 +44,11 @@ from .decompose import PreparedTerm, decompose_univariate
 from .expr import (
     Const,
     ConstructibleExpr,
-    CTerm,
     DTerm,
     NormFactor,
     ValFactor,
     Var,
     as_poly_in,
-    cexpr_term,
     d_add,
     d_mul,
     d_pow,
@@ -58,6 +56,7 @@ from .expr import (
     eval_constructible,
     free_variables,
     print_dterm,
+    raw_product,
 )
 from .padic import INF, PAdicScalar, Prime, rational_valuation
 
@@ -226,45 +225,40 @@ def _integrate_symbolic(
         r = _pinned_residue(cond, "lower") if v_lower is None else v_lower
         h1 = d_scale(cond.lower, 1 / (Fraction(q) ** (c + (r - c - vmu) % n) * mu))
 
-    out = []
+    stage = eps * Fraction(q) ** (-vmu)
+    out: list = []
     for t in ci.terms:
         u = Fraction(q) ** (-(t.a + n))
         pw = Fraction(t.a + n, n)
-        acc = []
         for i, coeff in enumerate(sums.reindex_coeffs(t.l, vmu, n)):
             if coeff != 0:
-                acc.append(_window_expr(i, u, pw, h0, h1, n, q).scale(coeff))
-        out.append(t.delta * ConstructibleExpr.sum_of(acc))
-    return ConstructibleExpr.sum_of(out).scale(eps * Fraction(q) ** (-vmu))
+                delta = _scaled(t.delta.terms, coeff * stage)
+                out += raw_product(delta, _window_expr(i, u, pw, h0, h1, n, q))
+    return ConstructibleExpr.of(out)
 
 
-def _valuation_poly(
-    h: DTerm, cs: polys.PolyQ, scale: Fraction, q: int
-) -> ConstructibleExpr:
+def _scaled(terms, c) -> list:
+    return [(k * c, vf, nf) for k, vf, nf in terms]
+
+
+def _valuation_poly(h: DTerm, cs: polys.PolyQ, scale: Fraction, q: int) -> list:
     """The polynomial cs evaluated at scale * v(h); a number for constant h."""
     if isinstance(h, Const):
         v = int(rational_valuation(h.value, q))
-        return ConstructibleExpr.const(polys.evaluate(cs, scale * v))
-    terms = []
-    for e, c in enumerate(cs):
-        if c == 0:
-            continue
-        terms.append(
-            CTerm(c * scale**e, (ValFactor(h, e),) if e else (), ())
-        )
-    return ConstructibleExpr.of(terms)
+        return [(polys.evaluate(cs, scale * v), (), ())]
+    return [(c * scale**e, (ValFactor(h, e),) if e else (), ()) for e, c in enumerate(cs) if c]
 
 
-def _norm_power(h: DTerm, power: Fraction, q: int) -> ConstructibleExpr:
+def _norm_power(h: DTerm, power: Fraction, q: int) -> list:
     """|h|^power; a number for constant h, whose valuation the coset grid
     makes a multiple of power's denominator."""
     if power == 0:
-        return ConstructibleExpr.const(1)
+        return [(1, (), ())]
     if isinstance(h, Const):
         e = power * int(rational_valuation(h.value, q))
         assert e.denominator == 1, "a grid bound has an integral norm power"
-        return ConstructibleExpr.const(Fraction(q) ** -int(e))
-    return cexpr_term(1, (), (NormFactor(h, power),))
+        return [(Fraction(q) ** -int(e), (), ())]
+    return [(1, (), (NormFactor(h, power),))]
 
 
 def _window_expr(
@@ -275,12 +269,17 @@ def _window_expr(
     h1: DTerm | None,
     n: int,
     q: int,
-) -> ConstructibleExpr:
+) -> list:
     """sum_{j0 <= j <= j1} j^i u^j with j0 = v(h0)/n, j1 = v(h1)/n.
 
     |h|^pw realizes u^j because pw * v(h) = (a+n) * j; a missing end means
     the window runs to infinity on that side (the caller has already
     checked that the ratio decays there)."""
+
+    def edge(h, cs, sign):  # |h|^pw * cs(sign * v(h)/n)
+        norm = _norm_power(h, pw, q)
+        return raw_product(norm, _valuation_poly(h, cs, Fraction(sign, n), q))
+
     if u == 1:
         # a = -n: every level weighs the same, only counting remains
         assert h0 is not None and h1 is not None
@@ -289,22 +288,16 @@ def _window_expr(
         lower_part = _valuation_poly(
             h0, polys.taylor_shift(fa, Fraction(-1)), Fraction(1, n), q
         )
-        return upper_part + lower_part.scale(-1)
+        return upper_part + _scaled(lower_part, -1)
     if h0 is not None and h1 is not None:
         t = sums.window_coeffs(i, u)
-        head = _norm_power(h0, pw, q) * _valuation_poly(h0, t, Fraction(1, n), q)
-        tail = _norm_power(h1, pw, q) * _valuation_poly(
-            h1, polys.taylor_shift(t, Fraction(1)), Fraction(1, n), q
-        )
-        return head + tail.scale(-u)
+        tail = edge(h1, polys.taylor_shift(t, Fraction(1)), 1)
+        return edge(h0, t, 1) + _scaled(tail, -u)
     if h0 is not None:
-        t = sums.window_coeffs(i, u)
-        return _norm_power(h0, pw, q) * _valuation_poly(h0, t, Fraction(1, n), q)
+        return edge(h0, sums.window_coeffs(i, u), 1)
     assert h1 is not None
     # reflect j -> -j: sum_{j <= j1} j^i u^j = (-1)^i sum_{m >= -j1} m^i (1/u)^m
-    t = sums.window_coeffs(i, 1 / u)
-    body = _norm_power(h1, pw, q) * _valuation_poly(h1, t, Fraction(-1, n), q)
-    return body.scale(Fraction(-1) ** i)
+    return _scaled(edge(h1, sums.window_coeffs(i, 1 / u), -1), (-1) ** i)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +357,13 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
     n = cond.coset.n
     vmu = int(cond.coset.mu.valuation)
     q = cell.prime.p
-    out: list[IntegrandTerm] = []
+    out: dict[tuple[int, int], list] = {}
     for term in f.terms:
-        by_l: dict[int, ConstructibleExpr] = {0: ConstructibleExpr.const(term.coeff)}
+        by_l: dict[int, list] = {0: [(term.coeff, (), ())]}
         kept_v: list[ValFactor] = []
         kept_n: list[NormFactor] = []
         a_total = 0
-        extra = ConstructibleExpr.const(1)
+        extra: list = [(1, (), ())]
         dead = False
         for vf in term.val_factors:
             if var not in free_variables(vf.h):
@@ -385,12 +378,8 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
             e = vf.power
             vc = int(rational_valuation(c.value, q)) if isinstance(c, Const) else None
             expansion = {
-                m: cexpr_term(
-                    Fraction(comb(e, m)) * Fraction(d) ** m
-                    * (1 if vc is None else Fraction(vc) ** (e - m)),
-                    (ValFactor(c, e - m),) if e - m and vc is None else (),
-                    (),
-                )
+                m: [(comb(e, m) * d**m * (1 if vc is None else vc ** (e - m)),
+                     (ValFactor(c, e - m),) if e - m and vc is None else (), ())]
                 for m in range(e + 1)
             }
             by_l = _convolve(by_l, expansion)
@@ -424,23 +413,24 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
                 if ec.denominator == 1:
                     scale *= Fraction(q) ** -int(ec)
                     kept_c = ()
-            extra = extra * cexpr_term(scale, (), kept_c)
+            extra = raw_product(extra, [(scale, (), kept_c)])
         if dead:
             continue
-        base = extra * cexpr_term(1, tuple(kept_v), tuple(kept_n))
-        for l, expr in by_l.items():
-            out.append(IntegrandTerm(expr * base, a_total, l))
-    return CellIntegrand.of(cell, out)
+        base = raw_product(extra, [(1, tuple(kept_v), tuple(kept_n))])
+        for l, terms in by_l.items():
+            out.setdefault((a_total, l), []).extend(raw_product(terms, base))
+    # as CellIntegrand.of merges them: one term per (a, l), in that order
+    return CellIntegrand(cell, tuple(
+        IntegrandTerm(ConstructibleExpr.of(ts), a, l) for (a, l), ts in sorted(out.items())
+    ))
 
 
-def _convolve(
-    a: dict[int, ConstructibleExpr], b: dict[int, ConstructibleExpr]
-) -> dict[int, ConstructibleExpr]:
-    out: dict[int, list[ConstructibleExpr]] = {}
+def _convolve(a: dict[int, list], b: dict[int, list]) -> dict[int, list]:
+    out: dict[int, list] = {}
     for i, x in a.items():
         for j, y in b.items():
-            out.setdefault(i + j, []).append(x * y)
-    return {k: ConstructibleExpr.sum_of(v) for k, v in out.items()}
+            out.setdefault(i + j, []).extend(raw_product(x, y))
+    return out
 
 
 def prepared_power(terms: list[PreparedTerm], s0: int) -> list[PreparedTerm]:

@@ -563,6 +563,18 @@ def test_of_matches_reference(terms, rng):
     assert ConstructibleExpr.of(_permuted(terms, rng)) == got
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(cterm_lists(), st.sampled_from((F(-3, 2), -1, F(1, 3), 2, 0)))
+def test_scale_keeps_the_canonical_form(terms, c):
+    # scale skips the merge and sort that `of` would do again
+    scaled = [CTerm(t.coeff * c, t.val_factors, t.norm_factors) for t in terms]
+    got = ConstructibleExpr.of(terms).scale(c)
+    assert got == ConstructibleExpr.of(scaled)
+    assert print_constructible(got) == print_constructible(ConstructibleExpr.of(scaled))
+    # raw (coeff, val_factors, norm_factors) triples canonicalize like CTerms
+    assert ConstructibleExpr.of(tuple(t) for t in scaled) == got
+
+
 def _outcome(evaluate, *args):
     try:
         value = evaluate(*args)

@@ -119,11 +119,6 @@ def test_shift_recombination():
     t = F(2, 5)
     for l in range(4):
         lhs = sum(
-            F(comb := 1, 1) * 0 for _ in ()
-        )  # placeholder to keep flake quiet
-        from math import comb
-
-        lhs = sum(
             F(comb(l, i)) * sum_progression(ProgressionSum(i, t, k_min=0))
             for i in range(l + 1)
         )
