@@ -104,8 +104,9 @@ def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
         )
     # invariant: v(f(x)) = w keeps doubling relative to e, v(f'(x)) stays e
     while w != INF and w - e < target_N:
-        x = x - polys.evaluate(f, x) / polys.evaluate(df, x)
-        w = rational_valuation(polys.evaluate(f, x), p.p)
+        x = x - fx / polys.evaluate(df, x)
+        fx = polys.evaluate(f, x)
+        w = rational_valuation(fx, p.p)
     if w == INF or rational_valuation(x, p.p) < 0:
         return HenselRoot(x, target_N)
     assert isinstance(e, int)
@@ -158,18 +159,17 @@ class _TrackedRoot:
 
 
 def _factor_over_q(f: polys.PolyQ):
-    import sympy  # loaded only where a polynomial is factored: it is slow to import
+    """The irreducible factors of f over Q with their multiplicities:
+    primitive integer polynomials with positive leading coefficient,
+    ordered by degree, then by coefficients."""
+    # loaded only where a polynomial is factored: sympy is slow to import
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
-    t = sympy.Symbol("t")
-    expr = sympy.Add(
-        *(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(f))
-    )
-    _, factors = sympy.factor_list(expr, t)
-    out = []
-    for g_expr, exp in factors:
-        poly = sympy.Poly(g_expr, t)
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        out.append((polys.poly_from(coeffs), int(exp)))
+    ints, _ = polys.integerize(f)
+    _, factors = dup_factor_list(list(reversed(ints)), ZZ)
+    # int(): ZZ's elements are gmpy2 integers where gmpy2 is installed
+    out = [(polys.poly_from(int(c) for c in reversed(g)), m) for g, m in factors]
     out.sort(key=lambda fe: (polys.degree(fe[0]), fe[0]))
     return out
 
@@ -330,7 +330,7 @@ def decompose_univariate(
                         j,
                         m,
                         d[m],
-                        polys.evaluate(f, gamma),
+                        d[0],
                         None if floor == INF else int(floor),
                     )
                     return

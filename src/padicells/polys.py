@@ -2,13 +2,16 @@
 
 Coefficient tuples, index = degree. The empty tuple is the zero
 polynomial. Just enough arithmetic for the decomposer and the zeta
-assembly; factorization is delegated to sympy at the call site.
+assembly. `evaluate` and `taylor_shift` work in Python ints: f as integer
+numerators over one common denominator, the point as a/b, and one
+`Fraction` per result or output coefficient. `decompose` factors with
+sympy's dense integer factorizer on f's primitive integer part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import gcd, lcm
 
 PolyQ = tuple[Fraction, ...]
 
@@ -32,11 +35,27 @@ def is_zero(f: PolyQ) -> bool:
     return len(f) == 0
 
 
+def _over_common_denominator(f) -> tuple[list[int], int]:
+    """(nums, den) with f = nums / den and den the lcm of f's denominators."""
+    ratios = [c.as_integer_ratio() for c in f]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def evaluate(f: PolyQ, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+    """f(x), exactly, for x an int, a Fraction or a float.
+
+    With f = nums / den and x = a/b, Horner runs on
+    sum nums_i a^i b^(n-i), which is f(x) * den * b^n."""
+    if not f:
+        return Fraction(0)
+    nums, den = _over_common_denominator(f)
+    a, b = x.as_integer_ratio()
+    acc, bk = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        bk *= b
+        acc = acc * a + c * bk
+    return Fraction(acc, den * bk)
 
 
 def add(f: PolyQ, g: PolyQ) -> PolyQ:
@@ -82,17 +101,23 @@ def derivative(f: PolyQ) -> PolyQ:
 
 
 def taylor_shift(f: PolyQ, c: Fraction) -> PolyQ:
-    """Coefficients of f(x + c)."""
-    n = len(f)
-    out = [Fraction(0)] * n
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        # a * (x + c)^i
-        ci = Fraction(1)
-        for k in range(i, -1, -1):
-            out[k] += a * comb(i, k) * ci
-            ci *= c
+    """Coefficients of f(x + c).
+
+    With f = nums / den and c = a/b, h(y) = sum nums_i b^(n-i) y^i is
+    den * b^n * f(y/b), so f(x + c) = h(bx + a) / (den * b^n). The integer
+    shift h(y + a) = sum e_k y^k runs as repeated synthetic division, and
+    the x^k coefficient is e_k / (den * b^(n-k)).
+    """
+    if not f:
+        return ()
+    nums, den = _over_common_denominator(f)
+    a, b = c.as_integer_ratio()
+    n = len(f) - 1
+    e = [nums[i] * b ** (n - i) for i in range(n + 1)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            e[j] += a * e[j + 1]
+    out = [Fraction(e[k], den * b ** (n - k)) for k in range(n + 1)]
     return normalize(tuple(out))
 
 
@@ -100,16 +125,9 @@ def integerize(f: PolyQ) -> tuple[tuple[int, ...], Fraction]:
     """Write f = s * F with F integer coefficients, content 1. Returns (F, s)."""
     if is_zero(f):
         return (), Fraction(1)
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for c in f)) if len(f) > 1 else f[0].denominator
-    ints = [int(c * den) for c in f]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g == 0:
-        g = 1
-    return tuple(c // g for c in ints), Fraction(g, den)
+    nums, den = _over_common_denominator(f)
+    g = gcd(*nums) or 1
+    return tuple(c // g for c in nums), Fraction(g, den)
 
 
 def evaluate_int(f: tuple[int, ...], x: int) -> int:

@@ -656,3 +656,60 @@ def test_decomposed_products_verify_like_reference(problem):
     N = {2: 6, 3: 4, 5: 3}[p.p]
     report = verified(terms, f, p, N, zp_cell(p))
     assert report.passed, (f, p.p, report.counterexamples)
+
+
+# ---------------------------------------------------------------------------
+# reference factorizer: _factor_over_q as it was when it went through
+# sympy's expression layer (Symbol, Add, factor_list, Poly), kept verbatim.
+# The dense integer factorizer must give the same factors, multiplicities
+# and order.
+
+def reference_factor_over_q(f: polys.PolyQ):
+    import sympy  # loaded only where a polynomial is factored: it is slow to import
+
+    t = sympy.Symbol("t")
+    expr = sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(f))
+    )
+    _, factors = sympy.factor_list(expr, t)
+    out = []
+    for g_expr, exp in factors:
+        poly = sympy.Poly(g_expr, t)
+        coeffs = [F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        out.append((polys.poly_from(coeffs), int(exp)))
+    out.sort(key=lambda fe: (polys.degree(fe[0]), fe[0]))
+    return out
+
+
+@st.composite
+def factor_inputs(draw):
+    """Nonzero polynomials over Q of five shapes: rational coefficients
+    with denominators (degree <= 6), a power of a product of small
+    factors, c*x^m, a constant, and any of them with its sign flipped, so
+    the leading coefficient is often negative."""
+    shape = draw(st.sampled_from(["rational", "product", "monomial", "constant"]))
+    rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 25]))
+    nonzero = rationals.filter(bool)
+    if shape == "rational":
+        f = polys.poly_from(
+            draw(st.lists(rationals, max_size=6)) + [draw(nonzero)]
+        )
+    elif shape == "product":
+        f = poly(draw(nonzero))
+        for _ in range(draw(st.integers(1, 3))):
+            g = poly(*draw(st.lists(st.integers(-5, 5), min_size=1, max_size=2)),
+                     draw(st.sampled_from([1, -1, 2, 3])))
+            f = polys.mul(f, g)
+        f = polys.pow_int(f, draw(st.integers(1, 3)))
+    elif shape == "monomial":
+        f = polys.poly_from([0] * draw(st.integers(1, 6)) + [draw(nonzero)])
+    else:
+        f = poly(draw(nonzero))
+    return polys.neg(f) if draw(st.booleans()) else f
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(factor_inputs())
+def test_factor_over_q_matches_reference(f):
+    assert decompose._factor_over_q(f) == reference_factor_over_q(f), f
+

@@ -1294,6 +1294,30 @@ def test_poincare_consistency():
     assert r.expected[2] == F(r.counts[2], 9)
 
 
+@st.composite
+def factored_polys(draw):
+    """c * prod g_j^m_j over Z: one to three linear or quadratic g_j with
+    small coefficients, m_j <= 3, so equal or associate factors merge into
+    higher multiplicities; p in {2, 3, 5} and a small i."""
+    p = Prime(draw(st.sampled_from([2, 3, 5])))
+    f = polys.poly_from([draw(st.sampled_from([1, -1, 2, -3, 5, 6]))])
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2))
+        g = polys.poly_from(g + [draw(st.sampled_from([1, -1, 2, 3]))])
+        f = polys.mul(f, polys.pow_int(g, draw(st.integers(1, 3))))
+    return f, p, draw(st.integers(1, 4))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(factored_polys())
+def test_poincare_check_on_generated_products(problem):
+    """igusa_zeta against the root counts N_i, through the factorizer's
+    multiplicities."""
+    f, p, i_max = problem
+    report = poincare_check(f, p, i_max)
+    assert report.passed, (f, p.p, i_max, report)
+
+
 # ---------------------------------------------------------------------------
 # sums over counting variables
 

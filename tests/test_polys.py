@@ -1,4 +1,8 @@
 from fractions import Fraction
+from math import comb, gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicells import polys
 
@@ -40,8 +44,6 @@ def test_integerize():
     f = polys.poly_from([F(3, 4), F(0), F(5, 6)])
     ints, scale = polys.integerize(f)
     assert scale * polys.evaluate(tuple(map(F, ints)), F(2)) == polys.evaluate(f, F(2))
-    from math import gcd
-
     assert gcd(*[abs(c) for c in ints if c]) == 1
 
 
@@ -50,3 +52,54 @@ def test_evaluate_int_matches():
     ints, scale = polys.integerize(f)
     for x in (-3, 0, 11):
         assert scale * polys.evaluate_int(ints, x) == polys.evaluate(f, F(x))
+
+
+# ---------------------------------------------------------------------------
+# references: evaluate and taylor_shift as they were in Fraction
+# arithmetic, one Fraction operation per step, kept verbatim. The integer
+# versions over one common denominator must give the same values.
+
+def reference_evaluate(f, x):
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def reference_taylor_shift(f, c):
+    n = len(f)
+    out = [Fraction(0)] * n
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        # a * (x + c)^i
+        ci = Fraction(1)
+        for k in range(i, -1, -1):
+            out[k] += a * comb(i, k) * ci
+            ci *= c
+    return polys.normalize(tuple(out))
+
+
+# denominators divisible by p = 2, 3, 5 and by none of them
+DENOMINATORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 27, 45]
+rationals = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
+points = st.integers(-30, 30) | rationals
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.lists(rationals, max_size=7).map(polys.poly_from), points)
+def test_evaluate_and_shift_match_reference(f, x):
+    ints, scale = polys.integerize(f)
+    assert tuple(scale * c for c in ints) == f
+    assert gcd(*ints) in (0, 1) and scale > 0
+    got = polys.evaluate(f, x)
+    assert type(got) is Fraction and got == reference_evaluate(f, x)
+    shifted = polys.taylor_shift(f, x)
+    assert shifted == reference_taylor_shift(f, x)
+    assert all(type(c) is Fraction for c in shifted)
+
+
+def test_evaluate_reads_a_float_exactly():
+    f = polys.poly_from([F(1, 3), 0, 1])
+    assert polys.evaluate(f, 0.5) == F(1, 3) + F(1, 4)
+    assert polys.evaluate(f, 0.1) == F(1, 3) + F(0.1) ** 2
