@@ -311,6 +311,13 @@ def pinned_valuation(value: Fraction, precision, p: int) -> int | None:
     return int(v) if v < precision else None
 
 
+def _coordinate(x: Var, reps: tuple[Fraction, ...], depths: tuple) -> tuple:
+    try:
+        return reps[x.index], depths[x.index]
+    except IndexError:
+        raise ValueError(f"point has no coordinate for x{x.index}") from None
+
+
 def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
     """Value of t at the lift of a box, and its certified precision.
 
@@ -324,10 +331,7 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
     if isinstance(t, Const):
         return t.value, INF
     if isinstance(t, Var):
-        try:
-            return reps[t.index], depths[t.index]
-        except IndexError:
-            raise ValueError(f"point has no coordinate for x{t.index}") from None
+        return _coordinate(t, reps, depths)
     if isinstance(t, Add):
         a, da = _eval(t.left, reps, depths, p)
         b, db = _eval(t.right, reps, depths, p)
@@ -337,6 +341,8 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
         b, db = _eval(t.right, reps, depths, p)
         if da == NEG_INF or db == NEG_INF:
             return Fraction(0), NEG_INF  # absorbing: INF + NEG_INF is nan
+        if da == INF and db == INF:
+            return a * b, INF  # what the valuations below would give
         va, vb = rational_valuation(a, p), rational_valuation(b, p)
         return a * b, min(min(va, da) + db, da + min(vb, db))
     if isinstance(t, Inv):
@@ -351,6 +357,8 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
         x, dx = _eval(t.argument, reps, depths, p)
         if dx == NEG_INF:
             return Fraction(0), NEG_INF
+        if dx == INF:
+            return polys.evaluate(t.coeffs, x), INF
         acc, dacc = Fraction(0), INF
         vx = rational_valuation(x, p)
         for c in reversed(t.coeffs):
@@ -587,7 +595,10 @@ def _constructible_value(
         # (value, precision, pinned valuation or None)
         out = seen.get(h)
         if out is None:
-            value, prec = _eval(h, reps, depths, p)
+            if isinstance(h, Var):
+                value, prec = _coordinate(h, reps, depths)
+            else:
+                value, prec = _eval(h, reps, depths, p)
             out = seen[h] = (value, prec, pinned_valuation(value, prec, p))
         return out
 

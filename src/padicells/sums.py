@@ -1,13 +1,29 @@
 """Closed forms for progression sums  sum k^l t^k  over k = r mod n.
 
-The substitution k = k0 + n*j turns every instance into combinations of
-S_i(u, J) = sum_{j=0..J} j^i u^j with u = t^n. Those come from repeated
-application of u*d/du to the geometric series: S_i over all j >= 0 is
-N_i(u)/(1-u)^(i+1) with polynomial numerators N_i. Every window, finite
-or a tail, is read off one polynomial: window_coeffs for u != 1 and the
-Faulhaber polynomials for u = 1. Everything is exact rational
-arithmetic; convergence of infinite ranges means |u| < 1 as a real
-number and is decided exactly.
+The substitution k = k0 + n*j turns every instance into the integer
+combination sum_i c_i S_i(u, J) of S_i(u, J) = sum_{j=0..J} j^i u^j with
+u = t^n and c_i = C(l, i) k0^(l-i) n^i. Repeated application of u*d/du
+to the geometric series gives S_i over all j >= 0 as N_i(u)/(1-u)^(i+1),
+with N_i the integer Eulerian numerators.
+
+Everything runs in Python ints. For u = a/b != 1, with b > 0 and
+d = b - a,
+
+    N_m(u) / (1-u)^(m+1) = b*H_m / d^(m+1),  H_m = sum_j N_m[j] a^j b^(m-j),
+
+so the window polynomial T_i, with sum_{j=x..y} j^i u^j =
+u^x T_i(x) - u^(y+1) T_i(y+1), is the integer polynomial W_i over
+d^(i+1), W_i[e] = C(i, e) b H_(i-e) d^e. A progression sum is one
+Fraction,
+
+    t^k0 (b^(J+1) sum_i c_i d^(l-i) W_i(0) - a^(J+1) sum_i c_i d^(l-i) W_i(J+1))
+    / (d^(l+1) b^(J+1)),
+
+with no tail term when J is infinite. For u = 1 every level weighs the
+same: S_i(1, J) is the Faulhaber polynomial at J (plus 0^0 = 1 when
+i = 0), and the Faulhaber polynomials of one sum share one integer
+denominator. Convergence of an infinite range means |u| < 1 as a real
+number, |a| < b, and is decided exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import polys
 from .padic import INF, NEG_INF
@@ -25,9 +41,16 @@ class DivergentSumError(ArithmeticError):
     """Infinite range with ratio not inside the unit interval."""
 
 
+def _is_integer(k) -> bool:
+    return isinstance(k, (int, Fraction)) and k.denominator == 1
+
+
 @dataclass(frozen=True)
 class ProgressionSum:
-    """sum of k^l * t^k over k_min <= k <= k_max with k = residue mod modulus."""
+    """sum of k^l * t^k over k_min <= k <= k_max with k = residue mod modulus.
+
+    t is an int or a Fraction, k_min an integer and k_max an integer or
+    +-INF; an int-valued Fraction counts as an integer."""
 
     l: int
     t: Fraction
@@ -43,44 +66,55 @@ class ProgressionSum:
             raise ValueError("modulus must be >= 1")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue outside 0..modulus-1")
-        if self.k_min == NEG_INF or self.k_min == INF:
+        if not _is_integer(self.k_min):
             raise ValueError("k_min must be a finite integer")
+        if not (_is_integer(self.k_max) or self.k_max in (INF, NEG_INF)):
+            raise ValueError("k_max must be an integer or +-INF")
+        if not isinstance(self.t, (int, Fraction)):
+            raise ValueError("the ratio t must be an int or a Fraction")
         if self.t == 0:
             raise ValueError("zero ratio")
 
 
 @lru_cache(maxsize=None)
-def _numerators(i: int) -> polys.PolyQ:
-    """N_i with sum_{j>=0} j^i u^j = N_i(u) / (1-u)^(i+1)."""
+def _numerators(i: int) -> tuple[int, ...]:
+    """N_i with sum_{j>=0} j^i u^j = N_i(u) / (1-u)^(i+1), from
+    N_i = u * (N_(i-1)' * (1-u) + i * N_(i-1))."""
     if i == 0:
-        return (Fraction(1),)
-    prev = _numerators(i - 1)
-    one_minus_u = (Fraction(1), Fraction(-1))
-    u = (Fraction(0), Fraction(1))
-    inner = polys.add(polys.mul(polys.derivative(prev), one_minus_u),
-                      polys.scale(prev, Fraction(i)))
-    return polys.mul(u, inner)
+        return (1,)
+    prev = _numerators(i - 1) + (0,)
+    return (0,) + tuple((k + 1) * prev[k + 1] + (i - k) * prev[k] for k in range(i))
 
 
-# Bounded: the ratios u are user rationals. typed, so that an int or float
-# u never receives a result computed for an equal Fraction.
-@lru_cache(maxsize=1024, typed=True)
-def _head(i: int, u: Fraction) -> Fraction:
-    """N_i(u) / (1-u)^(i+1), the closed form of sum_{j>=0} j^i u^j."""
-    return polys.evaluate(_numerators(i), u) / (1 - u) ** (i + 1)
+# Bounded: the ratios a/b are user rationals.
+@lru_cache(maxsize=1024)
+def _window_ints(i: int, a: int, b: int) -> tuple[int, ...]:
+    """W_i = d^(i+1) * T_i for u = a/b != 1, b > 0, d = b - a."""
+    d = b - a
+    heads = [
+        b * sum(c * a**j * b ** (m - j) for j, c in enumerate(_numerators(m)))
+        for m in range(i + 1)
+    ]
+    return tuple(comb(i, e) * heads[i - e] * d**e for e in range(i + 1))
 
 
+# typed, so that an int or float u never receives a result computed for an
+# equal Fraction.
 @lru_cache(maxsize=1024, typed=True)
 def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
     """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), any u != 1.
 
     The identity is between rational functions of u, so it needs no
-    convergence; only the one-sided tail reading requires |u| < 1."""
+    convergence; only the one-sided tail reading requires |u| < 1. A
+    float u gives float coefficients."""
     if u == 1:
         raise ValueError("u = 1 follows the Faulhaber route instead")
-    return polys.normalize(tuple(
-        Fraction(comb(i, m)) * _head(m, u) for m in range(i, -1, -1)
-    ))
+    a, b = u.as_integer_ratio()
+    den = (b - a) ** (i + 1)
+    coeffs = tuple(Fraction(w, den) for w in _window_ints(i, a, b))
+    if isinstance(u, float):
+        coeffs = tuple(float(c) for c in coeffs)
+    return polys.normalize(coeffs)
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -102,38 +136,61 @@ def faulhaber_coeffs(l: int) -> polys.PolyQ:
     return polys.normalize(tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
+def _faulhaber_ints(l: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, (P_0, ..., P_l)) with faulhaber_coeffs(i) = P_i / D for i <= l."""
+    fs = [faulhaber_coeffs(i) for i in range(l + 1)]
+    den = lcm(*(c.denominator for f in fs for c in f))
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in f) for f in fs)
+
+
 def reindex_coeffs(l: int, c: int, n: int) -> tuple[int, ...]:
     """(c + n*j)^l as integer coefficients in j: a sum of k^l over
     k = c + n*j is sum_i coeff_i * (the sum of j^i)."""
     return tuple(comb(l, i) * c ** (l - i) * n**i for i in range(l + 1))
 
 
-def _sum_to(i: int, u: Fraction, J: int | float) -> Fraction:
-    """sum_{j=0..J} j^i u^j for J >= 0; J = INF needs |u| < 1."""
-    if u == 1:
-        # S(J) - S(-1), where S(-1) = -0^i
-        return polys.evaluate(faulhaber_coeffs(i), Fraction(J)) + (i == 0)
-    T = window_coeffs(i, u)  # u^0 T(0) = T[0]
-    if J == INF:
-        return T[0]
-    return T[0] - u ** (J + 1) * polys.evaluate(T, Fraction(J + 1))
-
-
 def sum_progression(s: ProgressionSum) -> Fraction:
     """Exact value of the progression sum; DivergentSumError when the
     range is infinite and |t|^modulus >= 1."""
+    n = s.modulus
     k_min = int(s.k_min)
-    k0 = k_min + (s.residue - k_min) % s.modulus
-    if s.k_max != INF and k0 > s.k_max:
+    k0 = k_min + (s.residue - k_min) % n
+    bounded = s.k_max != INF
+    if bounded and k0 > s.k_max:
         return Fraction(0)
-    J: int | float = INF if s.k_max == INF else (int(s.k_max) - k0) // s.modulus
-    u = s.t**s.modulus
-    if J == INF and not abs(u) < 1:
+    ta, tb = s.t.as_integer_ratio()
+    a, b = ta**n, tb**n  # u = a/b
+    if not bounded and not abs(a) < b:
         raise DivergentSumError(
             f"sum over an unbounded range with ratio {s.t}^{s.modulus}"
         )
-    total = Fraction(0)
-    for i, coeff in enumerate(reindex_coeffs(s.l, k0, s.modulus)):
-        if coeff != 0:
-            total += coeff * _sum_to(i, u, J)
-    return s.t**k0 * total
+    cs = reindex_coeffs(s.l, k0, n)
+    if bounded:
+        J = (int(s.k_max) - k0) // n
+    if a == b:
+        # sum_i c_i (S_i(J) - S_i(-1)), where S_i(-1) = -0^i
+        den, fs = _faulhaber_ints(s.l)
+        num = cs[0] * den + sum(
+            c * polys.evaluate_int(f, J) for c, f in zip(cs, fs) if c
+        )
+    else:
+        d = b - a
+        head = tail = 0
+        for i, c in enumerate(cs):
+            if c:
+                w = _window_ints(i, a, b)
+                c *= d ** (s.l - i)
+                head += c * w[0]
+                if bounded:
+                    tail += c * polys.evaluate_int(w, J + 1)
+        den = d ** (s.l + 1)
+        if bounded:
+            b_J = b ** (J + 1)
+            num = b_J * head - a ** (J + 1) * tail
+            den *= b_J
+        else:
+            num = head
+    if k0 >= 0:
+        return Fraction(num * ta**k0, den * tb**k0)
+    return Fraction(num * tb**-k0, den * ta**-k0)

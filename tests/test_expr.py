@@ -24,6 +24,7 @@ from padicells.expr import (
     _constructible_value,
     _eval,
     _render,
+    _series_exponents,
     as_poly_in,
     d_add,
     d_inv,
@@ -395,6 +396,121 @@ def test_box_certificate_holds_at_points_of_the_box(case):
             continue
         diff = direct_eval(t, point) - value
         assert rational_valuation(diff, p) >= prec, (print_dterm(t), reps, depths, point)
+
+
+# reference_eval keeps the plain form of _eval, which works out the
+# precision of a product and of a polynomial from the operands' valuations
+# even where every operand is exact; _eval returns INF there directly.
+
+def reference_eval(t, reps: tuple[Fraction, ...], depths: tuple, p: int):
+    if isinstance(t, Const):
+        return t.value, INF
+    if isinstance(t, Var):
+        try:
+            return reps[t.index], depths[t.index]
+        except IndexError:
+            raise ValueError(f"point has no coordinate for x{t.index}") from None
+    if isinstance(t, Add):
+        a, da = reference_eval(t.left, reps, depths, p)
+        b, db = reference_eval(t.right, reps, depths, p)
+        return a + b, min(da, db)
+    if isinstance(t, Mul):
+        a, da = reference_eval(t.left, reps, depths, p)
+        b, db = reference_eval(t.right, reps, depths, p)
+        if da == NEG_INF or db == NEG_INF:
+            return Fraction(0), NEG_INF  # absorbing: INF + NEG_INF is nan
+        va, vb = rational_valuation(a, p), rational_valuation(b, p)
+        return a * b, min(min(va, da) + db, da + min(vb, db))
+    if isinstance(t, Inv):
+        a, da = reference_eval(t.arg, reps, depths, p)
+        if da == INF:
+            return (Fraction(0) if a == 0 else 1 / a), INF
+        va = rational_valuation(a, p)
+        if va < da:
+            return 1 / a, da - 2 * va
+        return Fraction(0), NEG_INF  # possibly huge: nothing certified
+    if isinstance(t, Poly):
+        x, dx = reference_eval(t.argument, reps, depths, p)
+        if dx == NEG_INF:
+            return Fraction(0), NEG_INF
+        acc, dacc = Fraction(0), INF
+        vx = rational_valuation(x, p)
+        for c in reversed(t.coeffs):
+            va = rational_valuation(acc, p)
+            dacc = min(min(va, dacc) + dx, dacc + min(vx, dx))
+            acc = acc * x + c
+        return acc, dacc
+    if isinstance(t, RestrictedSeries):
+        args = [reference_eval(a, reps, depths, p) for a in t.arguments]
+        lows = [(rational_valuation(a, p), da) for a, da in args]
+        if any(va < min(0, da) for va, da in lows):
+            return Fraction(0), INF  # the whole box sits outside the polydisc
+        if any(min(va, da) < 0 for va, da in lows):
+            return Fraction(0), NEG_INF  # straddles the polydisc boundary
+        exps = _series_exponents(len(args), len(t.coeffs))
+        total = Fraction(0)
+        for c, alpha in zip(t.coeffs, exps):
+            if c == 0:
+                continue
+            mono = c
+            for (a, _), e in zip(args, alpha):
+                mono *= a**e
+            total += mono
+        prec: float | int = t.tail_valuation
+        inexact = [da for _, da in args if da != INF]
+        if inexact:
+            cmin = min(
+                [t.tail_valuation] + [rational_valuation(c, p) for c in t.coeffs if c != 0]
+            )
+            prec = min(prec, min(inexact) + cmin)
+        return total, prec
+    raise TypeError(f"not a DTerm: {t!r}")
+
+
+def _eval_outcome(evaluate, t, reps, depths, p):
+    try:
+        value, prec = evaluate(t, reps, depths, p)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value, prec
+
+
+def _raw_terms():
+    # built from the node classes, not the canonicalizing constructors, so
+    # exact zeros and x - x shapes stay in the tree; x3 has no coordinate
+    leaves = st.one_of(
+        st.builds(Var, st.integers(0, 3)),
+        st.builds(lambda a, b: Const(F(a, b)), st.integers(-9, 9), st.integers(1, 4)),
+        st.just(Const(F(0))),
+    )
+    coeffs = st.lists(st.integers(-4, 4).map(F), min_size=0, max_size=4)
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Mul, children, children),
+            st.builds(lambda cs, a: Poly(tuple(cs), a), coeffs, children),
+            st.builds(Inv, children),
+            st.builds(
+                lambda cs, tail, args: RestrictedSeries(tuple(cs), tail, tuple(args)),
+                coeffs, st.integers(-2, 5), st.lists(children, min_size=1, max_size=2),
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(_raw_terms(), st.sampled_from((2, 3, 5)),
+       st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 2), st.integers(0, 1)),
+                min_size=3, max_size=3),
+       st.lists(st.sampled_from((0, 1, 2, 3, INF)), min_size=3, max_size=3))
+def test_eval_matches_reference_at_points_and_boxes(term, p, coords, box_depths):
+    reps = tuple(F(n * p**e, p**f) for n, e, f in coords)
+    for depths in ((INF,) * 3, tuple(box_depths)):
+        for t in walk(term):
+            assert _eval_outcome(_eval, t, reps, depths, p) == \
+                _eval_outcome(reference_eval, t, reps, depths, p), print_dterm(t)
 
 
 # --- structure helpers -----------------------------------------------------

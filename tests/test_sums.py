@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicells import polys
-from padicells.padic import INF
+from padicells.padic import INF, NEG_INF
 from padicells.sums import (
     DivergentSumError,
     ProgressionSum,
@@ -75,6 +76,31 @@ def test_validation():
         ProgressionSum(0, F(0))
     with pytest.raises(ValueError):
         ProgressionSum(0, F(1, 2), k_min=float("-inf"))
+
+
+def test_validation_refuses_non_integral_bounds():
+    # int() would truncate 5/2 to 2 and add the k = 2 term to [5/2, 3]
+    with pytest.raises(ValueError, match="k_min"):
+        ProgressionSum(0, F(1, 2), 0, 1, F(5, 2), 3)
+    with pytest.raises(ValueError, match="k_min"):
+        ProgressionSum(0, F(1, 2), 0, 1, 2.5, 3)
+    with pytest.raises(ValueError, match="k_max"):
+        ProgressionSum(0, F(1, 2), 0, 1, 0, F(7, 2))
+    with pytest.raises(ValueError, match="k_max"):
+        ProgressionSum(0, F(1, 2), 0, 1, 0, 3.5)
+    # an integral Fraction is an integer
+    assert sum_progression(ProgressionSum(0, F(1, 2), 0, 1, F(3), F(3))) == F(1, 8)
+
+
+def test_validation_refuses_a_float_ratio():
+    with pytest.raises(ValueError, match="ratio"):
+        ProgressionSum(0, 0.5)
+    assert sum_progression(ProgressionSum(1, 2, k_min=0, k_max=2)) == 10
+
+
+def test_negative_infinite_k_max_is_empty():
+    assert sum_progression(ProgressionSum(2, F(1, 3), k_min=0, k_max=NEG_INF)) == 0
+    assert sum_progression(ProgressionSum(0, F(3), 1, 2, -4, NEG_INF)) == 0
 
 
 def test_random_convergent_instances_match_partial_sums():
@@ -229,3 +255,108 @@ def test_reindex_coeffs_matches_reference(l, c, n):
 def test_window_coeffs_rejects_one():
     with pytest.raises(ValueError):
         window_coeffs(2, F(1))
+
+
+# The plain Fraction forms of the sums, kept as the reference that the
+# integer closed form must match value for value.
+
+@lru_cache(maxsize=None)
+def reference_numerators(i: int) -> polys.PolyQ:
+    """N_i with sum_{j>=0} j^i u^j = N_i(u) / (1-u)^(i+1)."""
+    if i == 0:
+        return (Fraction(1),)
+    prev = reference_numerators(i - 1)
+    one_minus_u = (Fraction(1), Fraction(-1))
+    u = (Fraction(0), Fraction(1))
+    inner = polys.add(polys.mul(polys.derivative(prev), one_minus_u),
+                      polys.scale(prev, Fraction(i)))
+    return polys.mul(u, inner)
+
+
+# Bounded: the ratios u are user rationals. typed, so that an int or float
+# u never receives a result computed for an equal Fraction.
+@lru_cache(maxsize=1024, typed=True)
+def reference_head(i: int, u: Fraction) -> Fraction:
+    """N_i(u) / (1-u)^(i+1), the closed form of sum_{j>=0} j^i u^j."""
+    return polys.evaluate(reference_numerators(i), u) / (1 - u) ** (i + 1)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def reference_window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
+    """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), any u != 1.
+
+    The identity is between rational functions of u, so it needs no
+    convergence; only the one-sided tail reading requires |u| < 1."""
+    if u == 1:
+        raise ValueError("u = 1 follows the Faulhaber route instead")
+    return polys.normalize(tuple(
+        Fraction(comb(i, m)) * reference_head(m, u) for m in range(i, -1, -1)
+    ))
+
+
+def reference_sum_to(i: int, u: Fraction, J: int | float) -> Fraction:
+    """sum_{j=0..J} j^i u^j for J >= 0; J = INF needs |u| < 1."""
+    if u == 1:
+        # S(J) - S(-1), where S(-1) = -0^i
+        return polys.evaluate(faulhaber_coeffs(i), Fraction(J)) + (i == 0)
+    T = reference_window_coeffs(i, u)  # u^0 T(0) = T[0]
+    if J == INF:
+        return T[0]
+    return T[0] - u ** (J + 1) * polys.evaluate(T, Fraction(J + 1))
+
+
+def reference_sum_progression(s: ProgressionSum) -> Fraction:
+    """Exact value of the progression sum; DivergentSumError when the
+    range is infinite and |t|^modulus >= 1."""
+    k_min = int(s.k_min)
+    k0 = k_min + (s.residue - k_min) % s.modulus
+    if s.k_max != INF and k0 > s.k_max:
+        return Fraction(0)
+    J: int | float = INF if s.k_max == INF else (int(s.k_max) - k0) // s.modulus
+    u = s.t**s.modulus
+    if J == INF and not abs(u) < 1:
+        raise DivergentSumError(
+            f"sum over an unbounded range with ratio {s.t}^{s.modulus}"
+        )
+    total = Fraction(0)
+    for i, coeff in enumerate(reindex_coeffs(s.l, k0, s.modulus)):
+        if coeff != 0:
+            total += coeff * reference_sum_to(i, u, J)
+    return s.t**k0 * total
+
+
+def _sum_outcome(evaluate, s):
+    try:
+        value = evaluate(s)
+    except DivergentSumError as exc:
+        return DivergentSumError, str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+_FRACTIONS = st.builds(lambda sign, a, b: F(sign * a, b),
+                       st.sampled_from((1, -1)), st.integers(1, 9), st.integers(1, 9))
+# u = 1 for t = 1, and for t = -1 at even moduli
+RATIOS = st.one_of(_FRACTIONS, _FRACTIONS, st.sampled_from((F(1), F(-1))))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 5), RATIOS, st.integers(1, 3), st.integers(-4, 6), st.integers(-3, 25))
+def test_sum_progression_matches_reference(l, t, modulus, k_min, width):
+    # a bounded range may have |t| >= 1, for which the unbounded one raises
+    for k_max in (k_min + width, INF):
+        for residue in range(modulus):
+            s = ProgressionSum(l, t, residue, modulus, k_min, k_max)
+            assert _sum_outcome(sum_progression, s) == \
+                _sum_outcome(reference_sum_progression, s)
+
+
+def test_window_coeffs_match_reference_at_prime_power_ratios():
+    # the ratios that _window_expr passes: q^-k and, reflected, q^k
+    for p in (2, 3, 5):
+        for k in range(1, 7):
+            for u in (F(1, p**k), F(p**k)):
+                for i in range(6):
+                    got = window_coeffs(i, u)
+                    assert got == reference_window_coeffs(i, u), (i, u)
+                    assert all(type(c) is Fraction for c in got)
