@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polys
-from .padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
+from .padic import INF, NEG_INF, PAdicScalar, Prime, int_valuation, rational_valuation
 
 
 class DTerm:
@@ -311,22 +311,30 @@ def pinned_valuation(value: Fraction, precision, p: int) -> int | None:
     return int(v) if v < precision else None
 
 
-def _coordinate(x: Var, reps: tuple[Fraction, ...], depths: tuple) -> tuple:
+# A lift is a Fraction, or an int: the oracle's boxes have nonnegative
+# integer lifts. Values built from ints alone stay ints.
+Lift = int | Fraction
+_ONE = Fraction(1)
+
+
+def _coordinate(x: Var, reps: tuple[Lift, ...], depths: tuple) -> tuple:
     try:
         return reps[x.index], depths[x.index]
     except IndexError:
         raise ValueError(f"point has no coordinate for x{x.index}") from None
 
 
-def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
+def _eval(t: DTerm, reps: tuple[Lift, ...], depths: tuple, p: int):
     """Value of t at the lift of a box, and its certified precision.
 
     The box lets x_i range over reps[i] + p^depths[i] Z_p; a point is the
-    box of depth INF in every coordinate. Across the box, and against the
-    untruncated series, t differs from the returned value by something of
-    valuation >= the returned precision: INF means exact, NEG_INF
-    certifies nothing (an inverse of a possible zero, a series argument
-    straddling the polydisc boundary, or anything built on those).
+    box of depth INF in every coordinate. The value is an int or a
+    Fraction, never a float: an inverse is always a Fraction. Across the
+    box, and against the untruncated series, t differs from the returned
+    value by something of valuation >= the returned precision: INF means
+    exact, NEG_INF certifies nothing (an inverse of a possible zero, a
+    series argument straddling the polydisc boundary, or anything built on
+    those).
     """
     if isinstance(t, Const):
         return t.value, INF
@@ -347,11 +355,12 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
         return a * b, min(min(va, da) + db, da + min(vb, db))
     if isinstance(t, Inv):
         a, da = _eval(t.arg, reps, depths, p)
+        # _ONE / a, not 1 / a: an int lift would give a float
         if da == INF:
-            return (Fraction(0) if a == 0 else 1 / a), INF
+            return (Fraction(0) if a == 0 else _ONE / a), INF
         va = rational_valuation(a, p)
         if va < da:
-            return 1 / a, da - 2 * va
+            return _ONE / a, da - 2 * va
         return Fraction(0), NEG_INF  # possibly huge: nothing certified
     if isinstance(t, Poly):
         x, dx = _eval(t.argument, reps, depths, p)
@@ -359,13 +368,25 @@ def _eval(t: DTerm, reps: tuple[Fraction, ...], depths: tuple, p: int):
             return Fraction(0), NEG_INF
         if dx == INF:
             return polys.evaluate(t.coeffs, x), INF
-        acc, dacc = Fraction(0), INF
+        if not t.coeffs:
+            return Fraction(0), INF
+        # Horner in ints, as in polys.evaluate: with the coefficients
+        # nums / den and x = a/b, the partial value after the leading
+        # coefficient and k more is acc / (den * b^k). The leading step
+        # leaves the precision at INF.
+        nums, den = polys.over_common_denominator(t.coeffs)
+        a, b = x.as_integer_ratio()
         vx = rational_valuation(x, p)
-        for c in reversed(t.coeffs):
-            va = rational_valuation(acc, p)
+        vb = int_valuation(b, p)
+        vden = int_valuation(den, p)  # v(den * b^k)
+        acc, bk, dacc = nums[-1], 1, INF
+        for c in reversed(nums[:-1]):
+            va = int_valuation(acc, p) - vden if acc else INF
             dacc = min(min(va, dacc) + dx, dacc + min(vx, dx))
-            acc = acc * x + c
-        return acc, dacc
+            bk *= b
+            vden += vb
+            acc = acc * a + c * bk
+        return Fraction(acc, den * bk), dacc
     if isinstance(t, RestrictedSeries):
         args = [_eval(a, reps, depths, p) for a in t.arguments]
         lows = [(rational_valuation(a, p), da) for a, da in args]
@@ -574,61 +595,87 @@ def cexpr_term(coeff, val_factors=(), norm_factors=()) -> ConstructibleExpr:
     )
 
 
-def _constructible_value(
-    f: ConstructibleExpr, reps: tuple[Fraction, ...], depths: tuple, p: int
-) -> Fraction:
-    """Exact value of f on a box, given as for _eval, or at a point.
+def _evaluation_plan(f: ConstructibleExpr) -> tuple:
+    """f's terms with every factor argument replaced by its index.
 
-    Raises VFactorZeroError for v() of an exact zero, ZeroDivisionError
-    for a negative power of the norm of an exact zero, ValueError for a
-    fractional norm power that gives no integer exponent, and
-    EvaluationPrecisionError where the box leaves a needed valuation open.
-    Each distinct factor argument is evaluated once; the checks still run
-    factor by factor in term order, so the first error is the same.
-
-    The sum is kept as a pair of ints num/den, with den the least common
-    multiple of the term denominators, and one Fraction is built at the end.
+    (args, rows): args lists the distinct factor arguments in the order
+    the terms first read them (term by term, v-factors before norm
+    factors); each row is (coeff numerator, coeff denominator,
+    ((arg index, power), ...) for the v-factors, ((arg index, power
+    numerator, power denominator), ...) for the norm factors). Built once
+    per expression and kept on it, as _node keeps a term's hash: the plan
+    depends on the terms alone, so equality, hashing and the dataclass
+    fields stay those of the terms.
     """
-    seen: dict[DTerm, tuple] = {}
+    d = f.__dict__
+    plan = d.get("_plan")
+    if plan is None:
+        index: dict[DTerm, int] = {}  # argument -> its index, in first-use order
+        rows = []
+        for term in f.terms:
+            c = term.coeff
+            rows.append((
+                c.numerator,
+                c.denominator,
+                [(index.setdefault(vf.h, len(index)), vf.power) for vf in term.val_factors],
+                [(index.setdefault(nf.h, len(index)), nf.power.numerator, nf.power.denominator)
+                 for nf in term.norm_factors],
+            ))
+        plan = d["_plan"] = (list(index), rows)
+    return plan
 
-    def read(h: DTerm) -> tuple:
-        # (value, precision, pinned valuation or None)
-        out = seen.get(h)
-        if out is None:
-            if isinstance(h, Var):
-                value, prec = _coordinate(h, reps, depths)
-            else:
-                value, prec = _eval(h, reps, depths, p)
-            out = seen[h] = (value, prec, pinned_valuation(value, prec, p))
-        return out
 
+def _read_factor(h: DTerm, reps: tuple[Lift, ...], depths: tuple, p: int) -> tuple:
+    """(pinned valuation or None, whether h is an exact zero) on the box."""
+    if isinstance(h, Var):
+        value, prec = _coordinate(h, reps, depths)
+    else:
+        value, prec = _eval(h, reps, depths, p)
+    v = rational_valuation(value, p)
+    if v < prec:
+        return v, False
+    return None, v == INF and prec == INF
+
+
+def _constructible_ints(
+    f: ConstructibleExpr, reps: tuple[Lift, ...], depths: tuple, p: int
+) -> tuple[int, int]:
+    """f on a box as a pair of ints num/den, den nonzero but of either
+    sign; the checks and errors of _constructible_value."""
+    args, rows = _evaluation_plan(f)
+    read: list = [None] * len(args)
     total_num, total_den = 0, 1
-    for term in f.terms:
-        num, den = term.coeff.numerator, term.coeff.denominator
-        for vf in term.val_factors:
-            value, prec, v = read(vf.h)
+    for num, den, vfs, nfs in rows:
+        for i, power in vfs:
+            r = read[i]
+            if r is None:
+                r = read[i] = _read_factor(args[i], reps, depths, p)
+            v, zero = r
             if v is None:
-                if value == 0 and prec == INF:
+                if zero:
                     raise VFactorZeroError("v() of an exact zero inside a constructible term")
                 raise EvaluationPrecisionError("valuation undetermined at this precision")
-            if vf.power >= 0:
-                num *= v**vf.power
+            if power >= 0:
+                num *= v**power
             elif v:
-                den *= v ** -vf.power
+                den *= v**-power
             else:
                 raise ZeroDivisionError("negative power of a zero valuation")
         exponent = 0
-        for nf in term.norm_factors:
-            value, prec, v = read(nf.h)
-            if value == 0 and prec == INF:
-                if nf.power < 0:
+        for i, pnum, pden in nfs:
+            r = read[i]
+            if r is None:
+                r = read[i] = _read_factor(args[i], reps, depths, p)
+            v, zero = r
+            if zero:
+                if pnum < 0:
                     raise ZeroDivisionError("negative power of the norm of zero")
                 num = 0
                 continue
             if v is None:
                 raise EvaluationPrecisionError("norm undetermined at this precision")
-            e, r = divmod(nf.power.numerator * v, nf.power.denominator)
-            if r:
+            e, rem = divmod(pnum * v, pden)
+            if rem:
                 raise ValueError(
                     "fractional norm power does not give an integer exponent here"
                 )
@@ -638,13 +685,37 @@ def _constructible_value(
                 den *= p**exponent
             elif exponent < 0:
                 num *= p**-exponent
-            if den == total_den:
-                total_num += num
-            else:
-                g = gcd(den, total_den)
-                total_num = total_num * (den // g) + num * (total_den // g)
-                total_den = total_den // g * den
-    return Fraction(total_num, total_den)
+            total_num, total_den = _add_ratio(total_num, total_den, num, den)
+    return total_num, total_den
+
+
+def _add_ratio(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num/den + n/d as an int pair over the lcm of the denominators."""
+    if d == den:
+        return num + n, den
+    g = gcd(d, den)
+    return num * (d // g) + n * (den // g), den // g * d
+
+
+def _constructible_value(
+    f: ConstructibleExpr, reps: tuple[Lift, ...], depths: tuple, p: int
+) -> Fraction:
+    """Exact value of f on a box, given as for _eval, or at a point.
+
+    Raises VFactorZeroError for v() of an exact zero, ZeroDivisionError
+    for a negative power of the norm of an exact zero, ValueError for a
+    fractional norm power that gives no integer exponent, and
+    EvaluationPrecisionError where the box leaves a needed valuation open.
+
+    The lifts may be ints or Fractions. The evaluation runs f's cached
+    plan (_evaluation_plan): each distinct factor argument is evaluated
+    once, when a term first reads it, so the checks still run factor by
+    factor in term order and the first error is the same. The sum is kept
+    as a pair of ints num/den, with den the least common multiple of the
+    term denominators (_constructible_ints, which the oracle calls
+    directly), and one Fraction is built at the end.
+    """
+    return Fraction(*_constructible_ints(f, reps, depths, p))
 
 
 def eval_constructible(

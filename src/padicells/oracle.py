@@ -22,7 +22,8 @@ canonical lift (the least nonnegative representative) of every coordinate
 together with a lower bound on the valuation of its variation across the
 box, and anything the box does not pin down is undecided instead of
 guessed. The integrand is valued on a box by the same core that values
-it at a point; where that raises, the box is undecided.
+it at a point (expr._constructible_ints, which runs the integrand's
+cached evaluation plan); where that raises, the box is undecided.
 Decisions about punctures and graphs are almost-everywhere decisions,
 which is the right notion for integrals: a single excluded point never
 carries measure. A box still undecided at full depth is one the flat
@@ -33,6 +34,16 @@ The class budget bounds the p^(arity*N) leaves of the tree: above it
 oracle_integrate raises BudgetExceeded, so every result carries the
 error bound below.
 
+The walk computes in Python ints. The canonical lifts are nonnegative
+ints, and a child's lift is its parent's plus j * p^d. A box with depths
+d_i has measure p^-(sum d_i), kept as the int weight
+p^(arity*N - sum d_i) over the common denominator p^(arity*N). The
+integrand comes back from each decided box as an int pair num/den, the
+value is summed as one int pair and the boundary mass as one int, and
+one Fraction each is built at the end. Each stage's constants (its
+prime, coset, Hensel depth and the valuations of constant bounds) are
+worked out once per run (_Stage).
+
 An exact result at resolution N satisfies
 |true - value| <= boundary_mass * sup|integrand on the domain|.
 """
@@ -41,20 +52,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cells import Cell, CellCondition
 from .expr import (
+    Const,
     ConstructibleExpr,
     DTerm,
     EvaluationPrecisionError,
+    Lift,
     Var,
-    _constructible_value,
+    _add_ratio,
+    _constructible_ints,
     _eval,
     d_sub,
     free_variables,
     pinned_valuation,
 )
-from .padic import PAdicScalar, Prime, hensel_power_depth, in_coset, rational_valuation
+from .padic import INF, Coset, PAdicScalar, Prime, hensel_power_depth, in_coset, rational_valuation
 
 DEFAULT_BUDGET = 10**7
 
@@ -84,42 +99,75 @@ Depths = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # box-level membership, one stage at a time
 
+class _Stage(NamedTuple):
+    """What a stage's verdict reads besides the box, worked out once per
+    oracle run. Each norm bound is (term, valuation, strict, residue pin,
+    is lower, bit): a constant bound has its valuation here and term
+    None, any other is valued on each box."""
+
+    diff: DTerm
+    p: int
+    coset: Coset
+    graph: bool
+    n: int
+    hensel_depth: int
+    bounds: tuple
+
+
+def _stage(cond: CellCondition, diff: DTerm) -> _Stage:
+    p = cond.prime.p
+    bounds = []
+    for bound, *rest in (
+        (cond.lower, cond.lower_strict, cond.lower_val_residue, True, LOWER),
+        (cond.upper, cond.upper_strict, cond.upper_val_residue, False, UPPER),
+    ):
+        if isinstance(bound, Const):
+            bounds.append((None, pinned_valuation(bound.value, INF, p), *rest))
+        elif bound is not None:
+            bounds.append((bound, None, *rest))
+    n = cond.coset.n
+    return _Stage(diff, p, cond.coset, cond.coset.is_zero(), n,
+                  hensel_power_depth(n, p), tuple(bounds))
+
+
 def _stage_decision(
-    cond: CellCondition, diff: DTerm, reps: tuple[Fraction, ...], depths: Depths
+    cond: CellCondition, diff: DTerm, reps: tuple[Lift, ...], depths: Depths
 ) -> tuple[int, int]:
     """The stage's verdict on the box, and the bitmask of its terms (DIFF,
     LOWER, UPPER) whose valuation the box leaves open: refining the
     variables of the other terms cannot decide a BOUNDARY verdict.
 
     diff is t - center(x) for the stage variable t; it reads t itself,
-    so its certified depth never exceeds the depth of t."""
-    p = cond.prime.p
-    value, dv = _eval(diff, reps, depths, p)
-    v_exact = pinned_valuation(value, dv, p)
-    k_low = min(rational_valuation(value, p), dv)
+    so its certified depth never exceeds the depth of t. The lifts may be
+    ints or Fractions."""
+    return _decide(_stage(cond, diff), reps, depths)
 
-    if cond.coset.is_zero():
+
+def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int, int]:
+    """_stage_decision on a stage prepared by _stage."""
+    diff, p, coset, graph, n, hensel_depth, bounds = stage
+    value, dv = _eval(diff, reps, depths, p)
+    v = rational_valuation(value, p)
+    v_exact = v if v < dv else None  # pinned_valuation
+    k_low = min(v, dv)
+
+    if graph:
         # a graph stage never contains a whole box; it can only be
         # certainly missed
         return (OUTSIDE, 0) if v_exact is not None else (BOUNDARY, DIFF)
 
-    n = cond.coset.n
     verdict, open_terms = INSIDE, 0
 
     if n == 1:
         pass  # membership in mu*P_1 holds off the null puncture
-    elif v_exact is None or dv - v_exact < hensel_power_depth(n, p):
+    elif v_exact is None or dv - v_exact < hensel_depth:
         verdict, open_terms = BOUNDARY, DIFF
-    elif not in_coset(PAdicScalar(value, cond.prime), cond.coset):
+    elif not in_coset(PAdicScalar(value, coset.prime), coset):
         return OUTSIDE, 0
 
-    for bound, strict, pin, is_lower, term in (
-        (cond.lower, cond.lower_strict, cond.lower_val_residue, True, LOWER),
-        (cond.upper, cond.upper_strict, cond.upper_val_residue, False, UPPER),
-    ):
-        if bound is None:
-            continue
-        bv = pinned_valuation(*_eval(bound, reps, depths, p), p)
+    for bound, bv, strict, pin, is_lower, term in bounds:
+        if bound is not None:
+            bv = pinned_valuation(*_eval(bound, reps, depths, p), p)
         if bv is None:
             verdict, open_terms = BOUNDARY, open_terms | term
             continue
@@ -175,8 +223,10 @@ def oracle_integrate(
 
     Boxes certainly inside with a box-determined integrand contribute
     exactly; boxes still undecided at depth N accumulate into
-    boundary_mass. Raises BudgetExceeded when the p^(arity*N) classes mod
-    p^N exceed the class budget.
+    boundary_mass. Lifts, weights and sums are ints (see the module
+    docstring); value and boundary_mass are exact Fractions. Raises
+    BudgetExceeded when the p^(arity*N) classes mod p^N exceed the class
+    budget.
     """
     if p != domain.prime:
         raise ValueError("prime does not match the domain's")
@@ -192,6 +242,7 @@ def oracle_integrate(
     q = p.p
     conds = domain.conditions
     diffs = [d_sub(Var(i), cond.center) for i, cond in enumerate(conds)]
+    stages = [_stage(cond, diff) for cond, diff in zip(conds, diffs)]
     # the variables read by each subset of a stage's terms, by bitmask
     stage_reads = [
         [_reads(t for bit, t in zip((DIFF, LOWER, UPPER), (diff, cond.lower, cond.upper))
@@ -203,18 +254,20 @@ def oracle_integrate(
         fac.h for term in integrand.terms
         for fac in term.val_factors + term.norm_factors
     )
-    value = Fraction(0)
-    boundary = Fraction(0)
-    # (lifts, depths, bitmask of the stages known INSIDE on the whole box);
-    # a sub-box inherits its parent's INSIDE stages
-    stack = [((Fraction(0),) * arity, (0,) * arity, 0)]
+    # measures are int weights over the common denominator q^(arity*N)
+    full = q ** (arity * N)
+    value_num, value_den = 0, 1
+    boundary = 0
+    # (lifts, depths, weight, bitmask of the stages known INSIDE on the
+    # whole box); a sub-box inherits its parent's INSIDE stages
+    stack = [((0,) * arity, (0,) * arity, full, 0)]
     while stack:
-        reps, depths, inside = stack.pop()
+        reps, depths, weight, inside = stack.pop()
         first = None
         for s in range(arity):
             if inside >> s & 1:
                 continue
-            decision, open_terms = _stage_decision(conds[s], diffs[s], reps, depths)
+            decision, open_terms = _decide(stages[s], reps, depths)
             if decision == OUTSIDE:
                 break
             if decision == INSIDE:
@@ -222,24 +275,25 @@ def oracle_integrate(
             elif first is None:
                 first, axes = s, stage_reads[s][open_terms]
         else:  # no stage is OUTSIDE
-            measure = Fraction(1, q ** sum(depths))
             if first is None:
                 try:
-                    value += _constructible_value(integrand, reps, depths, q) * measure
-                    continue
+                    num, den = _constructible_ints(integrand, reps, depths, q)
                 except (EvaluationPrecisionError, ZeroDivisionError, ValueError):
                     axes = integrand_reads  # the box does not pin the integrand
+                else:
+                    value_num, value_den = _add_ratio(value_num, value_den, num * weight, den)
+                    continue
             axis = min(axes, key=depths.__getitem__, default=None)
             if axis is None or depths[axis] >= N:
-                boundary += measure
+                boundary += weight
                 continue
             d = depths[axis]
             deeper = depths[:axis] + (d + 1,) + depths[axis + 1:]
-            step = q**d
+            head, rep, tail = reps[:axis], reps[axis], reps[axis + 1:]
+            step, weight = q**d, weight // q
             for j in range(q):
-                lift = reps[:axis] + (reps[axis] + j * step,) + reps[axis + 1:]
-                stack.append((lift, deeper, inside))
-    return OracleResult(value, boundary)
+                stack.append((head + (rep + j * step,) + tail, deeper, weight, inside))
+    return OracleResult(Fraction(value_num, value_den * full), Fraction(boundary, full))
 
 
 def oracle_measure(

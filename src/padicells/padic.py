@@ -1,6 +1,10 @@
 """Exact p-adic arithmetic on rationals: valuations, norms, power cosets.
 
-Every quantity is a `fractions.Fraction`; nothing in this module rounds.
+Every quantity is exact: a `fractions.Fraction`, or a Python int where
+the oracle's integer box lifts flow in. `rational_valuation` takes an int
+as it is, and `in_coset` works on the numerators and denominators of x
+and mu as ints, so an int value never becomes a Fraction here. Nothing
+in this module rounds.
 Approximation lives elsewhere (restricted-series evaluation and the
 enumeration oracle), and is always reported with an explicit bound.
 """
@@ -30,10 +34,12 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def rational_valuation(x: Fraction, p: int) -> int | float:
-    """p-adic valuation of a rational, INF for zero."""
+def rational_valuation(x: int | Fraction, p: int) -> int | float:
+    """p-adic valuation of an int or a rational, INF for zero."""
     if x == 0:
         return INF
+    if type(x) is int:
+        return int_valuation(x, p)
     return int_valuation(x.numerator, p) - int_valuation(x.denominator, p)
 
 
@@ -182,14 +188,6 @@ def _nth_power_witnesses(p: int, n: int, modulus_exp: int) -> dict[int, int]:
     return out
 
 
-def _unit_residue(x: Fraction, p: int, modulus_exp: int) -> int:
-    """x mod p^modulus_exp for a rational unit x (v_p(x) = 0)."""
-    m = p**modulus_exp
-    num = x.numerator % m
-    den = x.denominator % m
-    return (num * pow(den, -1, m)) % m
-
-
 @functools.lru_cache(maxsize=1 << 14)
 def _self_check_witness(p: int, n: int, depth: int, target: int) -> None:
     """Lift the root witness of the unit residue target mod p^(depth+2)
@@ -228,12 +226,17 @@ def in_coset(x: PAdicScalar, coset: Coset) -> bool:
         return True  # every nonzero x is a first power times mu
     p = coset.prime.p
     depth = hensel_power_depth(n, p)
-    ratio = x.value / coset.mu.value
-    v = rational_valuation(ratio, p)
-    if v % n != 0:
+    # x / mu = num / den in ints (den may be negative). With the powers of
+    # p divided out of both, what is left is a unit, and its residue mod
+    # p^(depth+2) is num * den^-1.
+    a, b = x.value.as_integer_ratio()
+    c, d = coset.mu.value.as_integer_ratio()
+    num, den = a * d, b * c
+    vn, vd = int_valuation(num, p), int_valuation(den, p)
+    if (vn - vd) % n != 0:
         return False
-    unit = ratio * Fraction(p) ** (-v)
-    target = _unit_residue(unit, p, depth + 2)
+    m = p ** (depth + 2)
+    target = num // p**vn * pow(den // p**vd, -1, m) % m
     if target % p**depth not in nth_power_unit_residues(p, n, depth):
         return False
     _self_check_witness(p, n, depth, target)

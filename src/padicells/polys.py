@@ -35,7 +35,7 @@ def is_zero(f: PolyQ) -> bool:
     return len(f) == 0
 
 
-def _over_common_denominator(f) -> tuple[list[int], int]:
+def over_common_denominator(f) -> tuple[list[int], int]:
     """(nums, den) with f = nums / den and den the lcm of f's denominators."""
     ratios = [c.as_integer_ratio() for c in f]
     den = lcm(*(d for _, d in ratios))
@@ -49,7 +49,7 @@ def evaluate(f: PolyQ, x: Fraction) -> Fraction:
     sum nums_i a^i b^(n-i), which is f(x) * den * b^n."""
     if not f:
         return Fraction(0)
-    nums, den = _over_common_denominator(f)
+    nums, den = over_common_denominator(f)
     a, b = x.as_integer_ratio()
     acc, bk = nums[-1], 1
     for c in reversed(nums[:-1]):
@@ -110,7 +110,7 @@ def taylor_shift(f: PolyQ, c: Fraction) -> PolyQ:
     """
     if not f:
         return ()
-    nums, den = _over_common_denominator(f)
+    nums, den = over_common_denominator(f)
     a, b = c.as_integer_ratio()
     n = len(f) - 1
     e = [nums[i] * b ** (n - i) for i in range(n + 1)]
@@ -125,7 +125,7 @@ def integerize(f: PolyQ) -> tuple[tuple[int, ...], Fraction]:
     """Write f = s * F with F integer coefficients, content 1. Returns (F, s)."""
     if is_zero(f):
         return (), Fraction(1)
-    nums, den = _over_common_denominator(f)
+    nums, den = over_common_denominator(f)
     g = gcd(*nums) or 1
     return tuple(c // g for c in nums), Fraction(g, den)
 

@@ -475,6 +475,16 @@ def _eval_outcome(evaluate, t, reps, depths, p):
     return type(value), value, prec
 
 
+def test_eval_inverse_at_integer_lifts_is_exact():
+    # 1 / 3 on an int is a float; the evaluator must give Fraction(1, 3)
+    for depths in ((INF,), (2,)):
+        value, prec = _eval(Inv(Var(0)), (3,), depths, 5)
+        assert type(value) is Fraction and value == Fraction(1, 3)
+        assert prec == depths[0]
+    value, _ = _eval(Inv(Var(0)), (-6,), (INF,), 5)
+    assert type(value) is Fraction and value == Fraction(-1, 6)
+
+
 def _raw_terms():
     # built from the node classes, not the canonicalizing constructors, so
     # exact zeros and x - x shapes stay in the tree; x3 has no coordinate
@@ -511,6 +521,38 @@ def test_eval_matches_reference_at_points_and_boxes(term, p, coords, box_depths)
         for t in walk(term):
             assert _eval_outcome(_eval, t, reps, depths, p) == \
                 _eval_outcome(reference_eval, t, reps, depths, p), print_dterm(t)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_raw_terms(), st.sampled_from((2, 3, 5)),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2)), min_size=3, max_size=3),
+       st.lists(st.sampled_from((0, 1, 2, 3, INF)), min_size=3, max_size=3))
+def test_eval_at_integer_lifts_matches_reference(term, p, coords, box_depths):
+    # the oracle's lifts are nonnegative ints: every subterm has the value
+    # and precision it has at the same lifts as Fractions, and no float
+    reps = tuple(n * p**e for n, e in coords)
+    as_fractions = tuple(map(Fraction, reps))
+    for depths in ((INF,) * 3, tuple(box_depths)):
+        for t in walk(term):
+            got = _eval_outcome(_eval, t, reps, depths, p)
+            want = _eval_outcome(reference_eval, t, as_fractions, depths, p)
+            if len(got) == 3:
+                assert got[0] in (int, Fraction), print_dterm(t)
+                got = (Fraction,) + got[1:]
+            assert got == want, print_dterm(t)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5)),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 2)), min_size=1, max_size=5),
+       st.integers(-40, 40), st.integers(0, 3), st.integers(0, 4))
+def test_polynomial_on_a_box_matches_reference(p, coeffs, n, k, depth):
+    # the integer Horner of a polynomial on a box, at arguments and with
+    # coefficients whose denominators carry powers of p
+    t = Poly(tuple(Fraction(c, p**e) for c, e in coeffs), Var(0))
+    for x in (Fraction(n, p**k), n * p**k):
+        assert _eval_outcome(_eval, t, (x,), (depth,), p) == \
+            _eval_outcome(reference_eval, t, (Fraction(x),), (depth,), p)
 
 
 # --- structure helpers -----------------------------------------------------
@@ -739,6 +781,64 @@ def test_value_reports_the_first_error_in_term_order(flip):
         with pytest.raises(ZeroDivisionError) as info:
             evaluate(f, reps, depths, 3)
         assert type(info.value) is want
+
+
+@st.composite
+def expressions_on_integer_boxes(draw):
+    """expressions_on_boxes with the lifts made nonnegative ints, as the
+    oracle's are."""
+    f, _, depths, p = draw(expressions_on_boxes())
+    reps = tuple(draw(st.integers(0, 9)) * p ** draw(st.integers(0, 2)) for _ in depths)
+    return f, reps, depths, p
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(expressions_on_integer_boxes())
+def test_value_matches_reference_at_integer_lifts(case):
+    f, reps, depths, p = case
+    as_fractions = tuple(map(Fraction, reps))
+    for box in (depths, (INF,) * len(reps)):
+        assert _outcome(_constructible_value, f, reps, box, p) == \
+            _outcome(reference_value, f, as_fractions, box, p)
+
+
+def test_evaluation_plan_leaves_equality_and_hashing_alone():
+    import dataclasses
+
+    text = "2*v(x0)*abs(x1)^(1/2) - v(x0)^2*abs(x0^2 - 1) + abs(x1)^(1/2) + 1/3"
+    a, b = parse_constructible(text), parse_constructible(text)
+    keyed = {b: "b"}
+    hash_before = hash(a)
+    reps, depths = (Fraction(9), Fraction(4)), (INF, INF)
+    value = _constructible_value(a, reps, depths, 3)  # only a caches a plan
+    assert value == reference_value(a, reps, depths, 3)
+    assert "_plan" in a.__dict__ and "_plan" not in b.__dict__
+    assert a == b and b == a and not a != b
+    assert hash(a) == hash(b) == hash_before == hash((a.terms,))
+    assert keyed[a] == "b" and len({a: 1, b: 2}) == 1 and len({a, b}) == 1
+    assert repr(a) == repr(b) and dataclasses.astuple(a) == dataclasses.astuple(b)
+    assert a != parse_constructible("v(x0)")
+    # of, scale and sums build expressions with plans of their own
+    for g in (ConstructibleExpr.of(a.terms), a.scale(Fraction(-3, 2)), a + b, a * b,
+              ConstructibleExpr.of(reversed(b.terms))):
+        assert _constructible_value(g, reps, depths, 3) == reference_value(g, reps, depths, 3)
+    assert _constructible_value(a.scale(2), reps, depths, 3) == 2 * value
+    assert _constructible_value(a, reps, depths, 3) == value
+    assert _constructible_value(b, (9, 4), depths, 3) == value
+
+
+def test_value_reads_each_argument_when_a_term_first_needs_it():
+    # x5 has no coordinate: reading it raises ValueError, but only once the
+    # term that holds it is reached
+    f = ConstructibleExpr((
+        CTerm(F(1), (ValFactor(Var(0), 1),), ()),
+        CTerm(F(1), (ValFactor(Var(5), 1),), ()),
+    ))
+    for reps in ((F(0),), (0,)):
+        with pytest.raises(VFactorZeroError):
+            _constructible_value(f, reps, (INF,), 3)
+    with pytest.raises(ValueError, match="no coordinate for x5"):
+        _constructible_value(f, (9,), (INF,), 3)
 
 
 # --- hash, equality and cached text ----------------------------------------

@@ -9,6 +9,7 @@ enumeration of every class mod p^N: its boundary mass must never be
 larger, and its value must lie within the flat boundary mass.
 """
 
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -45,9 +46,17 @@ from padicells.integrate import (
 )
 from padicells.oracle import (
     BOUNDARY,
+    DEFAULT_BUDGET,
+    DIFF,
     INSIDE,
+    LOWER,
+    OUTSIDE,
+    UPPER,
     BudgetExceeded,
+    OracleResult,
     UnboundedDomainError,
+    _check_enumerable,
+    _reads,
     _stage_decision,
     oracle_integrate,
     oracle_measure,
@@ -408,3 +417,135 @@ def test_generated_annulus_integrands(problem):
     sup = c * max(F(k) ** l * F(p.p) ** (-e * k) for k in range(lo, hi + 1))
     r = assert_gate(g, cell, p, N)
     assert abs(res.value.constant_value() - r.value) <= r.boundary_mass * sup
+
+
+# ---------------------------------------------------------------------------
+# the integer box walk against its plain form: reference_oracle_integrate
+# keeps oracle_integrate with Fraction lifts, a Fraction measure per box and
+# a Fraction product per decided box, line for line. Both must give the same
+# value and boundary mass, as Fractions.
+
+def reference_oracle_integrate(
+    integrand: ConstructibleExpr,
+    domain: Cell,
+    p: Prime,
+    N: int,
+    budget: int = DEFAULT_BUDGET,
+) -> OracleResult:
+    """Refine boxes of Z_p^arity while they are undecided, down to depth N
+    in every coordinate.
+
+    Boxes certainly inside with a box-determined integrand contribute
+    exactly; boxes still undecided at depth N accumulate into
+    boundary_mass. Raises BudgetExceeded when the p^(arity*N) classes mod
+    p^N exceed the class budget.
+    """
+    if p != domain.prime:
+        raise ValueError("prime does not match the domain's")
+    if N < 1:
+        raise ValueError("resolution must be >= 1")
+    _check_enumerable(domain)
+    arity = domain.arity
+    if p.p ** (arity * N) > budget:
+        raise BudgetExceeded(
+            f"{p.p}^({arity}*{N}) classes exceed the class budget of {budget}"
+        )
+
+    q = p.p
+    conds = domain.conditions
+    diffs = [d_sub(Var(i), cond.center) for i, cond in enumerate(conds)]
+    # the variables read by each subset of a stage's terms, by bitmask
+    stage_reads = [
+        [_reads(t for bit, t in zip((DIFF, LOWER, UPPER), (diff, cond.lower, cond.upper))
+                if mask & bit)
+         for mask in range(8)]
+        for diff, cond in zip(diffs, conds)
+    ]
+    integrand_reads = _reads(
+        fac.h for term in integrand.terms
+        for fac in term.val_factors + term.norm_factors
+    )
+    value = Fraction(0)
+    boundary = Fraction(0)
+    # (lifts, depths, bitmask of the stages known INSIDE on the whole box);
+    # a sub-box inherits its parent's INSIDE stages
+    stack = [((Fraction(0),) * arity, (0,) * arity, 0)]
+    while stack:
+        reps, depths, inside = stack.pop()
+        first = None
+        for s in range(arity):
+            if inside >> s & 1:
+                continue
+            decision, open_terms = _stage_decision(conds[s], diffs[s], reps, depths)
+            if decision == OUTSIDE:
+                break
+            if decision == INSIDE:
+                inside |= 1 << s
+            elif first is None:
+                first, axes = s, stage_reads[s][open_terms]
+        else:  # no stage is OUTSIDE
+            measure = Fraction(1, q ** sum(depths))
+            if first is None:
+                try:
+                    value += _constructible_value(integrand, reps, depths, q) * measure
+                    continue
+                except (EvaluationPrecisionError, ZeroDivisionError, ValueError):
+                    axes = integrand_reads  # the box does not pin the integrand
+            axis = min(axes, key=depths.__getitem__, default=None)
+            if axis is None or depths[axis] >= N:
+                boundary += measure
+                continue
+            d = depths[axis]
+            deeper = depths[:axis] + (d + 1,) + depths[axis + 1:]
+            step = q**d
+            for j in range(q):
+                lift = reps[:axis] + (reps[axis] + j * step,) + reps[axis + 1:]
+                stack.append((lift, deeper, inside))
+    return OracleResult(value, boundary)
+
+
+# hand-built cells with integrands they keep bounded, and depths that keep
+# each case in the tens of boxes
+HAND_CASES = (
+    [(two_stage_cell(), g, P3, N) for g in (ONE, norm_x1()) for N in (1, 2, 3)]
+    + [(guarded_cell(), g, P3, N)
+       for g in (ONE, norm_x1(), parse_constructible("v(x0)*abs(x1)")) for N in (1, 2, 3, 4)]
+    + [(square_coset_cell(), g, P3, N) for g in (ONE, norm_t(), norm_t(2)) for N in (2, 4, 6)]
+    + [(below(lower), g, P3, N)
+       for lower in (F(3), F(27), F(1, 3))
+       for g in (ONE, norm_t(-1), parse_constructible("v(x0)^2*abs(x0)")) for N in (1, 3, 5)]
+    + [(window(p, 0, 3, mu, n), g, p, N)
+       for p, n in ((P2, 2), (P3, 3), (P5, 2))
+       for mu in coset_representatives(p.p, n)[:3]
+       for g in (ONE, parse_constructible("v(x0)*abs(x0)^(-1)")) for N in (2, SMALL_N[p.p])]
+)
+
+
+@st.composite
+def oracle_problems(draw):
+    """(integrand, domain, p, N) from split_poly_problems, annulus_problems
+    or HAND_CASES."""
+    source = draw(st.sampled_from(("poly", "annulus", "hand")))
+    if source == "poly":
+        p, N, lead, roots, s, c = draw(split_poly_problems())
+        factors = "*".join(f"(x0 - ({a}))" for a in roots)
+        return parse_constructible(f"{c}*abs({lead}*{factors})^{s}"), zp_cell(p), p, N
+    if source == "annulus":
+        p, N, cell, _, _, e, l, c = draw(annulus_problems())
+        g = ConstructibleExpr.of(
+            [CTerm(c, (ValFactor(Var(0), l),) if l else (), (NormFactor(Var(0), F(e)),))]
+        )
+        return g, cell, p, N
+    cell, g, p, N = draw(st.sampled_from(HAND_CASES))
+    return g, cell, p, N
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(oracle_problems())
+def test_integer_walk_matches_reference(problem):
+    integrand, domain, p, N = problem
+    got = oracle_integrate(integrand, domain, p, N)
+    want = reference_oracle_integrate(integrand, domain, p, N)
+    assert type(got.value) is Fraction and type(got.boundary_mass) is Fraction
+    assert (got.value, got.boundary_mass) == (want.value, want.boundary_mass)
+    assert got == want

@@ -6,6 +6,7 @@ from padicells import padic
 from padicells.padic import (
     INF,
     Coset,
+    PAdicScalar,
     Prime,
     coset_representatives,
     hensel_power_depth,
@@ -109,6 +110,27 @@ def test_in_coset_matches_bruteforce():
                     n,
                     x,
                 )
+
+
+def test_rational_valuation_of_ints():
+    for p in (2, 3, 5):
+        for x in (-50, -9, -1, 1, 2, 12, 75, 3**20 * 2**7):
+            assert rational_valuation(x, p) == rational_valuation(Fraction(x), p)
+        assert rational_valuation(0, p) == INF
+
+
+def test_in_coset_off_unit_mu_and_at_int_values():
+    # x in mu * P_n iff x / mu is an n-th power class member; an int x
+    # and the same value as a Fraction get the same answer
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        for n in (2, 3, 4):
+            for mu in coset_representatives(p, n)[:4] + [Fraction(-3, 4), Fraction(10, 9)]:
+                c = Coset(scalar(mu, prime), n)
+                for x in (-12, -1, 1, 2, 3, 7, 9, 16, 18, 50, 81, 1000):
+                    want = brute_in_power_class(Fraction(x) / mu, p, n)
+                    assert in_coset(PAdicScalar(x, prime), c) is want, (p, n, mu, x)
+                    assert in_coset(scalar(x, prime), c) is want, (p, n, mu, x)
 
 
 def test_cached_in_coset_matches_bruteforce_on_every_unit():
