@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import polys
 from .padic import INF, NEG_INF, PAdicScalar, Prime, int_valuation, rational_valuation
@@ -476,18 +476,29 @@ class ConstructibleExpr:
 
     @staticmethod
     def of(terms) -> "ConstructibleExpr":
-        """The canonical sum of CTerms or raw triples: equal factors merged,
-        zero powers and zero coefficients dropped, factors and terms sorted
-        by printed form."""
+        """The canonical sum of CTerms or raw (coeff, val_factors,
+        norm_factors) triples with int or Fraction coefficients: brought
+        over one denominator (raw_ints) and canonicalized by of_ints."""
+        return ConstructibleExpr.of_ints(*raw_ints(terms))
+
+    @staticmethod
+    def of_ints(den: int, terms) -> "ConstructibleExpr":
+        """The canonical sum of raw (num, val_factors, norm_factors) terms
+        over the int denominator den: equal factors merged, zero powers
+        dropped, numerators of equal factors added as ints, zero terms
+        dropped, factors and terms sorted by printed form, and one
+        Fraction built per kept term. Every canonical expression comes
+        from here; the engine builds a stage's raw terms in ints (see
+        raw_product) so that no Fraction arises before this point."""
         merged: dict = {}
-        for coeff, vfs, nfs in terms:
+        for num, vfs, nfs in terms:
             key = _factor_key(vfs, nfs)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
+            merged[key] = merged.get(key, 0) + num
         items = merged.items()
         if len(merged) > 1:
             items = sorted(items, key=lambda kv: _cterm_sort_key(kv[0]))
         return ConstructibleExpr(
-            tuple(CTerm(c, vf, nf) for (vf, nf), c in items if c != 0)
+            tuple(CTerm(Fraction(c, den), vf, nf) for (vf, nf), c in items if c)
         )
 
     @staticmethod
@@ -530,13 +541,48 @@ class ConstructibleExpr:
         )
 
     def __mul__(self, other: "ConstructibleExpr") -> "ConstructibleExpr":
-        return ConstructibleExpr.of(raw_product(self.terms, other.terms))
+        return ConstructibleExpr.of_ints(
+            *raw_product(raw_ints(self.terms), raw_ints(other.terms))
+        )
 
 
-def raw_product(a, b) -> list:
-    """The product of two term lists as raw (coeff, val_factors,
-    norm_factors) triples: nothing merged or sorted until `of`."""
-    return [(ca * cb, va + vb, na + nb) for ca, va, na in a for cb, vb, nb in b]
+# A raw term list (den, [(num, val_factors, norm_factors), ...]) is the sum
+# of num/den times each term's factors, with den a nonzero int of either
+# sign: nothing merged, reduced or sorted until ConstructibleExpr.of_ints.
+
+
+def raw_ints(terms) -> tuple[int, list]:
+    """CTerms or raw triples with int or Fraction coefficients as a raw
+    term list over the lcm of their denominators."""
+    terms = [tuple(t) for t in terms]
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    return den, [(c.numerator * (den // c.denominator), vf, nf) for c, vf, nf in terms]
+
+
+def raw_product(a: tuple[int, list], b: tuple[int, list]) -> tuple[int, list]:
+    """The product of two raw term lists, term by term in order."""
+    (da, ta), (db, tb) = a, b
+    return da * db, [(na * nb, va + vb, fa + fb) for na, va, fa in ta for nb, vb, fb in tb]
+
+
+def raw_scale(a: tuple[int, list], num: int, den: int = 1) -> tuple[int, list]:
+    """num/den times a raw term list."""
+    d, ts = a
+    return d * den, [(n * num, vf, nf) for n, vf, nf in ts]
+
+
+def raw_sum(parts) -> tuple[int, list]:
+    """The sum of raw term lists over the lcm of their denominators, their
+    terms concatenated in order."""
+    parts = list(parts)
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for d, _ in parts))
+    out = []
+    for d, ts in parts:
+        m = den // d
+        out += [(n * m, vf, nf) for n, vf, nf in ts]
+    return den, out
 
 
 def _factor_key(vfs, nfs) -> tuple:

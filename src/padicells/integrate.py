@@ -22,6 +22,16 @@ the geometric ratio does not already decay; this is read off (a, n, the
 bound pattern, mu) alone, before any values. Elimination over a cell
 list follows the all-or-nothing convention: one divergent cell zeroes
 the entire level.
+
+As in cell decomposition, a cell is a base cell plus a fiber condition,
+and the fiber integral is uniform in the base, so eliminate_stages
+integrates each distinct (integrand, last stage) pair of a level once,
+however many base cells (pin or coset splits) share it. The closed forms
+are built in ints: prepare_integrand and _integrate_symbolic keep raw
+term lists as int numerators over one int denominator (expr.raw_product,
+raw_scale, raw_sum), the window polynomials come as the integer
+polynomials of sums over one denominator, and
+ConstructibleExpr.of_ints builds one coefficient Fraction per kept term.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from .expr import (
     Const,
     ConstructibleExpr,
     DTerm,
+    Mul,
     NormFactor,
     ValFactor,
     Var,
@@ -56,7 +67,10 @@ from .expr import (
     eval_constructible,
     free_variables,
     print_dterm,
+    raw_ints,
     raw_product,
+    raw_scale,
+    raw_sum,
 )
 from .padic import INF, PAdicScalar, Prime, rational_valuation
 
@@ -225,79 +239,93 @@ def _integrate_symbolic(
         r = _pinned_residue(cond, "lower") if v_lower is None else v_lower
         h1 = d_scale(cond.lower, 1 / (Fraction(q) ** (c + (r - c - vmu) % n) * mu))
 
-    stage = eps * Fraction(q) ** (-vmu)
-    out: list = []
+    # eps * q^-vmu as sn / sd
+    sn, sd = eps.numerator, eps.denominator
+    if vmu >= 0:
+        sd *= q**vmu
+    else:
+        sn *= q**-vmu
+    parts = []
     for t in ci.terms:
-        u = Fraction(q) ** (-(t.a + n))
-        pw = Fraction(t.a + n, n)
+        e = t.a + n
+        u = (1, q**e) if e >= 0 else (q**-e, 1)  # q^-(a+n) as an int pair
+        pw = Fraction(e, n)
+        delta = raw_ints(t.delta.terms)
         for i, coeff in enumerate(sums.reindex_coeffs(t.l, vmu, n)):
             if coeff != 0:
-                delta = _scaled(t.delta.terms, coeff * stage)
-                out += raw_product(delta, _window_expr(i, u, pw, h0, h1, n, q))
-    return ConstructibleExpr.of(out)
+                delta_i = raw_scale(delta, coeff * sn, sd)
+                parts.append(raw_product(delta_i, _window_expr(i, u, pw, h0, h1, n, q)))
+    return ConstructibleExpr.of_ints(*raw_sum(parts))
 
 
-def _scaled(terms, c) -> list:
-    return [(k * c, vf, nf) for k, vf, nf in terms]
-
-
-def _valuation_poly(h: DTerm, cs: polys.PolyQ, scale: Fraction, q: int) -> list:
-    """The polynomial cs evaluated at scale * v(h); a number for constant h."""
+def _valuation_poly(h: DTerm, cs: tuple[int, ...], den: int, sign: int, n: int, q: int):
+    """The polynomial cs/den evaluated at sign * v(h)/n, as a raw term list
+    over den * n^deg(cs); a number for constant h. cs is not empty."""
+    top = len(cs) - 1
+    out_den = den * n**top
     if isinstance(h, Const):
-        v = int(rational_valuation(h.value, q))
-        return [(polys.evaluate(cs, scale * v), (), ())]
-    return [(c * scale**e, (ValFactor(h, e),) if e else (), ()) for e, c in enumerate(cs) if c]
+        v = sign * int(rational_valuation(h.value, q))
+        return out_den, [(sum(c * v**e * n ** (top - e) for e, c in enumerate(cs)), (), ())]
+    return out_den, [
+        (c * sign**e * n ** (top - e), (ValFactor(h, e),) if e else (), ())
+        for e, c in enumerate(cs) if c
+    ]
 
 
-def _norm_power(h: DTerm, power: Fraction, q: int) -> list:
-    """|h|^power; a number for constant h, whose valuation the coset grid
-    makes a multiple of power's denominator."""
+def _norm_power(h: DTerm, power: Fraction, q: int):
+    """|h|^power as a raw term list; a number for constant h, whose
+    valuation the coset grid makes a multiple of power's denominator."""
     if power == 0:
-        return [(1, (), ())]
+        return 1, [(1, (), ())]
     if isinstance(h, Const):
         e = power * int(rational_valuation(h.value, q))
         assert e.denominator == 1, "a grid bound has an integral norm power"
-        return [(Fraction(q) ** -int(e), (), ())]
-    return [(1, (), (NormFactor(h, power),))]
+        e = int(e)
+        return (q**e, [(1, (), ())]) if e >= 0 else (1, [(q**-e, (), ())])
+    return 1, [(1, (), (NormFactor(h, power),))]
 
 
 def _window_expr(
     i: int,
-    u: Fraction,
+    u: tuple[int, int],
     pw: Fraction,
     h0: DTerm | None,
     h1: DTerm | None,
     n: int,
     q: int,
-) -> list:
-    """sum_{j0 <= j <= j1} j^i u^j with j0 = v(h0)/n, j1 = v(h1)/n.
+):
+    """sum_{j0 <= j <= j1} j^i u^j with j0 = v(h0)/n, j1 = v(h1)/n, as a raw
+    term list; u = ua/ub is a pair of positive ints.
 
     |h|^pw realizes u^j because pw * v(h) = (a+n) * j; a missing end means
     the window runs to infinity on that side (the caller has already
-    checked that the ratio decays there)."""
+    checked that the ratio decays there). The window polynomial T_i is
+    sums._window_ints over (ub - ua)^(i+1), a negative denominator when
+    u > 1 and i is even; the Faulhaber polynomials come over one int
+    denominator from sums._faulhaber_ints."""
+    ua, ub = u
 
-    def edge(h, cs, sign):  # |h|^pw * cs(sign * v(h)/n)
-        norm = _norm_power(h, pw, q)
-        return raw_product(norm, _valuation_poly(h, cs, Fraction(sign, n), q))
+    def edge(h, cs, den, sign):  # |h|^pw * (cs/den)(sign * v(h)/n)
+        return raw_product(_norm_power(h, pw, q), _valuation_poly(h, cs, den, sign, n, q))
 
-    if u == 1:
+    if ua == ub:
         # a = -n: every level weighs the same, only counting remains
         assert h0 is not None and h1 is not None
-        fa = sums.faulhaber_coeffs(i)
-        upper_part = _valuation_poly(h1, fa, Fraction(1, n), q)
-        lower_part = _valuation_poly(
-            h0, polys.taylor_shift(fa, Fraction(-1)), Fraction(1, n), q
-        )
-        return upper_part + _scaled(lower_part, -1)
+        den, fs = sums._faulhaber_ints(i)
+        upper_part = _valuation_poly(h1, fs[i], den, 1, n, q)
+        lower_part = _valuation_poly(h0, polys.taylor_shift_int(fs[i], -1), den, 1, n, q)
+        return raw_sum((upper_part, raw_scale(lower_part, -1)))
+    den = (ub - ua) ** (i + 1)
     if h0 is not None and h1 is not None:
-        t = sums.window_coeffs(i, u)
-        tail = edge(h1, polys.taylor_shift(t, Fraction(1)), 1)
-        return edge(h0, t, 1) + _scaled(tail, -u)
+        w = sums._window_ints(i, ua, ub)
+        tail = edge(h1, polys.taylor_shift_int(w, 1), den, 1)
+        return raw_sum((edge(h0, w, den, 1), raw_scale(tail, -ua, ub)))
     if h0 is not None:
-        return edge(h0, sums.window_coeffs(i, u), 1)
+        return edge(h0, sums._window_ints(i, ua, ub), den, 1)
     assert h1 is not None
     # reflect j -> -j: sum_{j <= j1} j^i u^j = (-1)^i sum_{m >= -j1} m^i (1/u)^m
-    return _scaled(edge(h1, sums.window_coeffs(i, 1 / u), -1), (-1) ** i)
+    body = edge(h1, sums._window_ints(i, ub, ua), (ua - ub) ** (i + 1), -1)
+    return raw_scale(body, (-1) ** i)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +351,23 @@ def _recenter(coeffs: list[DTerm], gamma: DTerm) -> list[DTerm]:
 
 def _monomial_parts(h: DTerm, var: int, gamma: DTerm) -> tuple[DTerm | None, int]:
     """(c, d) with h = c * (t - gamma)^d, or (None, 0) when h is the zero
-    polynomial in the variable; anything else is unsupported."""
-    coeffs = as_poly_in(h, var)
+    polynomial in the variable; anything else is unsupported.
+
+    A side of a product that is free of the variable is taken out before
+    recentering and multiplied back onto c, so that a coefficient such as
+    inv(gamma) need not cancel against gamma inside the expansion."""
+    outer: list[DTerm] = []
+    g = h
+    while isinstance(g, Mul):
+        if var not in free_variables(g.left):
+            outer.append(g.left)
+            g = g.right
+        elif var not in free_variables(g.right):
+            outer.append(g.right)
+            g = g.left
+        else:
+            break
+    coeffs = as_poly_in(g, var)
     if coeffs is None:
         raise UnsupportedIntegrandError(
             f"factor {print_dterm(h)} is not polynomial in the integration variable"
@@ -337,7 +380,10 @@ def _monomial_parts(h: DTerm, var: int, gamma: DTerm) -> tuple[DTerm | None, int
         raise UnsupportedIntegrandError(
             f"factor {print_dterm(h)} is not a monomial in t - center on this cell"
         )
-    return nz[0][1], nz[0][0]
+    d, c = nz[0]
+    for side in reversed(outer):
+        c = d_mul(side, c)
+    return c, d
 
 
 def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
@@ -359,11 +405,12 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
     q = cell.prime.p
     out: dict[tuple[int, int], list] = {}
     for term in f.terms:
-        by_l: dict[int, list] = {0: [(term.coeff, (), ())]}
+        coeff = term.coeff
+        by_l: dict[int, tuple] = {0: (coeff.denominator, [(coeff.numerator, (), ())])}
         kept_v: list[ValFactor] = []
         kept_n: list[NormFactor] = []
         a_total = 0
-        extra: list = [(1, (), ())]
+        extra = (1, [(1, (), ())])
         dead = False
         for vf in term.val_factors:
             if var not in free_variables(vf.h):
@@ -378,8 +425,8 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
             e = vf.power
             vc = int(rational_valuation(c.value, q)) if isinstance(c, Const) else None
             expansion = {
-                m: [(comb(e, m) * d**m * (1 if vc is None else vc ** (e - m)),
-                     (ValFactor(c, e - m),) if e - m and vc is None else (), ())]
+                m: (1, [(comb(e, m) * d**m * (1 if vc is None else vc ** (e - m)),
+                         (ValFactor(c, e - m),) if e - m and vc is None else (), ())])
                 for m in range(e + 1)
             }
             by_l = _convolve(by_l, expansion)
@@ -406,31 +453,33 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
             # |c (t-gamma)^d|^e = |c|^e q^(-de vmu) * q^(-a(k - vmu)/n); |c|^e
             # is a number for constant c unless e v(c) is fractional, which
             # evaluation reports
-            scale = Fraction(q) ** (-int(comp))
+            s = -int(comp)  # the exponent of q
             kept_c = (NormFactor(c, nf.power),)
             if isinstance(c, Const):
                 ec = nf.power * int(rational_valuation(c.value, q))
                 if ec.denominator == 1:
-                    scale *= Fraction(q) ** -int(ec)
+                    s -= int(ec)
                     kept_c = ()
-            extra = raw_product(extra, [(scale, (), kept_c)])
+            scale = (1, [(q**s, (), kept_c)]) if s >= 0 else (q**-s, [(1, (), kept_c)])
+            extra = raw_product(extra, scale)
         if dead:
             continue
-        base = raw_product(extra, [(1, tuple(kept_v), tuple(kept_n))])
+        base = raw_product(extra, (1, [(1, tuple(kept_v), tuple(kept_n))]))
         for l, terms in by_l.items():
-            out.setdefault((a_total, l), []).extend(raw_product(terms, base))
+            out.setdefault((a_total, l), []).append(raw_product(terms, base))
     # as CellIntegrand.of merges them: one term per (a, l), in that order
     return CellIntegrand(cell, tuple(
-        IntegrandTerm(ConstructibleExpr.of(ts), a, l) for (a, l), ts in sorted(out.items())
+        IntegrandTerm(ConstructibleExpr.of_ints(*raw_sum(parts)), a, l)
+        for (a, l), parts in sorted(out.items())
     ))
 
 
-def _convolve(a: dict[int, list], b: dict[int, list]) -> dict[int, list]:
+def _convolve(a: dict[int, tuple], b: dict[int, tuple]) -> dict[int, tuple]:
     out: dict[int, list] = {}
     for i, x in a.items():
         for j, y in b.items():
-            out.setdefault(i + j, []).extend(raw_product(x, y))
-    return out
+            out.setdefault(i + j, []).append(raw_product(x, y))
+    return {k: raw_sum(parts) for k, parts in out.items()}
 
 
 def prepared_power(terms: list[PreparedTerm], s0: int) -> list[PreparedTerm]:
@@ -589,6 +638,18 @@ def eliminate_stages(
     depends on the base point becomes a guard; a guard left on an
     eliminated variable raises ValueError. None when some stage is not
     integrable: one divergent cell zeroes the whole integral.
+
+    A cell is a base cell plus a fiber condition, and the integral over the
+    fiber is uniform in the base: prepare_integrand and integrate_cell read
+    only the last stage, the prime and the arity, which one level shares.
+    So each level integrates each distinct fiber (piece value, last stage)
+    once, when a piece first meets it, and pieces that differ only in their
+    prefix (pin and coset splits of the base) reuse that closed form; the
+    table lives for one level of one call. The stage test, the guards and
+    the grouping by (prefix, guards) still run per piece, in order, and an
+    error comes from the first piece that meets its fiber, as it would if
+    every piece were integrated afresh. Each closed form is built as raw
+    int numerators over one denominator and canonicalized once.
     """
     arities = {c.arity for c in cells}
     if len(arities) != 1:
@@ -599,12 +660,17 @@ def eliminate_stages(
     pieces = [GuardedPiece(c.conditions, (), f) for c in cells]
     for _ in range(k):
         grouped: dict[tuple, list[ConstructibleExpr]] = {}
+        fibers: dict[tuple, ConstructibleExpr] = {}
         for piece in pieces:
             conds = piece.conditions
-            try:
-                value = integrate_cell(prepare_integrand(piece.value, Cell(conds)))
-            except NotIntegrableError:
-                return None
+            fiber = (piece.value, conds[-1])
+            value = fibers.get(fiber)
+            if value is None:
+                try:
+                    value = integrate_cell(prepare_integrand(piece.value, Cell(conds)))
+                except NotIntegrableError:
+                    return None
+                fibers[fiber] = value
             prefix = conds[:-1]
             settled = _stage_settled(conds[-1], prefix)
             if settled is False:

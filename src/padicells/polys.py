@@ -4,8 +4,10 @@ Coefficient tuples, index = degree. The empty tuple is the zero
 polynomial. Just enough arithmetic for the decomposer and the zeta
 assembly. `evaluate` and `taylor_shift` work in Python ints: f as integer
 numerators over one common denominator, the point as a/b, and one
-`Fraction` per result or output coefficient. `decompose` factors with
-sympy's dense integer factorizer on f's primitive integer part.
+`Fraction` per result or output coefficient. `taylor_shift_int`, the
+integer shift inside `taylor_shift`, also shifts the engine's integer
+window polynomials. `decompose` factors with sympy's dense integer
+factorizer on f's primitive integer part.
 """
 
 from __future__ import annotations
@@ -113,12 +115,19 @@ def taylor_shift(f: PolyQ, c: Fraction) -> PolyQ:
     nums, den = over_common_denominator(f)
     a, b = c.as_integer_ratio()
     n = len(f) - 1
-    e = [nums[i] * b ** (n - i) for i in range(n + 1)]
+    e = taylor_shift_int([nums[i] * b ** (n - i) for i in range(n + 1)], a)
+    out = [Fraction(e[k], den * b ** (n - k)) for k in range(n + 1)]
+    return normalize(tuple(out))
+
+
+def taylor_shift_int(f, a: int) -> tuple[int, ...]:
+    """Coefficients of f(x + a) for int coefficients f and an int a."""
+    e = list(f)
+    n = len(e) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             e[j] += a * e[j + 1]
-    out = [Fraction(e[k], den * b ** (n - k)) for k in range(n + 1)]
-    return normalize(tuple(out))
+    return tuple(e)
 
 
 def integerize(f: PolyQ) -> tuple[tuple[int, ...], Fraction]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicells import polys, sums
+from padicells import integrate, polys, sums
 from padicells.cells import (
     Cell,
     CellCondition,
@@ -41,10 +41,12 @@ from padicells.expr import (
     free_variables,
     parse_constructible,
     parse_dterm,
+    print_constructible,
 )
 from padicells.integrate import (
     CellIntegrand,
     EliminationResult,
+    GuardedPiece,
     IntegrandTerm,
     NotIntegrableError,
     ResiduesNotFixedError,
@@ -58,6 +60,7 @@ from padicells.integrate import (
     _recenter,
     _stage_settled,
     eliminate_last_variable,
+    eliminate_stages,
     evaluate_simple,
     group_prepared,
     igusa_zeta,
@@ -70,7 +73,14 @@ from padicells.integrate import (
     sum_eliminate_simple,
 )
 from padicells.oracle import oracle_integrate
-from padicells.padic import INF, NEG_INF, PAdicScalar, Prime, rational_valuation
+from padicells.padic import (
+    INF,
+    NEG_INF,
+    PAdicScalar,
+    Prime,
+    coset_representatives,
+    rational_valuation,
+)
 from padicells.sums import DivergentSumError
 
 F = Fraction
@@ -829,6 +839,75 @@ def test_prepare_integrand_matches_reference(case):
     )
 
 
+@st.composite
+def edge_windows(draw):
+    """Stages at the edges of the integer window builders: n = 4 at p = 2,
+    where eps = 1/16 has a p-part; v(mu) in -2..3; constant bounds of
+    negative valuation; two-sided windows with u = q^-(a+n) > 1, whose
+    window denominator (1 - q^(-a-n))^(i+1) is negative for even i; the
+    reflected one-sided window (a lower bound only, a + n <= -1); and the
+    Faulhaber route u = 1 (a = -n)."""
+    p, n = draw(st.sampled_from(((2, 4), (2, 4), (2, 2), (3, 2), (3, 3), (5, 4), (3, 1))))
+    prime = Prime(p)
+    mu = F(p) ** draw(st.integers(-2, 3)) * draw(st.sampled_from(UNITS))
+    arity = draw(st.sampled_from((1, 2)))
+    shape = draw(st.sampled_from(("two", "two", "flat", "reflected", "floor")))
+
+    def bound():
+        scale = F(p) ** draw(st.integers(-4, 3)) * draw(st.sampled_from((1, -1, 3)))
+        if arity == 2 and draw(st.booleans()):
+            return d_scale(Var(0), scale), draw(st.sampled_from(tuple(range(n))))
+        return Const(scale), None
+
+    lower, lower_pin = bound() if shape != "floor" else (None, None)
+    upper, upper_pin = bound() if shape != "reflected" else (None, None)
+    last = CellCondition(
+        center=Const(F(0)),
+        coset=coset_of(prime, mu, n),
+        lower=lower,
+        upper=upper,
+        lower_strict=draw(st.booleans()),
+        upper_strict=draw(st.booleans()),
+        lower_val_residue=lower_pin,
+        upper_val_residue=upper_pin,
+    )
+    cell = Cell(zp_cell(prime).conditions * (arity - 1) + (last,))
+    a_range = {
+        "two": st.integers(-3 * n, 2 * n),
+        "flat": st.just(-n),
+        "reflected": st.integers(-3 * n, -n - 1),
+        "floor": st.integers(1 - n, 2 * n),
+    }[shape]
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        c = F(draw(st.sampled_from((1, -2, 5))), draw(st.sampled_from((1, 3, 4))))
+        vfs = nfs = ()
+        if arity == 2 and draw(st.booleans()):
+            vfs = (ValFactor(Var(0), 1),)
+            nfs = (NormFactor(Var(0), F(draw(st.sampled_from((-1, 1, 2))))),)
+        terms.append(IntegrandTerm(cexpr_term(c, vfs, nfs), draw(a_range), draw(st.integers(0, 3))))
+    point = []
+    if arity == 2:
+        point = scalars(prime, F(p) ** draw(st.integers(-3, 4)) * draw(st.sampled_from(UNITS)))
+    return CellIntegrand.of(cell, terms), point
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(edge_windows())
+def test_integer_window_builders_at_edge_parameters(case):
+    ci, point = case
+    cond, prime = ci.cell.conditions[-1], ci.cell.prime
+    for t in ci.terms:
+        _decide_integrable(t.a, cond)
+    assert outcome(_integrate_symbolic, ci, cond, prime) == outcome(
+        reference_integrate_symbolic, ci, cond, prime
+    )
+    window = stage_window(cond, point)
+    args = (ci, cond, prime, window.v_lower, window.v_upper)
+    assert outcome(_integrate_symbolic, *args) == outcome(reference_integrate_symbolic, *args)
+    assert outcome(integrate_cell, ci, point) == outcome(reference_concrete, ci, point)
+
+
 # ---------------------------------------------------------------------------
 # preparing integrands
 
@@ -911,6 +990,31 @@ def test_prepare_keeps_base_factors():
     assert (t.a, t.l) == (1, 0)
     # the x-dependent factors ride along inside delta
     assert eval_constructible(t.delta, scalars(P3, 9), P3) == F(2) * F(1, 81)
+
+
+def test_prepare_takes_base_factors_out_of_a_product():
+    # abs(inv(x0)*(x1 - x0)) was refused: recentering the expanded product
+    # left inv(x0)*x0 - 1 uncancelled in the coefficient of x1^0
+    g = parse_constructible("abs(inv(x0)*(x1 - x0))")
+    inner = CellCondition(
+        center=Var(0), coset=coset_of(P3, 1, 1), upper=Const(F(1)), upper_strict=False
+    )
+    cell = Cell((zp_cell(P3).conditions[0], inner))
+    ci = prepare_integrand(g, cell)
+    assert [(print_constructible(t.delta), t.a, t.l) for t in ci.terms] == [
+        ("abs(inv(x0))", 1, 0)
+    ]
+    (piece,) = eliminate_stages(g, [cell], 1)
+    assert print_constructible(piece.value) == "3/4*abs(inv(x0))"
+    # at each base point, the oracle on the fiber |x1 - x0| <= 1
+    for x0 in (F(1), F(3), F(9), F(-2), F(5, 7)):
+        got = integrate_full(g, [cell], eliminate=1, base_point=(x0,))
+        fiber = Cell((CellCondition(
+            center=Const(x0), coset=coset_of(P3, 1, 1), upper=Const(F(1)), upper_strict=False
+        ),))
+        orc = oracle_integrate(parse_constructible(f"abs({1 / x0}*(x0 - {x0}))"), fiber, P3, 6)
+        sup = F(3) ** int(rational_valuation(x0, 3))  # |inv(x0)| * |x1 - x0| <= |x0|^-1
+        assert abs(got.value.constant_value() - orc.value) <= orc.boundary_mass * sup
 
 
 def test_cell_integrand_merges_and_validates():
@@ -1070,6 +1174,178 @@ def test_window_settled_by_the_prefix_matches_oracle():
         if outcome is False:
             assert got == 0
     assert min(settled.values()) > 20, settled
+
+
+# ---------------------------------------------------------------------------
+# eliminate_stages integrates each distinct fiber once per level.
+# reference_eliminate_stages keeps the loop that integrated every piece's
+# fiber afresh, line for line; both must give the same pieces in the same
+# order, or the same error.
+
+def reference_eliminate_stages(
+    f: ConstructibleExpr, cells: list[Cell], k: int
+) -> tuple[GuardedPiece, ...] | None:
+    arities = {c.arity for c in cells}
+    if len(arities) != 1:
+        raise ValueError("cells of mixed arity")
+    arity = arities.pop()
+    if not 0 <= k <= arity:
+        raise ValueError("base point does not match the variables kept")
+    pieces = [GuardedPiece(c.conditions, (), f) for c in cells]
+    for _ in range(k):
+        grouped: dict[tuple, list[ConstructibleExpr]] = {}
+        for piece in pieces:
+            conds = piece.conditions
+            try:
+                value = integrate_cell(prepare_integrand(piece.value, Cell(conds)))
+            except NotIntegrableError:
+                return None
+            prefix = conds[:-1]
+            settled = _stage_settled(conds[-1], prefix)
+            if settled is False:
+                continue
+            guards = piece.guards if settled else piece.guards + (conds[-1],)
+            grouped.setdefault((prefix, guards), []).append(value)
+        pieces = [
+            GuardedPiece(prefix, guards, ConstructibleExpr.sum_of(values))
+            for (prefix, guards), values in grouped.items()
+        ]
+    for piece in pieces:
+        for g in piece.guards:
+            bounds = [b for b in (g.lower, g.upper) if b is not None]
+            if any(i >= arity - k for b in bounds for i in free_variables(b)):
+                raise ValueError(
+                    "a pin or window guard references an eliminated variable; "
+                    "pin the stages in elimination order, or split the base "
+                    "cell so that its windows are decided"
+                )
+    return tuple(pieces)
+
+
+def ball(p: Prime, mu, n: int, lo: int = 0, hi: int | None = None) -> CellCondition:
+    """{t : lo <= v(t) <= hi, t in mu*P_n}; no lower bound when hi is None."""
+    return CellCondition(
+        center=Const(F(0)), coset=coset_of(p, mu, n),
+        upper=Const(F(p.p) ** lo), upper_strict=False,
+        lower=None if hi is None else Const(F(p.p) ** hi), lower_strict=False,
+    )
+
+
+def guarded_split(inner_mu, n: int) -> list[Cell]:
+    """pin_bound_residues cells of |x1| <= |x0|, x1 in inner_mu*P_2, over
+    the balls mu*P_n at p = 3, one per coset representative mu."""
+    inner = CellCondition(
+        center=Const(F(0)), coset=coset_of(P3, inner_mu, 2), upper=Var(0), upper_strict=False
+    )
+    return [
+        c for mu in coset_representatives(3, n)
+        for c in pin_bound_residues(Cell((ball(P3, mu, n), inner)))
+    ]
+
+
+def monomial(c, e1: int, e0: int, l1: int) -> ConstructibleExpr:
+    """c * abs(x1)^e1 * abs(x0)^e0 * v(x1)^l1."""
+    nfs = tuple(NormFactor(Var(i), F(e)) for i, e in ((1, e1), (0, e0)) if e)
+    return cexpr_term(c, (ValFactor(Var(1), l1),) if l1 else (), nfs)
+
+
+@st.composite
+def shared_fiber_problems(draw, kind: str):
+    """An integrand, a cell list whose pieces share fibers, and k."""
+    f = monomial(
+        F(draw(st.integers(1, 4)), draw(st.integers(1, 3))),
+        draw(st.integers(1, 2)), draw(st.integers(0, 1)), draw(st.integers(0, 1)),
+    )
+    if kind == "pins":
+        cells = guarded_split(draw(st.sampled_from((1, 2))), draw(st.sampled_from((2, 4))))
+        if draw(st.booleans()):
+            cells = draw(st.permutations(cells))[: draw(st.integers(1, len(cells)))]
+        return f, cells, draw(st.sampled_from((2, 2, 1)))
+    if kind == "three_stages":
+        # pieces of the second level share a last stage under distinct
+        # prefixes, with values summed over different sets of third stages
+        def stage(var):
+            return CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                                 upper=Var(var), upper_strict=False)
+
+        pools = (
+            [ball(P3, 1, 1, 0, None), ball(P3, 1, 1, 1, 2), ball(P3, 2, 2, 0, 3)],
+            [ball(P3, 1, 1, 0, 2), stage(0)],
+            [ball(P3, 1, 1, -1, 2), stage(1), ball(P3, 2, 2, 0, None), stage(0)],
+        )
+        picks = st.tuples(*(st.sampled_from(pool) for pool in pools))
+        cells = [Cell(c) for c in draw(st.lists(picks, min_size=2, max_size=10))]
+        f = f * cexpr_term(1, (ValFactor(Var(2), 1),) if draw(st.booleans()) else (),
+                           (NormFactor(Var(2), F(draw(st.integers(1, 2)))),))
+        return f, cells, draw(st.sampled_from((3, 3, 2, 1)))
+    # two-stage cells at p = 3 whose last stages repeat under distinct prefixes
+    bases = [ball(P3, mu, n, lo, hi) for mu, n, lo, hi in
+             ((1, 1, 0, None), (1, 1, 0, 2), (2, 2, 1, 3), (1, 2, 0, None))]
+    lasts = [
+        ball(P3, 1, 1, -1, 2),
+        ball(P3, 2, 2, 0, None),
+        CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                      upper=Var(0), upper_strict=draw(st.booleans())),
+    ]
+    picks = st.tuples(st.sampled_from(bases), st.sampled_from(lasts))
+    cells = [Cell(c) for c in draw(st.lists(picks, min_size=2, max_size=8))]
+    if kind == "divergent":
+        # |x1| >= 3 is unbounded above, where abs(x1)^e1 does not decay
+        bad = CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                            lower=Const(F(1, 3)), lower_strict=False)
+        for base in draw(st.lists(st.sampled_from(bases), min_size=2, max_size=3)):
+            cells.insert(draw(st.integers(0, len(cells))), Cell((base, bad)))
+    if kind == "late_error":
+        if draw(st.booleans()):
+            # n = 2 with the varying bound unpinned
+            bad = CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 2),
+                                upper=Var(0), upper_strict=False)
+        else:
+            # abs(x1 - 1) is no monomial in x1 - 0; the other stages are centered at 1
+            f = cexpr_term(f.terms[0].coeff, (), (NormFactor(parse_dterm("x1 - 1"), F(1)),))
+            cells = [Cell((c.conditions[0], CellCondition(
+                center=Const(F(1)), coset=c.conditions[1].coset,
+                upper=Const(F(3)), upper_strict=False))) for c in cells]
+            bad = lasts[0]
+        cells += [Cell((base, bad)) for base in bases[: draw(st.integers(1, 3))]]
+        cells += cells[: draw(st.integers(0, 2))]
+    return f, cells, draw(st.sampled_from((2, 2, 1)))
+
+
+def elimination_outcome(fn, f, cells, k):
+    try:
+        return fn(f, cells, k)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind", ("pins", "repeats", "three_stages", "divergent", "late_error")
+)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_eliminate_stages_matches_reference(kind, data):
+    f, cells, k = data.draw(shared_fiber_problems(kind))
+    assert elimination_outcome(eliminate_stages, f, cells, k) == elimination_outcome(
+        reference_eliminate_stages, f, cells, k
+    )
+
+
+def test_guarded_split_prepares_each_fiber_once(monkeypatch):
+    """The 8 pinned cells of the guarded integrate test: 2 distinct inner
+    stages (the pins) at the first level, 4 base cosets at the second."""
+    cells = guarded_split(1, 2)
+    assert len(cells) == 8
+    calls = []
+
+    def counted(f, cell):
+        calls.append(cell)
+        return prepare_integrand(f, cell)
+
+    monkeypatch.setattr(integrate, "prepare_integrand", counted)
+    res = integrate_full(norm_pow(1, 1), cells)
+    assert res.value.constant_value() == F(1647, 7280)
+    assert len(calls) == 6
 
 
 def product_cell(p: Prime) -> Cell:
