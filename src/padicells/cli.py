@@ -252,8 +252,21 @@ def cmd_decompose(args) -> int:
     _, coeffs, _ = _as_poly_abs(problem.integrand)
     terms = decompose.decompose_univariate(coeffs, problem.prime,
                                            precision_N=args.precision)
-    _emit(decompose.prepared_to_json(terms), args.pretty, args.out)
-    return EXIT_OK
+    payload = decompose.prepared_to_json(terms)
+    code = EXIT_OK
+    if args.verify_N is not None:
+        report = decompose.verify_prepared(terms, coeffs, problem.prime,
+                                           args.verify_N, zp_cell(problem.prime))
+        payload["verify"] = {
+            "passed": report.passed,
+            "classes": report.classes_checked,
+            "checks": report.equality_checks,
+            "counterexamples": list(report.counterexamples),
+        }
+        if not report.passed:
+            code = EXIT_VERIFY
+    _emit(payload, args.pretty, args.out)
+    return code
 
 
 def _concrete_values(f: ConstructibleExpr, problem: Problem):
@@ -451,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="partition Z_p into cells preparing |f|")
     sp.add_argument("path", help="problem file")
     sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    sp.add_argument("--verify-N", dest="verify_N", type=_positive_int, default=None,
+                    metavar="N", help="also check the printed terms on every class mod p^N")
     sp.set_defaults(handler=cmd_decompose)
 
     sp = sub.add_parser("integrate", parents=[common],

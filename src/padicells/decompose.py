@@ -15,7 +15,8 @@ its center, so the output partitions the ball exactly, points included.
 Centers of non-rational roots are approximations certified to a stated
 depth. Below valuation center_floor the description is not certified;
 the lift depth is chosen so that floor lies beyond working precision,
-where no residue class can determine either side of the identity.
+where no residue class can determine either side of the identity, and
+verify_prepared checks no residue class below it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .cells import (
 from .expr import Const, ConstructibleExpr
 from .padic import (
     INF,
+    Coset,
     PAdicScalar,
     Prime,
+    hensel_power_depth,
     in_coset,
     int_valuation,
     rational_valuation,
@@ -349,7 +352,7 @@ def decompose_univariate(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verification
+# verification by a walk over balls
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -359,19 +362,69 @@ class VerifyReport:
     counterexamples: tuple[str, ...]
 
 
+# _TermReading.on_ball's answer for a ball that holds some of the cell's
+# members, perhaps not all of them
+_SPLIT = "split"
+
+
 @dataclass(frozen=True)
-class _ReadTerm:
-    """A prepared term as the verifier reads it, once: the center of its
-    cell, the lifts r mod p^N the cell holds with k = v(r - center), and
-    the constants of the prepared value."""
+class _TermReading:
+    """A prepared term as the verifier reads it, once: its center num/den,
+    the valuation window its bounds and residue pins admit, its coset,
+    c0 = num/den mod p^N, and the constants of the prepared value."""
 
     center: Fraction
-    lifts: dict[int, int | float]
+    prime: Prime
+    N: int
+    num: int
+    den: int
+    vb: int  # v(den)
+    c0: int  # num/den mod p^N when p does not divide den
+    c0_level: int | float | None  # v(c0 - center) if the cell holds c0
+    k_min: int | float
+    k_max: int | float
+    coset: Coset
     point: bool
+    n: int
+    vmu: int | float
+    depth: int  # the unit digits in_coset reads: hensel_power_depth(n, p)
     vd: int | float  # v(delta), INF for delta = 0
     a: int
-    vmu: int | float
-    n: int
+    floor: int | None  # the term's center_floor
+
+    def on_ball(self, c: int, d: int):
+        """The cell's members among the residues r = c + m*p^d mod p^N:
+        their common level k = v(r - center) when the cell holds every one
+        of them, None when it holds none, _SPLIT otherwise. Exact at d = N,
+        where the ball is the one residue c."""
+        p = self.prime.p
+        if self.vb:
+            k = -self.vb  # p divides den but not num: r*den - num is a unit
+        else:
+            x = (c - self.c0) % p**d
+            if not x:
+                # the ball holds c0, at level N or more; its other
+                # residues fill the levels d to N - 1
+                if d == self.N:
+                    return self.c0_level
+                if self.c0_level is not None or self._admits_between(d, self.N - 1):
+                    return _SPLIT
+                return None
+            k = int_valuation(x, p)
+        if self.point or not self.k_min <= k <= self.k_max or (k - self.vmu) % self.n:
+            return None
+        if self.n == 1:
+            return k
+        # the unit part of r - center is fixed mod p^(d-k) on the ball
+        if d - k < self.depth and d < self.N:
+            return _SPLIT
+        x = PAdicScalar(Fraction(c * self.den - self.num, self.den), self.prime)
+        return k if in_coset(x, self.coset) else None
+
+    def _admits_between(self, lo: int, hi: int) -> bool:
+        """Some level in [lo, hi] is in the window and on the coset's grid."""
+        lo, hi = max(self.k_min, lo), min(self.k_max, hi)
+        return not self.point and lo <= hi and lo + (self.vmu - lo) % self.n <= hi
 
     def prepared_valuation(self, k: int):
         """v of the prepared description at v(t-gamma) = k; None if not integral."""
@@ -381,23 +434,10 @@ class _ReadTerm:
         return None if rem else self.vd + e
 
 
-def _level_lifts(c0: int, k: int, p: int, N: int):
-    """The lifts r mod p^N with v(r - c0) = k, for 0 <= k < N: c0 + j*p^k
-    reduced mod p^N, for 0 < j < p^(N-k) with p not dividing j."""
-    pN, step = p**N, p**k
-    return ((c0 + j * step) % pN for j in range(1, pN // step) if j % p)
-
-
-def _read_term(term: PreparedTerm, p: Prime, N: int) -> _ReadTerm:
-    """Read a term's cell once and list its members among the lifts
-    r mod p^N, level by level, with k = v(r - center).
-
-    With center a/b, p | b puts every lift at level -v(b). Otherwise
-    c0 = a/b mod p^N is the one lift whose level can reach N or INF, and
-    the lifts at each level k < N are listed directly; only the levels
-    the coset admits are visited, and only a coset with n > 1 asks
-    in_coset of those members. The cost is the number of lifts listed
-    plus one step per level, not p^N."""
+def _read_term(term: PreparedTerm, p: Prime, N: int) -> _TermReading:
+    """Read a term's cell once: center num/den, window, coset, and whether
+    the cell holds c0 = num/den mod p^N, the one residue whose level
+    v(r - center) can reach N or INF."""
     cell = term.cell
     if cell.arity != 1:
         raise ValueError(f"point has 1 coordinates, cell has {cell.arity}")
@@ -406,43 +446,159 @@ def _read_term(term: PreparedTerm, p: Prime, N: int) -> _ReadTerm:
     window = stage_window(cond, [])
     _center_value(cond)  # prepared cells have constant centers
     delta = term.delta.constant_value()
-    a, b = center.numerator, center.denominator
-    vb = int_valuation(b, p.p)
-    k_min, k_max = window.k_min, window.k_max
+    num, den = center.numerator, center.denominator
+    vb = int_valuation(den, p.p)
     coset = cond.coset
-    zero, n, vmu = coset.is_zero(), coset.n, coset.mu.valuation
-    pN = p.p**N
-    lifts: dict[int, int | float] = {}
-    if vb > 0:
-        # p divides b but not a, so r*b - a is a unit for every r
-        if not zero and k_min <= -vb <= k_max and (-vb - vmu) % n == 0:
-            lifts = dict.fromkeys(range(pN), -vb)
-    else:
-        c0 = a * pow(b, -1, pN) % pN
-        x0 = c0 * b - a  # divisible by p^N
+    zero, n = coset.is_zero(), coset.n
+    c0, c0_level = 0, None
+    if not vb:
+        pN = p.p**N
+        c0 = num * pow(den, -1, pN) % pN
+        x0 = c0 * den - num  # divisible by p^N
         k0 = int_valuation(x0, p.p) if x0 else INF
         # membership in a zero coset is r = center, in any other r != center
-        if k_min <= k0 <= k_max and (x0 == 0) == zero:
-            lifts[c0] = k0
-        lo, hi = max(k_min, 0), min(k_max, N - 1)
-        if not zero and lo <= hi:
-            first = int(lo) + (vmu - int(lo)) % n  # least level on the coset's grid
-            for k in range(first, int(hi) + 1, n):
-                lifts.update(dict.fromkeys(_level_lifts(c0, k, p.p, N), k))
-    if n > 1 and not zero:
-        lifts = {
-            r: k for r, k in lifts.items()
-            if in_coset(PAdicScalar(Fraction(r * b - a, b), p), coset)
-        }
-    return _ReadTerm(
-        center,
-        lifts,
-        zero,
+        if (
+            window.k_min <= k0 <= window.k_max
+            and (x0 == 0) == zero
+            and (zero or n == 1 or in_coset(PAdicScalar(Fraction(x0, den), p), coset))
+        ):
+            c0_level = k0
+    return _TermReading(
+        center, p, N, num, den, vb, c0, c0_level, window.k_min, window.k_max,
+        coset, zero, n, coset.mu.valuation, hensel_power_depth(n, p.p),
         INF if delta == 0 else rational_valuation(delta, p.p),
-        term.a,
-        vmu,
-        n,
+        term.a, term.center_floor,
     )
+
+
+class _BallWalk:
+    """verify_prepared's walk over the balls c + p^d Z_p, 0 <= c < p^d,
+    for 0 <= d <= N: depth first, children in residue order. Each visit
+    settles its ball or asks for its p children."""
+
+    def __init__(self, terms, f, p: Prime, N: int, domain: Cell | None):
+        self.p, self.N = p.p, N
+        self.fi, fscale = polys.integerize(f)
+        self.vscale = rational_valuation(fscale, p.p)
+        self.var_min = min((rational_valuation(c, p.p) for c in f[1:] if c), default=0)
+        self.hull_c, self.hull_j = 0, 0
+        if domain is not None:
+            center, self.hull_j = _ball_hull(domain, p)
+            m = p.p**self.hull_j
+            self.hull_c = center.numerator * pow(center.denominator, -1, m) % m
+        self.read = [_read_term(term, p, N) for term in terms]
+        self.checks = 0
+        self.found: list[tuple[int, str]] = []  # (lift, counterexample)
+
+    def run(self) -> None:
+        stack = [iter([(0, 0, [], self.read)])]
+        while stack:
+            for c, d, holders, open_ in stack[-1]:
+                split = self.visit(c, d, holders, open_)
+                if split is not None:
+                    stack.append(self._children(c, d, *split))
+                    break
+            else:
+                stack.pop()
+
+    def _children(self, c: int, d: int, holders, open_):
+        step = self.p**d
+        for i in range(self.p):
+            yield c + i * step, d + 1, holders, open_
+
+    def visit(self, c: int, d: int, holders, open_):
+        """Settle the ball c + p^d Z_p and return None, or return the
+        (holders, open cells) its children start from. holders are
+        (reading, level) for the cells holding every residue of the ball;
+        the open cells may hold some of them."""
+        undecided = []
+        for rt in open_:
+            k = rt.on_ball(c, d)
+            if k is _SPLIT:
+                undecided.append(rt)
+            elif k is not None:
+                holders = holders + [(rt, k)]
+        if not undecided and self._settle(c, d, holders):
+            return None
+        return holders, undecided
+
+    def _settle(self, c: int, d: int, holders) -> bool:
+        """Check a ball on which every cell holds all of its residues or
+        none; False when the hull test or v(f) varies on it."""
+        if d < self.hull_j:
+            if (c - self.hull_c) % self.p**d == 0:
+                return False
+            in_hull = False
+        else:
+            in_hull = (c - self.hull_c) % self.p**self.hull_j == 0
+        if len(holders) > 1:
+            self._bad(c, d, f" lies in {len(holders)} cells")
+        elif not holders:
+            if in_hull and self.read:
+                self._bad(c, d, " is in the domain but in no cell")
+        elif not in_hull:
+            self._bad(c, d, " is outside the domain but in a cell")
+        else:
+            return self._check_value(c, d, *holders[0])
+        return True
+
+    def _check_value(self, c: int, d: int, rt: _TermReading, k) -> bool:
+        """|f| against the prepared value on a ball one cell holds at
+        level k; False when v(f) is not shown constant on it."""
+        N = self.N
+        if rt.point:
+            # the ball is the one residue c, the center itself: compare exactly
+            vf = self._value_at(c)
+            self.checks += 1
+            if vf != rt.vd:
+                self.found.append(
+                    (c, f"point cell at {rt.center}: v(f) = {vf}, prepared {rt.vd}")
+                )
+            return True
+        if k >= N or rt.floor is not None and k > rt.floor:
+            # the class does not determine both sides, or the center is
+            # not certified that deep
+            return True
+        vf = self._value_at(c) if d == N else self._value_on_ball(c, d)
+        if vf is None:
+            return False
+        if not vf < N + self.var_min:
+            return True  # the class does not determine both sides
+        want = rt.prepared_valuation(k)
+        self.checks += self.p ** (N - d)
+        if want is None:
+            self._bad(c, d, f": prepared exponent not integral at k = {k}")
+        elif vf != want:
+            self._bad(c, d, f": v(f) = {vf}, prepared description gives {want}")
+        return True
+
+    def _value_at(self, r: int):
+        fr = polys.evaluate_int(self.fi, r)
+        return int_valuation(fr, self.p) + self.vscale if fr else INF
+
+    def _value_on_ball(self, c: int, d: int):
+        """v(f) on c + p^d Z_p when the Taylor coefficients e_i of f at c
+        show it constant: e_0 != 0 and v(e_0) < v(e_i) + i*d for all
+        i >= 1. None otherwise."""
+        if not self.fi:
+            return INF
+        e = polys.taylor_shift_int(self.fi, c)
+        if not e[0]:
+            return None
+        v0 = int_valuation(e[0], self.p)
+        for i in range(1, len(e)):
+            need = v0 - i * d + 1  # v(e_i) >= need
+            if need > 0 and e[i] % self.p**need:
+                return None
+        return v0 + self.vscale
+
+    def _bad(self, c: int, d: int, tail: str) -> None:
+        """Note a ball whose every residue fails alike, by its five least
+        residues: no other can be among the five least over all balls."""
+        step = self.p**d
+        for m in range(min(5, self.p ** (self.N - d))):
+            r = c + m * step
+            self.found.append((r, f"lift {r}{tail}"))
 
 
 def verify_prepared(
@@ -452,71 +608,29 @@ def verify_prepared(
     N: int,
     domain: Cell | None = None,
 ) -> VerifyReport:
-    """Check every residue lift mod p^N: disjointness, coverage of the
+    """Check every residue lift r mod p^N: disjointness, coverage of the
     domain's ball hull, and |f| = prepared value wherever the class
-    determines both sides. Point cells are checked exactly at their
+    determines both sides and the center is certified (level k at most
+    the term's center_floor). Point cells are checked exactly at their
     single member. Coverage is judged against the hull because the
     punctures in 1-cells are null points supplied by companion 0-cells.
 
-    Each cell is read once (center, valuation window, coset) and its
-    members are listed level by level, so the cost is O(p^N + members)
-    rather than O(cells * p^N). Overlaps and gaps are still found per
-    lift: every lift counts the cells that listed it.
+    The lifts are visited as balls c + p^d Z_p, d = 0..N. A ball is
+    settled whole when every cell holds all of its residues or none, the
+    hull test is constant on it, and, where one cell holds it, v(f) is
+    constant on it by its Taylor coefficients at c. Any other ball splits
+    into its p children; at d = N the ball is one lift. Only balls near a
+    cell center or a root of f split, so the cost is O((cells + roots) *
+    p * N) balls, not p^N lifts. The report is the per-lift one: a
+    settled ball adds one equality check per lift it checks, and the
+    counterexamples are those of the five least failing lifts.
     """
-    fi, fscale = polys.integerize(f)
-    vscale = rational_valuation(fscale, p.p)
-    var_min = min((rational_valuation(c, p.p) for c in f[1:] if c), default=0)
-    if domain is None:
-        hull_a, hull_b, hull_m = 0, 1, 1
-    else:
-        center, j = _ball_hull(domain, p)
-        # the hull center is in Z_p, so v(r - center) >= j iff p^j divides r*b - a
-        hull_a, hull_b, hull_m = center.numerator, center.denominator, p.p**j
-    counterexamples: list[str] = []
-    checks = 0
-    pN = p.p**N
-    read = [_read_term(term, p, N) for term in terms]
-    members: list[list[int]] = [[] for _ in range(pN)]
-    for i, rt in enumerate(read):
-        for r in rt.lifts:
-            members[r].append(i)
-
-    def note(msg: str) -> None:
-        if len(counterexamples) < 5:
-            counterexamples.append(msg)
-
-    for r in range(pN):
-        here = members[r]
-        in_hull = (r * hull_b - hull_a) % hull_m == 0
-        if len(here) > 1:
-            note(f"lift {r} lies in {len(here)} cells")
-            continue
-        if not here:
-            if in_hull and terms:
-                note(f"lift {r} is in the domain but in no cell")
-            continue
-        if not in_hull:
-            note(f"lift {r} is outside the domain but in a cell")
-            continue
-        rt = read[here[0]]
-        fr = polys.evaluate_int(fi, r)
-        vf = int_valuation(fr, p.p) + vscale if fr else INF
-        if rt.point:
-            # the lift IS the center: compare exactly at the point
-            checks += 1
-            if vf != rt.vd:
-                note(f"point cell at {rt.center}: v(f) = {vf}, prepared {rt.vd}")
-            continue
-        k = rt.lifts[r]
-        if k >= N or not vf < N + var_min:
-            continue  # class does not determine both sides
-        want = rt.prepared_valuation(k)
-        checks += 1
-        if want is None:
-            note(f"lift {r}: prepared exponent not integral at k = {k}")
-        elif vf != want:
-            note(f"lift {r}: v(f) = {vf}, prepared description gives {want}")
-    return VerifyReport(not counterexamples, pN, checks, tuple(counterexamples))
+    walk = _BallWalk(terms, f, p, N, domain)
+    walk.run()
+    found = sorted(walk.found)[:5]
+    return VerifyReport(
+        not found, p.p**N, walk.checks, tuple(message for _, message in found)
+    )
 
 
 def _center_value(cond: CellCondition) -> Fraction:

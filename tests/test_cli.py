@@ -99,6 +99,37 @@ def test_decompose_out_file(capsys, tmp_path):
     assert len(json.loads(target.read_text())["cells"]) >= 1
 
 
+def test_decompose_verify_n_reports_the_check(capsys, tmp_path):
+    path = problem(tmp_path, p=3, integrand="abs(x0^2 - 1)")
+    _, plain, _ = run(capsys, "decompose", path)
+    code, out, _ = run(capsys, "decompose", path, "--verify-N", "30")
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    # every class but -1 mod 3^30, which only says v(x0 + 1) >= 30
+    assert doc.pop("verify") == {
+        "passed": True, "classes": 3**30, "checks": 3**30 - 1, "counterexamples": [],
+    }
+    assert doc == json.loads(plain)
+
+
+def test_decompose_verify_n_exits_3_on_a_bad_decomposition(capsys, tmp_path, monkeypatch):
+    from test_decompose import _corruptions
+
+    real = cli.decompose.decompose_univariate
+
+    def dropped_cell(f, prime, precision_N):
+        terms = real(f, prime, precision_N=precision_N)
+        return list(_corruptions(terms, prime))[1]  # the first term left out
+
+    monkeypatch.setattr(cli.decompose, "decompose_univariate", dropped_cell)
+    path = problem(tmp_path, p=3, integrand="abs(x0^2 - 1)")
+    code, out, _ = run(capsys, "decompose", path, "--verify-N", "4")
+    assert code == cli.EXIT_VERIFY
+    report = json.loads(out)["verify"]
+    assert report["passed"] is False
+    assert report["counterexamples"][0] == "lift 3 is in the domain but in no cell"
+
+
 # ---------------------------------------------------------------------------
 # integrate
 
@@ -526,6 +557,15 @@ def test_cli_import_does_not_load_sympy():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "padicells", "zeta", "[0,1]", "--p", "3"],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"numerator":["2/3"],"denominator_factors":[{"c":1,"d":1}]}\n'
 
 
 def test_integrate_import_does_not_load_oracle():

@@ -26,9 +26,10 @@ from padicells.decompose import (
     PreparedTerm,
     VerifyReport,
     _ball_hull,
+    _SPLIT,
+    _BallWalk,
     _center_value,
     _read_term,
-    _ReadTerm,
     decompose_univariate,
     hensel_lift,
     prepared_to_json,
@@ -177,12 +178,12 @@ def reference_verify(terms, f, p, N, domain=None):
 
 
 def reference_read_term(term, p, N):
-    """_read_term as it was before it listed each cell's members: every
-    lift r mod p^N is tested against the cell in integers."""
+    """The lifts r mod p^N a term's cell holds, with their levels
+    k = v(r - center), as _read_term found them before it listed each
+    cell's members: every lift is tested against the cell in integers."""
     cond = term.cell.conditions[0]
     center = stage_center(cond, []).value
     window = stage_window(cond, [])
-    delta = term.delta.constant_value()
     a, b = center.numerator, center.denominator
     vb = int_valuation(b, p.p)
     coset = cond.coset
@@ -197,26 +198,32 @@ def reference_read_term(term, p, N):
             else in_coset(PAdicScalar(F(x, b), p), coset)
         ):
             lifts[r] = k
-    return _ReadTerm(
-        center,
-        lifts,
-        coset.is_zero(),
-        INF if delta == 0 else rational_valuation(delta, p.p),
-        term.a,
-        coset.mu.valuation,
-        coset.n,
-    )
+    return lifts
 
 
 def read_like_reference(terms, p, N):
-    """_read_term of each term, checked equal to the scanning reference's."""
+    """_read_term of each term against the scanning reference's lifts, on
+    every ball c + p^d Z_p with d <= N: a level means the cell holds every
+    residue of the ball at that level, None that it holds none of them,
+    and _SPLIT is allowed only at d < N, where a ball has many residues."""
     for term in terms:
-        assert _read_term(term, p, N) == reference_read_term(term, p, N), term
+        lifts = reference_read_term(term, p, N)
+        reading = _read_term(term, p, N)
+        for d in range(N + 1):
+            for c in range(p.p**d):
+                got = reading.on_ball(c, d)
+                ball = range(c, p.p**N, p.p**d)
+                if got is _SPLIT:
+                    assert d < N, (term, c)
+                elif got is None:
+                    assert not any(r in lifts for r in ball), (term, c, d)
+                else:
+                    assert all(lifts.get(r) == got for r in ball), (term, c, d, got)
 
 
 def verified(terms, f, p, N, domain=None):
     """verify_prepared's report, checked equal to the reference's, with
-    each term read as the scanning reference reads it."""
+    each term read on every ball as the scanning reference reads it."""
     report = verify_prepared(terms, f, p, N, domain)
     assert report == reference_verify(terms, f, p, N, domain)
     read_like_reference(terms, p, N)
@@ -560,6 +567,59 @@ def test_verify_work_is_linear_in_lifts_and_cells(monkeypatch):
     monkeypatch.setattr(decompose, "int_valuation", counted)
     assert verify_prepared(terms, f, p, N, zp_cell(p)).passed
     assert calls <= 2 * p.p**N + 2 * len(terms)
+
+
+def _count_balls(monkeypatch):
+    """The (c, d) of every ball verify_prepared visits from now on."""
+    visits = []
+    real = _BallWalk.visit
+
+    def counted(self, c, d, holders, open_):
+        visits.append((c, d))
+        return real(self, c, d, holders, open_)
+
+    monkeypatch.setattr(_BallWalk, "visit", counted)
+    return visits
+
+
+@pytest.mark.parametrize("f, p, roots", [
+    (poly(-1, 0, 1), P3, 2),
+    (poly(6, -5, 1), P5, 2),
+])
+def test_verify_walks_balls_at_depth_30(monkeypatch, f, p, roots):
+    # a scan of the residues would take p^30 steps; only the balls around
+    # a cell center or a root split
+    N = 30
+    terms = decompose_univariate(f, p, None, 8)
+    visits = _count_balls(monkeypatch)
+    report = verify_prepared(terms, f, p, N, zp_cell(p))
+    assert report.passed, report.counterexamples
+    assert report.classes_checked == p.p**N
+    assert len(visits) <= 4 * (len(terms) + roots) * p.p * N
+
+
+def test_verify_settles_coset_balls_at_hensel_depth(monkeypatch):
+    # the n = 2 annulus of the hand-made cells: a ball at level k settles
+    # once d - k reaches the unit digits in_coset reads, 1 at p = 3
+    terms = [t for t in _hand_made_terms(P3) if t.cell.conditions[0].coset.n == 2]
+    assert terms
+    visits = _count_balls(monkeypatch)
+    report = verify_prepared(terms, poly(-1, 1), P3, 20, zp_cell(P3))
+    assert not report.passed  # the annulus leaves most of Z_3 uncovered
+    assert len(visits) < 10**4
+
+
+@pytest.mark.parametrize("f, p", [(poly(1, 0, 1), P5), (poly(3, 0, 0, 1), P2)])
+def test_verify_honours_center_floor(f, p):
+    # the centers of these irrational roots are certified down to level
+    # center_floor only; at N = 40 lifts reach below it
+    terms = decompose_univariate(f, p, None, 8)
+    assert any(t.center_floor is not None and t.center_floor < 40 for t in terms)
+    assert verify_prepared(terms, f, p, 40, zp_cell(p)).passed
+    unfloored = [replace(t, center_floor=None) for t in terms]
+    report = verify_prepared(unfloored, f, p, 40, zp_cell(p))
+    assert not report.passed
+    assert "prepared description gives" in report.counterexamples[0]
 
 
 def test_sub_ball_domain_off_zero():
