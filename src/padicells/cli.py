@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -250,13 +251,17 @@ def cmd_decompose(args) -> int:
     if problem.integrand is None:
         raise InputError("decompose needs an \"integrand\"")
     _, coeffs, _ = _as_poly_abs(problem.integrand)
+    N, limit = args.verify_N, sys.get_int_max_str_digits()
+    if N is not None and limit and N * math.log10(problem.prime.p) >= limit:
+        # the report prints the class count p^N and lifts below it
+        raise InputError(f"--verify-N {N}: p^N has more than {limit} digits")
     terms = decompose.decompose_univariate(coeffs, problem.prime,
                                            precision_N=args.precision)
     payload = decompose.prepared_to_json(terms)
     code = EXIT_OK
-    if args.verify_N is not None:
-        report = decompose.verify_prepared(terms, coeffs, problem.prime,
-                                           args.verify_N, zp_cell(problem.prime))
+    if N is not None:
+        report = decompose.verify_prepared(terms, coeffs, problem.prime, N,
+                                           zp_cell(problem.prime))
         payload["verify"] = {
             "passed": report.passed,
             "classes": report.classes_checked,

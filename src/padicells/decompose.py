@@ -405,11 +405,7 @@ class _TermReading:
             if not x:
                 # the ball holds c0, at level N or more; its other
                 # residues fill the levels d to N - 1
-                if d == self.N:
-                    return self.c0_level
-                if self.c0_level is not None or self._admits_between(d, self.N - 1):
-                    return _SPLIT
-                return None
+                return self.c0_level if d == self.N else _SPLIT
             k = int_valuation(x, p)
         if self.point or not self.k_min <= k <= self.k_max or (k - self.vmu) % self.n:
             return None
@@ -420,11 +416,6 @@ class _TermReading:
             return _SPLIT
         x = PAdicScalar(Fraction(c * self.den - self.num, self.den), self.prime)
         return k if in_coset(x, self.coset) else None
-
-    def _admits_between(self, lo: int, hi: int) -> bool:
-        """Some level in [lo, hi] is in the window and on the coset's grid."""
-        lo, hi = max(self.k_min, lo), min(self.k_max, hi)
-        return not self.point and lo <= hi and lo + (self.vmu - lo) % self.n <= hi
 
     def prepared_valuation(self, k: int):
         """v of the prepared description at v(t-gamma) = k; None if not integral."""
@@ -525,7 +516,7 @@ class _BallWalk:
     def _settle(self, c: int, d: int, holders) -> bool:
         """Check a ball on which every cell holds all of its residues or
         none; False when the hull test or v(f) varies on it."""
-        if d < self.hull_j:
+        if d < self.hull_j and d < self.N:
             if (c - self.hull_c) % self.p**d == 0:
                 return False
             in_hull = False

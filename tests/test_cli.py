@@ -130,6 +130,15 @@ def test_decompose_verify_n_exits_3_on_a_bad_decomposition(capsys, tmp_path, mon
     assert report["counterexamples"][0] == "lift 3 is in the domain but in no cell"
 
 
+def test_decompose_verify_n_rejects_an_unprintable_class_count(capsys, tmp_path):
+    # 3^9100 has more digits than Python prints from an int by default
+    path = problem(tmp_path, p=3, integrand="abs(x0^2 - 1)")
+    code, out, err = run(capsys, "decompose", path, "--verify-N", "9100")
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "--verify-N 9100" in err
+
+
 # ---------------------------------------------------------------------------
 # integrate
 

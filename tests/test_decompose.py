@@ -631,6 +631,15 @@ def test_sub_ball_domain_off_zero():
     assert not verified(terms, f, P3, 4, punctured_ball_cell(P3, 1, 1)).passed
 
 
+@pytest.mark.parametrize("N, center, j", [(1, 4, 2), (1, 0, 2), (2, 4, 3), (1, 1, 3)])
+def test_domain_finer_than_the_depth(N, center, j):
+    # the hull ball is smaller than a class mod p^N: a lift is in the
+    # domain when it is congruent to the hull center mod p^j
+    f = poly(-1, 0, 1)
+    for terms in (decompose_univariate(f, P3, None, 8), _hand_made_terms(P3)):
+        verified(terms, f, P3, N, punctured_ball_cell(P3, center, j))
+
+
 def test_verifier_errors_match_reference():
     two_stage = PreparedTerm(
         ConstructibleExpr.const(1), 0, 0, Cell(zp_cell(P3).conditions * 2)
