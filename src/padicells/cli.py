@@ -405,7 +405,7 @@ def cmd_zeta(args) -> int:
     }
     code = EXIT_OK
     if args.check_poincare is not None:
-        report = integrate.poincare_check(coeffs, prime, args.check_poincare)
+        report = integrate.poincare_check(coeffs, prime, args.check_poincare, z)
         payload["poincare"] = {
             "passed": report.passed,
             "counts": list(report.counts),

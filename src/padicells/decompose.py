@@ -1,13 +1,14 @@
 """Univariate cell decomposition of |f| over balls in Z_p.
 
-The strategy is a ball tree. Factor f over Q once; locate the Z_p-roots
-of each irreducible factor (exact for linear factors, certified Hensel
-lifts otherwise); then refine balls until each one either contains no
-root and |f| is provably constant on it, or contains exactly one root
-gamma and |f(t)| = |delta| * |t - gamma|^multiplicity holds on it. Both
-facts are read off the Taylor coefficients of f at the ball center: on
-|u| <= p^-j the term d_i u^i wins the ultrametric race iff
-v(d_i) + i*k is the strict minimum for every attainable k = v(u).
+The strategy is a ball tree. Factor f over Q once, and only when its
+primitive part has a root mod p (every Z_p-root reduces to one); locate
+the Z_p-roots of each irreducible factor (exact for linear factors,
+certified Hensel lifts otherwise); then refine balls until each one
+either contains no root and |f| is provably constant on it, or contains
+exactly one root gamma and |f(t)| = |delta| * |t - gamma|^multiplicity
+holds on it. Both facts are read off the Taylor coefficients of f at the
+ball center: on |u| <= p^-j the term d_i u^i wins the ultrametric race
+iff v(d_i) + i*k is the strict minimum for every attainable k = v(u).
 
 Every finished ball is emitted as a punctured cell plus the 0-cell at
 its center, so the output partitions the ball exactly, points included.
@@ -178,6 +179,10 @@ def _factor_over_q(f: polys.PolyQ):
 
 
 def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
+    # a Z_p-root of f reduces to a root of its primitive part mod p, and
+    # without one no factor has a root class to seed from: skip factoring
+    if not polys.has_root_mod_p(polys.integerize(f)[0], p.p):
+        return []
     roots: list[_TrackedRoot] = []
     for g, m in _factor_over_q(f):
         if polys.degree(g) < 1:

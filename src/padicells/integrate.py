@@ -850,15 +850,20 @@ class PoincareReport:
     expected: tuple[Fraction, ...]
 
 
-def poincare_check(f: polys.PolyQ, p: Prime, i_max: int = 6) -> PoincareReport:
+def poincare_check(
+    f: polys.PolyQ, p: Prime, i_max: int = 6, z: ZetaRational | None = None
+) -> PoincareReport:
     """Consistency check between Z(T) and the root counts N_i.
 
     With M_i = meas{v(f) >= i} = N_i p^-i, the series P(T) = sum M_i T^i
     satisfies (1 - T) P = 1 - T Z, because Z = sum_k (M_k - M_{k+1}) T^k
     telescopes. So the partial sums of the series of 1 - T*Z must hit
-    N_i p^-i, which this verifies by direct counting.
+    N_i p^-i, which this verifies by direct counting. z is the Z(T) to
+    check, computed here when None; Z(T) is exact, so the precision it
+    was decomposed at does not matter.
     """
-    z = igusa_zeta(f, p, max(8, i_max + 4))
+    if z is None:
+        z = igusa_zeta(f, p, max(8, i_max + 4))
     zs = z.series(i_max)
     counts = root_counts(f, p, i_max)
     expected = [Fraction(1)]

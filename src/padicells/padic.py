@@ -23,14 +23,23 @@ NEG_INF = float("-inf")
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Multiplicity of p in a nonzero integer."""
+    """Multiplicity of p in a nonzero integer.
+
+    Each round divides by the largest p^(2^j) that divides n, found by
+    squaring, so v = t costs O(log(t)^2) big-number operations, not t."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite; handle separately")
-    n = abs(n)
-    v = 0
+    if n % p:
+        return 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    n, v = n // p, 1
     while n % p == 0:
-        n //= p
-        v += 1
+        pk, k = p, 1
+        while n % (pk * pk) == 0:
+            pk, k = pk * pk, 2 * k
+        n //= pk
+        v += k
     return v
 
 

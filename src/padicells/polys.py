@@ -7,7 +7,8 @@ numerators over one common denominator, the point as a/b, and one
 `Fraction` per result or output coefficient. `taylor_shift_int`, the
 integer shift inside `taylor_shift`, also shifts the engine's integer
 window polynomials. `decompose` factors with sympy's dense integer
-factorizer on f's primitive integer part.
+factorizer on f's primitive integer part, and only when `has_root_mod_p`
+finds that part a root mod p; without one, sympy is not imported.
 """
 
 from __future__ import annotations
@@ -144,3 +145,60 @@ def evaluate_int(f: tuple[int, ...], x: int) -> int:
     for c in reversed(f):
         acc = acc * x + c
     return acc
+
+
+def has_root_mod_p(f: tuple[int, ...], p: int) -> bool:
+    """Whether the integer polynomial f has a root mod the prime p.
+
+    gcd(f mod p, x^p - x) is the product of the distinct linear factors
+    of f over F_p. x^p mod (f mod p) comes by square-and-multiply, so the
+    test takes O(deg^2 log p) operations in F_p and no loop over residues.
+    The zero polynomial has every residue as a root.
+    """
+    g = _monic_mod_p(f, p)
+    if len(g) <= 2:
+        return len(g) != 1  # zero: every residue; a constant: none; linear: one
+    h = [1]
+    for bit in bin(p)[2:]:
+        h = _rem_mod_p(_mul_int(h, h), g, p)
+        if bit == "1":
+            h = _rem_mod_p([0] + h, g, p)
+    h += [0] * (2 - len(h))
+    h[1] -= 1
+    a, b = g, _monic_mod_p(h, p)
+    while b:
+        a, b = b, _monic_mod_p(_rem_mod_p(a, b, p), p)
+    return len(a) > 1
+
+
+def _mul_int(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim_mod_p(a, p: int) -> list[int]:
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _rem_mod_p(a: list[int], g: list[int], p: int) -> list[int]:
+    """a mod the monic g over F_p."""
+    a, n = list(a), len(g) - 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        for j in range(n):
+            a[i - n + j] -= c * g[j]
+    return _trim_mod_p(a[:n], p)
+
+
+def _monic_mod_p(a, p: int) -> list[int]:
+    a = _trim_mod_p(a, p)
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from padicells import cli, oracle
 from padicells.cells import cell_from_json
+from padicells.decompose import decompose_univariate
 from padicells.expr import parse_constructible, print_constructible
 from padicells.padic import Prime
 
@@ -566,6 +567,49 @@ def test_cli_import_does_not_load_sympy():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout == "False\n"
+
+
+_ROOTLESS_RUN = """
+import sys
+from padicells import cli, polys
+if sys.argv[1] == "factor":  # factor every f, as before the root test mod p
+    polys.has_root_mod_p = lambda f, p: True
+cli.main(["zeta", '["1","1","1"]', "--p", "2"])
+cli.main(["zeta", '["1","1","1"]', "--p", "2", "--check-poincare", "6"])
+cli.main(["decompose", sys.argv[2], "--verify-N", "3"])
+print("sympy" in sys.modules)
+"""
+
+
+def test_polynomials_without_a_root_mod_p_do_not_load_sympy(tmp_path):
+    # x^2 + x + 1 has no root mod 2 and x^2 + 1 none mod 3
+    path = problem(tmp_path, p=3, integrand="abs(x0^2 + 1)")
+    skip, factor = (
+        subprocess.run([sys.executable, "-c", _ROOTLESS_RUN, how, path],
+                       capture_output=True, text=True, check=True).stdout.splitlines()
+        for how in ("skip", "factor")
+    )
+    assert skip[-1] == "False" and factor[-1] == "True"
+    assert skip[:-1] == factor[:-1]
+    assert skip[:2] == [
+        '{"numerator":["1"],"denominator_factors":[]}',
+        '{"numerator":["1"],"denominator_factors":[],"poincare":{"passed":true,'
+        '"counts":[1,0,0,0,0,0,0],"expected":["1","0","0","0","0","0","0"]}}',
+    ]
+    assert json.loads(skip[2])["verify"]["passed"] is True
+
+
+def test_zeta_check_poincare_decomposes_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose_univariate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.integrate, "decompose_univariate", counted)
+    code, out, _ = run(capsys, "zeta", "[-1,0,1]", "--p", "3", "--check-poincare", "6")
+    assert code == cli.EXIT_OK and json.loads(out)["poincare"]["passed"] is True
+    assert len(calls) == 1
 
 
 def test_python_dash_m_runs_the_cli():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicells import decompose, polys
+from padicells import decompose, padic, polys
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -15,6 +15,7 @@ from padicells.cells import (
     _bound_valuation,
     coset_of,
     pin_bound_residues,
+    point_cell,
     punctured_ball_cell,
     stage_center,
     stage_window,
@@ -22,6 +23,7 @@ from padicells.cells import (
 )
 from padicells.decompose import (
     HenselConditionError,
+    HenselRoot,
     PrecisionExhausted,
     PreparedTerm,
     VerifyReport,
@@ -29,7 +31,10 @@ from padicells.decompose import (
     _SPLIT,
     _BallWalk,
     _center_value,
+    _factor_over_q,
     _read_term,
+    _TrackedRoot,
+    _zp_root_seeds,
     decompose_univariate,
     hensel_lift,
     prepared_to_json,
@@ -45,6 +50,7 @@ from padicells.expr import (
 from padicells.integrate import (
     eliminate_last_variable,
     group_prepared,
+    igusa_zeta,
     poincare_check,
     prepared_power,
 )
@@ -782,3 +788,76 @@ def factor_inputs(draw):
 def test_factor_over_q_matches_reference(f):
     assert decompose._factor_over_q(f) == reference_factor_over_q(f), f
 
+
+
+# ---------------------------------------------------------------------------
+# reference root finder: _zp_roots as it was before the root test mod p,
+# factoring every f, kept verbatim. Skipping the factorizer when f has no
+# root mod p must give the same roots, or raise the same error.
+
+def reference_zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
+    roots: list[_TrackedRoot] = []
+    for g, m in _factor_over_q(f):
+        if polys.degree(g) < 1:
+            continue
+        if polys.degree(g) == 1:
+            r = -g[0] / g[1]
+            if rational_valuation(r, p.p) < 0:
+                continue
+            roots.append(_TrackedRoot(HenselRoot(r, lift_N), True, g, m))
+            continue
+        for seed in _zp_root_seeds(g, p, lift_N):
+            lifted = hensel_lift(g, p, seed, lift_N)
+            if any(
+                not rt.exact
+                and rt.factor == g
+                and rational_valuation(rt.root.approx - lifted.approx, p.p)
+                >= min(rt.root.precision, lift_N)
+                for rt in roots
+            ):
+                continue
+            roots.append(_TrackedRoot(lifted, False, g, m))
+    roots.sort(key=lambda rt: rt.root.approx)
+    return roots
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(factor_inputs(), st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([3, 24]))
+def test_zp_roots_match_reference(f, p, lift_N):
+    def outcome(find):
+        try:
+            return find(f, Prime(p), lift_N)
+        except (ArithmeticError, ValueError) as e:
+            return type(e), str(e)
+
+    assert outcome(decompose._zp_roots) == outcome(reference_zp_roots), (f, p)
+
+
+def _largest_prime_below_the_limit() -> Prime:
+    n = padic._MR_LIMIT - 1
+    while not padic.is_prime(n):
+        n -= 1
+    return Prime(n)
+
+
+def test_constant_and_linear_f_at_the_largest_prime():
+    """The root test mod p squares its way to x^p, so at a prime near the
+    primality limit it loops over no residues: a constant and a linear f
+    decompose into one ball and its center, as before the test."""
+    P = _largest_prime_below_the_limit()
+    q = P.p
+    # Euler's criterion decides the quadratics
+    non_residue = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    for g, want in [((1, 0, 1), pow(-1, (q - 1) // 2, q) == 1),
+                    ((-non_residue, 0, 1), False), ((-8, 0, 0, 1, q), True)]:
+        assert polys.has_root_mod_p(g, q) == want, g
+    terms = decompose_univariate(poly(3), P, None, 8)
+    assert [(t.a, t.delta.constant_value(), t.cell) for t in terms] == [
+        (0, 3, punctured_ball_cell(P, F(0), 0)), (0, 3, point_cell(P, Const(F(0))))]
+    z = igusa_zeta(poly(3), P)
+    assert (z.numerator, z.denominator_factors) == ((1,), ())
+    terms = decompose_univariate(poly(-1, 1), P, None, 8)
+    assert [(t.a, t.delta.constant_value(), t.cell) for t in terms] == [
+        (1, 1, punctured_ball_cell(P, F(1), 0)), (0, 0, point_cell(P, Const(F(1))))]
+    z = igusa_zeta(poly(-1, 1), P)
+    assert (z.numerator, z.denominator_factors) == ((F(q - 1, q),), ((1, 1),))

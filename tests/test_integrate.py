@@ -1570,6 +1570,14 @@ def test_poincare_consistency():
     assert r.expected[2] == F(r.counts[2], 9)
 
 
+def test_poincare_check_checks_the_zeta_it_is_given():
+    f = polys.poly_from([-1, 0, 1])
+    z = igusa_zeta(f, P3, 3)
+    assert poincare_check(f, P3, 5, z) == poincare_check(f, P3, 5)
+    wrong = igusa_zeta(polys.poly_from([0, 1]), P3)
+    assert not poincare_check(f, P3, 5, wrong).passed
+
+
 @st.composite
 def factored_polys(draw):
     """c * prod g_j^m_j over Z: one to three linear or quadratic g_j with

@@ -11,6 +11,7 @@ from padicells.padic import (
     coset_representatives,
     hensel_power_depth,
     in_coset,
+    int_valuation,
     nth_power_unit_residues,
     rational_valuation,
     scalar,
@@ -117,6 +118,31 @@ def test_rational_valuation_of_ints():
         for x in (-50, -9, -1, 1, 2, 12, 75, 3**20 * 2**7):
             assert rational_valuation(x, p) == rational_valuation(Fraction(x), p)
         assert rational_valuation(0, p) == INF
+
+
+def reference_int_valuation(n, p):
+    """int_valuation as it was: one division by p per digit."""
+    if n == 0:
+        raise ValueError("valuation of 0 is infinite; handle separately")
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_int_valuation_matches_the_digit_loop(p):
+    units = [1, -1, p - 1, -(p + 1), 2 * p + 1, 10**40 + 1]
+    ks = list(range(70)) + [127, 128, 129, 255, 256, 1000, 1023, 1024, 2047, 3000]
+    for k in ks:
+        for u in units:
+            assert u % p
+            n = p**k * u
+            assert int_valuation(n, p) == reference_int_valuation(n, p) == k, (k, u)
+    with pytest.raises(ValueError):
+        int_valuation(0, p)
 
 
 def test_in_coset_off_unit_mu_and_at_int_values():

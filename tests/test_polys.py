@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +104,37 @@ def test_evaluate_reads_a_float_exactly():
     f = polys.poly_from([F(1, 3), 0, 1])
     assert polys.evaluate(f, 0.5) == F(1, 3) + F(1, 4)
     assert polys.evaluate(f, 0.1) == F(1, 3) + F(0.1) ** 2
+
+
+def residue_scan(f, p):
+    return any(polys.evaluate_int(tuple(f), r) % p == 0 for r in range(p))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.lists(st.integers(-40, 40), max_size=8))
+def test_has_root_mod_p_matches_a_residue_scan(p, f):
+    assert polys.has_root_mod_p(tuple(f), p) == residue_scan(f, p)
+
+
+@pytest.mark.parametrize("f, p, want", [
+    # p divides the leading coefficient: the degree drops mod p
+    ((1, 1, 3), 3, True),
+    ((1, 0, 1, 3), 3, False),
+    ((2, 0, 1, 5), 5, False),
+    ((3, 0, 1, 7, 14), 7, True),
+    # f mod p is a nonzero constant, or zero
+    ((1, 5, 5), 5, False),
+    ((3, 4, 0, 2), 2, False),
+    ((-1, 3), 3, False),
+    ((5, 10), 5, True),
+    ((), 7, True),
+    # repeated roots, and repeated factors without a root
+    ((1, -2, 1), 3, True),
+    ((0, 0, 0, 1), 7, True),
+    ((1, 0, 2, 0, 1), 3, False),
+    ((1, 2, 3, 2, 1), 2, False),
+    ((4, -12, 13, -6, 1), 13, True),
+    ((-1, 0, 2, 0, -1, 0, 0, 0, 0, 11), 11, True),
+])
+def test_has_root_mod_p_edge_cases(f, p, want):
+    assert polys.has_root_mod_p(f, p) == residue_scan(f, p) == want
