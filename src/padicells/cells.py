@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from .expr import (
     Const,
@@ -38,7 +37,7 @@ from .padic import (
     PAdicScalar,
     Prime,
     in_coset,
-    int_valuation,
+    unit_class_count,
 )
 
 
@@ -119,15 +118,13 @@ def level_set_measure(c: Coset) -> Fraction:
 
     Measure{u : v(u) = k, u in mu*P_n} equals epsilon * p^-k for every
     attainable k (those with k = v(mu) mod n) and 0 otherwise, where
-    epsilon = ((p - 1)/p) / [U : U^n] for the units U of Z_p. U is a cyclic
-    group of order w = p - 1 (w = 2 for p = 2, the roots of unity +-1)
-    times a copy of Z_p, so [U : U^n] = gcd(n, w) * p^v_p(n).
+    epsilon = ((p - 1)/p) / [U : U^n] for the units U of Z_p, with the
+    index from padic.unit_class_count.
     """
     if c.is_zero():
         raise ValueError("level sets of the zero coset are points")
     p = c.prime.p
-    index = gcd(c.n, p - 1 if p > 2 else 2) * p ** int_valuation(c.n, p)
-    return Fraction(p - 1, p * index)
+    return Fraction(p - 1, p * unit_class_count(p, c.n))
 
 
 # ---------------------------------------------------------------------------

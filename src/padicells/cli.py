@@ -8,7 +8,7 @@ and with a fixed key order so repeated runs are byte identical.
 
 Exit codes: 0 success, 1 malformed input (schema, syntax or usage), 2 precision
 or enumeration exhaustion, 3 a verification check failed its bound, 4 an
-internal fault (a failed self-check or invariant, never the input's fault).
+internal fault (a broken invariant, never the input's fault).
 """
 
 from __future__ import annotations
@@ -537,10 +537,8 @@ def main(argv: list[str] | None = None) -> int:
         # a RuntimeError subclass, but caused by the input's nesting depth
         return _fail("input nested too deeply", EXIT_INPUT)
     except (RuntimeError, AssertionError, TypeError, KeyError) as e:
-        # a failed self-check (the power-coset witness check of
-        # padic.in_coset) and broken invariants; the readers refuse every
-        # input that could raise a TypeError or KeyError, so those are
-        # faults too
+        # broken invariants; the readers refuse every input that could
+        # raise a TypeError or KeyError, so those are faults too
         return _fail(f"internal error ({type(e).__name__}): {e}", EXIT_INTERNAL)
 
 

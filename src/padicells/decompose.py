@@ -392,7 +392,7 @@ class _TermReading:
     point: bool
     n: int
     vmu: int | float
-    depth: int  # the unit digits in_coset reads: hensel_power_depth(n, p)
+    depth: int  # hensel_power_depth(n, p): enough unit digits to decide in_coset
     vd: int | float  # v(delta), INF for delta = 0
     a: int
     floor: int | None  # the term's center_floor

@@ -130,21 +130,15 @@ def _stage(cond: CellCondition, diff: DTerm) -> _Stage:
                   hensel_power_depth(n, p), tuple(bounds))
 
 
-def _stage_decision(
-    cond: CellCondition, diff: DTerm, reps: tuple[Lift, ...], depths: Depths
-) -> tuple[int, int]:
-    """The stage's verdict on the box, and the bitmask of its terms (DIFF,
-    LOWER, UPPER) whose valuation the box leaves open: refining the
-    variables of the other terms cannot decide a BOUNDARY verdict.
-
-    diff is t - center(x) for the stage variable t; it reads t itself,
-    so its certified depth never exceeds the depth of t. The lifts may be
-    ints or Fractions."""
-    return _decide(_stage(cond, diff), reps, depths)
-
-
 def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int, int]:
-    """_stage_decision on a stage prepared by _stage."""
+    """The verdict of a stage prepared by _stage on the box, and the bitmask
+    of its terms (DIFF, LOWER, UPPER) whose valuation the box leaves open:
+    refining the variables of the other terms cannot decide a BOUNDARY
+    verdict.
+
+    The stage's diff is t - center(x) for the stage variable t; it reads t
+    itself, so its certified depth never exceeds the depth of t. The lifts
+    may be ints or Fractions."""
     diff, p, coset, graph, n, hensel_depth, bounds = stage
     value, dv = _eval(diff, reps, depths, p)
     v = rational_valuation(value, p)

@@ -11,9 +11,9 @@ enumeration oracle), and is always reported with an explicit bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 # Valuation of zero. Absorbing under addition, greater than every integer.
 INF = float("inf")
@@ -173,57 +173,43 @@ class Coset:
 
 
 def hensel_power_depth(n: int, p: int) -> int:
-    """Modulus exponent D with: a unit u is an n-th power iff some unit w
-    has w^n = u mod p^D. D = 2*v_p(n) + 1 suffices (Newton condition
-    v(w^n - u) > 2*v(n*w^(n-1)) holds for any witness mod p^D)."""
+    """A modulus exponent D with: the unit digits mod p^D decide whether a
+    unit u is an n-th power. D = 2*v_p(n) + 1 suffices (Newton condition
+    v(w^n - u) > 2*v(n*w^(n-1)) holds for any witness mod p^D); the
+    closed form of in_coset reads only v_p(n) + 2 digits, so D is a
+    sufficient depth, not the least one."""
     return 2 * int_valuation(n, p) + 1
 
 
-@functools.lru_cache(maxsize=None)
-def nth_power_unit_residues(p: int, n: int, modulus_exp: int) -> frozenset[int]:
-    """Residues mod p^modulus_exp hit by u -> u^n on units."""
-    m = p**modulus_exp
-    return frozenset(pow(w, n, m) for w in range(1, m) if w % p != 0)
+# The units U of Z_p are mu x U_1: mu the roots of unity (order p - 1, or
+# +-1 for p = 2) and U_1 = 1 + pZ_p (1 + 4Z_2 for p = 2), a copy of Z_p
+# (Serre, A Course in Arithmetic, ch. II 3). With k = v_p(n), the n-th
+# powers are U^n = mu^g x U_(k+1) for odd p, g = gcd(n, p - 1), and
+# U_(k+2) for p = 2 and even n; every unit is an n-th power for p = 2 and
+# odd n. So [U : U^n] = gcd(n, p - 1 or 2) * p^k.
 
 
-@functools.lru_cache(maxsize=None)
-def _nth_power_witnesses(p: int, n: int, modulus_exp: int) -> dict[int, int]:
-    """One n-th root witness per hit residue class."""
-    m = p**modulus_exp
-    out: dict[int, int] = {}
-    for w in range(1, m):
-        if w % p != 0:
-            out.setdefault(pow(w, n, m), w)
-    return out
+def unit_class_count(p: int, n: int) -> int:
+    """The index [U : U^n] of the n-th powers among the units of Z_p."""
+    return gcd(n, p - 1 if p > 2 else 2) * p ** int_valuation(n, p)
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _self_check_witness(p: int, n: int, depth: int, target: int) -> None:
-    """Lift the root witness of the unit residue target mod p^(depth+2)
-    two digits deeper. Failure would mean the depth bound is wrong, so
-    abort loudly rather than return a silent wrong answer. Cached, since
-    the check depends only on its arguments; a failure is never cached."""
-    e = int_valuation(n, p)
-    m2 = p ** (depth + 2)
-    witness = _nth_power_witnesses(p, n, depth)[target % p**depth]
-    step = p ** (depth - e)
-    base = witness % step
-    for i in range(p ** (e + 2)):
-        w2 = base + i * step
-        if w2 % p != 0 and pow(w2, n, m2) == target:
-            return
-    raise RuntimeError(
-        f"power-coset self-check failed lifting witness {witness} for p={p}, n={n}"
-    )
+def _unit_class(u: int, n: int, p: int) -> int | tuple[int, int]:
+    """The image of the unit u under a homomorphism U -> finite group whose
+    kernel is U^n: units u, w lie in one class of U / U^n iff their
+    classes are equal. Reads u mod p^(v_p(n) + 2)."""
+    k = int_valuation(n, p)
+    if p == 2:
+        return u % 2 ** (k + 2) if k else 1
+    return pow(u, (p - 1) // gcd(n, p - 1), p), pow(u, p - 1, p ** (k + 1))
 
 
 def in_coset(x: PAdicScalar, coset: Coset) -> bool:
     """Exact membership of x in the coset.
 
-    The unit n-th power test works modulo p^depth with the Hensel-sufficient
-    depth 2*v_p(n) + 1. Positive answers for n > 1 are re-checked by
-    lifting a root witness two digits deeper, once per unit residue mod
-    p^(depth+2).
+    x is in mu*P_n iff v(x/mu) = 0 mod n and the unit part of x/mu is an
+    n-th power, which _unit_class decides from its residue mod
+    p^(v_p(n) + 2).
     """
     if coset.is_zero():
         return x.is_zero()
@@ -234,38 +220,32 @@ def in_coset(x: PAdicScalar, coset: Coset) -> bool:
     if n == 1:
         return True  # every nonzero x is a first power times mu
     p = coset.prime.p
-    depth = hensel_power_depth(n, p)
     # x / mu = num / den in ints (den may be negative). With the powers of
     # p divided out of both, what is left is a unit, and its residue mod
-    # p^(depth+2) is num * den^-1.
+    # p^(v_p(n)+2) is num * den^-1.
     a, b = x.value.as_integer_ratio()
     c, d = coset.mu.value.as_integer_ratio()
     num, den = a * d, b * c
     vn, vd = int_valuation(num, p), int_valuation(den, p)
     if (vn - vd) % n != 0:
         return False
-    m = p ** (depth + 2)
-    target = num // p**vn * pow(den // p**vd, -1, m) % m
-    if target % p**depth not in nth_power_unit_residues(p, n, depth):
-        return False
-    _self_check_witness(p, n, depth, target)
-    return True
+    m = p ** (int_valuation(n, p) + 2)
+    unit = num // p**vn * pow(den // p**vd, -1, m) % m
+    return _unit_class(unit, n, p) == _unit_class(1, n, p)
 
 
 def coset_representatives(p: int, n: int) -> list[Fraction]:
     """Representatives of Q_p^x modulo n-th powers, deterministic order.
 
-    The returned set {p^j * u} has one u per unit class; the cosets they
-    generate partition Q_p^x.
+    The returned set {p^j * u} has one u per unit class, the least positive
+    one; the cosets they generate partition Q_p^x. Every class has a unit
+    below p^(v_p(n) + 2), and the scan stops at the last new class.
     """
-    depth = hensel_power_depth(n, p)
-    m = p**depth
-    image = nth_power_unit_residues(p, n, depth)
-    unit_reps: list[int] = []
-    covered: set[int] = set()
-    for u in range(1, m):
-        if u % p == 0 or u in covered:
-            continue
-        unit_reps.append(u)
-        covered.update((u * s) % m for s in image)
-    return [Fraction(p) ** j * u for j in range(n) for u in unit_reps]
+    count = unit_class_count(p, n)
+    unit_reps: dict[int | tuple[int, int], int] = {}  # class -> least unit in it
+    for u in range(1, p ** (int_valuation(n, p) + 2)):
+        if u % p:
+            unit_reps.setdefault(_unit_class(u, n, p), u)
+            if len(unit_reps) == count:
+                break
+    return [Fraction(p) ** j * u for j in range(n) for u in unit_reps.values()]

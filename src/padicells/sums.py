@@ -98,25 +98,6 @@ def _window_ints(i: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(comb(i, e) * heads[i - e] * d**e for e in range(i + 1))
 
 
-# typed, so that an int or float u never receives a result computed for an
-# equal Fraction.
-@lru_cache(maxsize=1024, typed=True)
-def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
-    """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), any u != 1.
-
-    The identity is between rational functions of u, so it needs no
-    convergence; only the one-sided tail reading requires |u| < 1. A
-    float u gives float coefficients."""
-    if u == 1:
-        raise ValueError("u = 1 follows the Faulhaber route instead")
-    a, b = u.as_integer_ratio()
-    den = (b - a) ** (i + 1)
-    coeffs = tuple(Fraction(w, den) for w in _window_ints(i, a, b))
-    if isinstance(u, float):
-        coeffs = tuple(float(c) for c in coeffs)
-    return polys.normalize(coeffs)
-
-
 def bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0..B_n with B_1 = +1/2, from sum_{j<=m} C(m+1, j) B_j = m + 1."""
     out: list[Fraction] = []

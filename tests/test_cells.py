@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from padicells import padic
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -23,9 +22,9 @@ from padicells.padic import (
     Prime,
     coset_representatives,
     hensel_power_depth,
-    nth_power_unit_residues,
     scalar,
 )
+from test_padic import reference_nth_power_unit_residues
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 F = Fraction
@@ -75,13 +74,9 @@ def test_epsilon_independent_of_mu_and_matches_counting():
             assert eps == {F(count, m)}, (p, n)
 
 
-def test_epsilon_for_n_1_counts_no_residues(monkeypatch):
+def test_epsilon_for_n_1_counts_no_residues():
     # epsilon is a closed form in p and n: no n, 1 or large, enumerates unit
     # residues (n = 1024 at p = 2 used to count 2^23 of them)
-    def residues(p, n, d):
-        raise AssertionError(f"counted residues for p={p}, n={n}")
-
-    monkeypatch.setattr(padic, "nth_power_unit_residues", residues)
     for p in (2, 3, 257):
         assert level_set_measure(coset_of(Prime(p), 1, 1)) == F(p - 1, p)
     assert level_set_measure(coset_of(P3, 1, 2)) == F(1, 3)
@@ -89,11 +84,17 @@ def test_epsilon_for_n_1_counts_no_residues(monkeypatch):
     assert level_set_measure(coset_of(P3, 1, 1024)) == F(1, 3)
 
 
+def test_epsilon_at_huge_n():
+    # [U : U^n] = gcd(n, p - 1 or 2) * p^v_p(n), read without a residue
+    assert level_set_measure(coset_of(P2, 1, 2**40)) == F(1, 2**42)
+    assert level_set_measure(coset_of(P3, 1, 3**30)) == F(2, 3**31)
+
+
 def reference_epsilon_counted(p: int, n: int) -> Fraction:
     """The counted density: n-th-power unit residues over p^depth, at the
     Hensel depth and two digits deeper, which must agree."""
     depth = hensel_power_depth(n, p)
-    counts = {F(len(nth_power_unit_residues(p, n, d)), p**d) for d in (depth, depth + 2)}
+    counts = {F(len(reference_nth_power_unit_residues(p, n, d)), p**d) for d in (depth, depth + 2)}
     assert len(counts) == 1, (p, n)
     return counts.pop()
 

@@ -82,6 +82,7 @@ from padicells.padic import (
     rational_valuation,
 )
 from padicells.sums import DivergentSumError
+from test_sums import reference_window_coeffs
 
 F = Fraction
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -641,7 +642,7 @@ def reference_window_expr(i, u, pw, h0, h1, n, q) -> ConstructibleExpr:
         )
         return upper_part + lower_part.scale(-1)
     if h0 is not None and h1 is not None:
-        t = sums.window_coeffs(i, u)
+        t = reference_window_coeffs(i, u)
         head = reference_norm_power(h0, pw, q) * reference_valuation_poly(
             h0, t, Fraction(1, n), q
         )
@@ -650,12 +651,12 @@ def reference_window_expr(i, u, pw, h0, h1, n, q) -> ConstructibleExpr:
         )
         return head + tail.scale(-u)
     if h0 is not None:
-        t = sums.window_coeffs(i, u)
+        t = reference_window_coeffs(i, u)
         return reference_norm_power(h0, pw, q) * reference_valuation_poly(
             h0, t, Fraction(1, n), q
         )
     assert h1 is not None
-    t = sums.window_coeffs(i, 1 / u)
+    t = reference_window_coeffs(i, 1 / u)
     body = reference_norm_power(h1, pw, q) * reference_valuation_poly(
         h1, t, Fraction(-1, n), q
     )

@@ -56,8 +56,9 @@ from padicells.oracle import (
     OracleResult,
     UnboundedDomainError,
     _check_enumerable,
+    _decide,
     _reads,
-    _stage_decision,
+    _stage,
     oracle_integrate,
     oracle_measure,
 )
@@ -164,7 +165,7 @@ def flat_reference(integrand, domain, p, N):
         cond = domain.conditions[stage]
         for r in range(pN):
             here = lifts[:stage] + (F(r),) + lifts[stage + 1:]
-            decision, _ = _stage_decision(cond, diffs[stage], here, depths)
+            decision, _ = _decide(_stage(cond, diffs[stage]), here, depths)
             if decision == BOUNDARY:
                 boundary += F(1, pN) ** (stage + 1)
             elif decision == INSIDE:
@@ -476,7 +477,7 @@ def reference_oracle_integrate(
         for s in range(arity):
             if inside >> s & 1:
                 continue
-            decision, open_terms = _stage_decision(conds[s], diffs[s], reps, depths)
+            decision, open_terms = _decide(_stage(conds[s], diffs[s]), reps, depths)
             if decision == OUTSIDE:
                 break
             if decision == INSIDE:

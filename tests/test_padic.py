@@ -12,9 +12,9 @@ from padicells.padic import (
     hensel_power_depth,
     in_coset,
     int_valuation,
-    nth_power_unit_residues,
     rational_valuation,
     scalar,
+    unit_class_count,
 )
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -160,8 +160,8 @@ def test_in_coset_off_unit_mu_and_at_int_values():
 
 
 def test_cached_in_coset_matches_bruteforce_on_every_unit():
-    # every unit residue mod p^(depth+2), twice: the second pass answers
-    # from the cached witness check
+    # every unit residue mod p^(depth+2), twice: an answer does not depend
+    # on the calls before it
     for p in (2, 3, 5):
         prime = Prime(p)
         for n in (1, 2, 3, 4):
@@ -172,27 +172,104 @@ def test_cached_in_coset_matches_bruteforce_on_every_unit():
                 assert [in_coset(scalar(u, prime), c) for u in units] == want, (p, n)
 
 
-def test_witness_check_runs_once_per_residue_and_still_fails_loudly(monkeypatch):
-    check = padic._self_check_witness
-    check.cache_clear()
-    c = Coset(scalar(1, P5), 2)
-    for x in (1, 1 + 5**3, 1 + 2 * 5**3, 1 + 5**5):  # all 1 mod 5^3
-        assert in_coset(scalar(x, P5), c)
-    assert check.cache_info().misses == 1
-    assert check.cache_info().hits == 3
-    check.cache_clear()
-    # a witness whose lift misses the target must still abort
-    monkeypatch.setattr(padic, "_nth_power_witnesses", lambda p, n, d: {1: 5})
-    with pytest.raises(RuntimeError, match="self-check failed"):
-        in_coset(scalar(1, P5), c)
-    check.cache_clear()
+# The residue tables that in_coset read before its closed form, kept as the
+# reference it must match: the n-th powers of the units mod p^depth at the
+# Hensel depth, and a root witness of each hit lifted two digits deeper.
+
+def reference_nth_power_unit_residues(p: int, n: int, modulus_exp: int) -> frozenset[int]:
+    """Residues mod p^modulus_exp hit by u -> u^n on units."""
+    m = p**modulus_exp
+    return frozenset(pow(w, n, m) for w in range(1, m) if w % p != 0)
+
+
+def reference_nth_power_witnesses(p: int, n: int, modulus_exp: int) -> dict[int, int]:
+    """One n-th root witness per hit residue class."""
+    m = p**modulus_exp
+    out: dict[int, int] = {}
+    for w in range(1, m):
+        if w % p != 0:
+            out.setdefault(pow(w, n, m), w)
+    return out
+
+
+def reference_lift_witness(p: int, n: int, witnesses: dict[int, int], target: int) -> bool:
+    """Whether the root witness of the unit residue target mod p^(depth+2)
+    lifts two digits deeper, witnesses being those mod p^depth."""
+    depth = hensel_power_depth(n, p)
+    e = int_valuation(n, p)
+    m2 = p ** (depth + 2)
+    witness = witnesses[target % p**depth]
+    step = p ** (depth - e)
+    base = witness % step
+    return any(
+        w2 % p != 0 and pow(w2, n, m2) == target
+        for w2 in (base + i * step for i in range(p ** (e + 2)))
+    )
+
+
+def reference_coset_representatives(p: int, n: int) -> list[Fraction]:
+    """The greedy cover: each unit mod p^depth, ascending, that no earlier
+    representative's class covers."""
+    depth = hensel_power_depth(n, p)
+    m = p**depth
+    image = reference_nth_power_unit_residues(p, n, depth)
+    unit_reps: list[int] = []
+    covered: set[int] = set()
+    for u in range(1, m):
+        if u % p == 0 or u in covered:
+            continue
+        unit_reps.append(u)
+        covered.update((u * s) % m for s in image)
+    return [Fraction(p) ** j * u for j in range(n) for u in unit_reps]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_in_coset_matches_the_residue_tables(p):
+    # every unit mod p^(depth+2) for n <= 16; the largest modulus is 7^5
+    prime = Prime(p)
+    for n in range(1, 17):
+        depth = hensel_power_depth(n, p)
+        assert p ** (depth + 2) < 10**5
+        table = reference_nth_power_unit_residues(p, n, depth)
+        witnesses = reference_nth_power_witnesses(p, n, depth)
+        # [U : U^n] units mod p^depth share each n-th power residue
+        assert unit_class_count(p, n) * len(table) == (p - 1) * p ** (depth - 1), (p, n)
+        c = Coset(scalar(1, prime), n)
+        for u in range(1, p ** (depth + 2)):
+            if u % p:
+                want = u % p**depth in table
+                assert not want or reference_lift_witness(p, n, witnesses, u), (p, n, u)
+                assert in_coset(PAdicScalar(u, prime), c) is want, (p, n, u)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coset_representatives_match_the_greedy_cover(p):
+    for n in range(1, 17):
+        assert coset_representatives(p, n) == reference_coset_representatives(p, n), (p, n)
+
+
+def test_in_coset_at_huge_n():
+    # the closed form reads v_p(n) + 2 digits of the unit, so n = 2^40 costs
+    # what n = 2 does; a table mod p^(2 v_p(n) + 1) would not fit in memory
+    c = Coset(scalar(1, P2), 2**40)
+    assert in_coset(scalar(1 + 2**42, P2), c)
+    assert not in_coset(scalar(1 + 2**41, P2), c)
+    assert not in_coset(scalar(-1, P2), c)
+    assert not in_coset(scalar(2, P2), c)
+    c = Coset(scalar(1, P3), 3**30)
+    assert in_coset(scalar(1 + 3**31, P3), c)
+    assert in_coset(scalar(-1, P3), c)  # -1 = (-1)^n for odd n
+    assert not in_coset(scalar(1 + 3**30, P3), c)
+    assert not in_coset(scalar(3, P3), c)
+    assert unit_class_count(2, 2**40) == 2**41
+    assert unit_class_count(3, 3**30) == 3**30
 
 
 def test_power_residue_counts():
     # squares of units mod 8: exactly {1}
-    assert nth_power_unit_residues(2, 2, 3) == frozenset({1})
+    assert reference_nth_power_unit_residues(2, 2, 3) == frozenset({1})
     # cubes of units mod 27 hit 6 classes
-    assert len(nth_power_unit_residues(3, 3, 3)) == 6
+    assert len(reference_nth_power_unit_residues(3, 3, 3)) == 6
 
 
 def test_coset_representatives_partition():

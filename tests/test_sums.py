@@ -15,8 +15,8 @@ from padicells.sums import (
     bernoulli_numbers,
     faulhaber_coeffs,
     reindex_coeffs,
+    _window_ints,
     sum_progression,
-    window_coeffs,
 )
 
 F = Fraction
@@ -179,13 +179,12 @@ def test_bernoulli_recurrence_matches_sympy():
             assert got[k] == F(int(b.p), int(b.q)), k
 
 
-def test_window_coeffs_cache_keeps_types_apart():
-    window_coeffs.cache_clear()
-    exact = window_coeffs(2, F(1, 2))
-    assert all(type(c) is Fraction for c in exact)
-    assert all(type(c) is float for c in window_coeffs(2, 0.5))
-    assert window_coeffs(2, F(1, 2)) is exact
-    assert window_coeffs.cache_info().maxsize is not None
+def window_coeffs(i: int, u: Fraction) -> polys.PolyQ:
+    """T with sum_{j=x..y} j^i u^j = u^x*T(x) - u^(y+1)*T(y+1), read from
+    the engine's integer window W_i = d^(i+1) T_i, u = a/b, d = b - a."""
+    a, b = u.as_integer_ratio()
+    den = (b - a) ** (i + 1)
+    return polys.normalize(tuple(Fraction(w, den) for w in _window_ints(i, a, b)))
 
 
 def test_window_coeffs_is_the_window_identity():
@@ -250,11 +249,6 @@ def test_reindex_coeffs_matches_reference(l, c, n):
     got = reindex_coeffs(l, c, n)
     assert got == reference_reindex_coeffs(l, c, n)
     assert all(type(x) is int for x in got)
-
-
-def test_window_coeffs_rejects_one():
-    with pytest.raises(ValueError):
-        window_coeffs(2, F(1))
 
 
 # The plain Fraction forms of the sums, kept as the reference that the
