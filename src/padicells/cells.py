@@ -237,13 +237,7 @@ def coset_of(prime: Prime, mu, n: int) -> Coset:
 
 def zp_cell(prime: Prime) -> Cell:
     """Z_p with the origin removed: |t| <= 1, t in 1*P_1."""
-    cond = CellCondition(
-        center=Const(Fraction(0)),
-        coset=coset_of(prime, 1, 1),
-        upper=Const(Fraction(1)),
-        upper_strict=False,
-    )
-    return Cell((cond,))
+    return punctured_ball_cell(prime, 0, 0)
 
 
 def point_cell(prime: Prime, center) -> Cell:

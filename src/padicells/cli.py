@@ -286,8 +286,16 @@ def _concrete_values(f: ConstructibleExpr, problem: Problem):
 
 
 def _symbolic_value(f: ConstructibleExpr, cells: list[Cell]):
-    """(expression, integrable) over the base; refuses a cell whose result
-    holds only where a pin or window guard holds."""
+    """(expression, integrable) over the base; refuses cells over different
+    base cells, whose results hold each over its own base only, and a cell
+    whose result holds only where a pin or window guard holds."""
+    for i, cell in enumerate(cells):
+        if cell.conditions[:-1] != cells[0].conditions[:-1]:
+            raise InputError(
+                f"cells 0 and {i} lie over different base cells, and each "
+                "symbolic result holds only over its own base; integrate them "
+                "in concrete mode at base points"
+            )
     results = [integrate.eliminate_stages(f, [cell], 1) for cell in cells]
     if any(pieces is None for pieces in results):
         return ConstructibleExpr.zero(), False

@@ -1,14 +1,17 @@
 """Univariate cell decomposition of |f| over balls in Z_p.
 
-The strategy is a ball tree. Factor f over Q once, and only when its
-primitive part has a root mod p (every Z_p-root reduces to one); locate
-the Z_p-roots of each irreducible factor (exact for linear factors,
+The strategy is a ball tree. Factor f over Q once, with sympy's dense
+integer factorizer on f's primitive integer part, and only when
+polys.has_root_mod_p finds that part a root mod p (every Z_p-root
+reduces to one; without one, sympy is not imported). Locate the
+Z_p-roots of each irreducible factor (exact for linear factors,
 certified Hensel lifts otherwise); then refine balls until each one
-either contains no root and |f| is provably constant on it, or contains
-exactly one root gamma and |f(t)| = |delta| * |t - gamma|^multiplicity
-holds on it. Both facts are read off the Taylor coefficients of f at the
-ball center: on |u| <= p^-j the term d_i u^i wins the ultrametric race
-iff v(d_i) + i*k is the strict minimum for every attainable k = v(u).
+holds at most one root gamma, of multiplicity m, and
+|f(t)| = |delta| * |t - gamma|^m holds on it. A ball without a root is
+the case m = 0 with gamma its center, where |f| is constant. The fact is
+read off the Taylor coefficients d_i of f at gamma: on |u| <= p^-j the
+term d_m u^m wins the ultrametric race iff v(d_m) + m*k is the strict
+minimum for every attainable k = v(u).
 
 Every finished ball is emitted as a punctured cell plus the 0-cell at
 its center, so the output partitions the ball exactly, points included.
@@ -234,42 +237,10 @@ def _ball_hull(domain: Cell | None, p: Prime) -> tuple[Fraction, int]:
     return c, j
 
 
-def _emit_pair(
-    out: list[PreparedTerm],
-    p: Prime,
-    center: Fraction,
-    j: int,
-    a: int,
-    delta_ball: Fraction,
-    delta_point: Fraction,
-    floor: int | None,
-) -> None:
-    out.append(
-        PreparedTerm(
-            ConstructibleExpr.const(delta_ball), a, 0, punctured_ball_cell(p, center, j),
-            floor,
-        )
-    )
-    out.append(
-        PreparedTerm(
-            ConstructibleExpr.const(delta_point), 0, 0, point_cell(p, Const(center)), floor
-        )
-    )
-
-
-def _constant_norm_on_ball(d: polys.PolyQ, j: int, p: int) -> bool:
-    """|sum d_i u^i| = |d_0| for every v(u) >= j."""
-    if not d or d[0] == 0:
-        return False
-    v0 = rational_valuation(d[0], p)
-    return all(
-        v0 < rational_valuation(d[i], p) + i * j for i in range(1, len(d)) if d[i]
-    )
-
-
 def _dominant_root_floor(d: polys.PolyQ, m: int, j: int, p: int):
     """Largest K with |f(gamma+u)| = |d_m||u|^m for all j <= v(u) <= K,
-    or None when the m-th Taylor term never dominates down the ball."""
+    or None when the m-th Taylor term never dominates down the ball. At
+    m = 0 it is INF when |f| = |d_0| on the whole ball, else None."""
     vm = rational_valuation(d[m], p)
     for i in range(m + 1, len(d)):
         if d[i] and not vm < rational_valuation(d[i], p) + (i - m) * j:
@@ -311,7 +282,6 @@ def decompose_univariate(
     out: list[PreparedTerm] = []
 
     def handle(center: Fraction, j: int) -> None:
-        nonlocal roots
         if j > precision_N:
             raise PrecisionExhausted(
                 f"precision exhausted: subdivision passed depth {precision_N}"
@@ -321,8 +291,11 @@ def decompose_univariate(
             for k, rt in enumerate(roots)
             if rational_valuation(rt.root.approx - center, p.p) >= j
         ]
-        if len(local) == 1:
-            rt = roots[local[0]]
+        if len(local) < 2:
+            # a ball without a root is the case m = 0 about its center
+            rt = roots[local[0]] if local else _TrackedRoot(
+                HenselRoot(center, lift_N), True, f, 0
+            )
             m = rt.multiplicity
             while True:
                 gamma = rt.root.approx
@@ -331,24 +304,12 @@ def decompose_univariate(
                 if floor is None:
                     break
                 if rt.exact or floor >= precision_N + 2:
-                    _emit_pair(
-                        out,
-                        p,
-                        gamma,
-                        j,
-                        m,
-                        d[m],
-                        d[0],
-                        None if floor == INF else int(floor),
-                    )
+                    cut = None if floor == INF else int(floor)
+                    ball, point = punctured_ball_cell(p, gamma, j), point_cell(p, Const(gamma))
+                    out.append(PreparedTerm(ConstructibleExpr.const(d[m]), m, 0, ball, cut))
+                    out.append(PreparedTerm(ConstructibleExpr.const(d[0]), 0, 0, point, cut))
                     return
-                deeper = rt.deepen(p, 2 * rt.root.precision)
-                roots[local[0]] = rt = deeper
-        elif not local:
-            d = polys.taylor_shift(f, center)
-            if _constant_norm_on_ball(d, j, p.p):
-                _emit_pair(out, p, center, j, 0, d[0], d[0], None)
-                return
+                roots[local[0]] = rt = rt.deepen(p, 2 * rt.root.precision)
         for i in range(p.p):
             handle(center + i * Fraction(p.p) ** j, j + 1)
 

@@ -299,10 +299,11 @@ def _window_expr(
 
     |h|^pw realizes u^j because pw * v(h) = (a+n) * j; a missing end means
     the window runs to infinity on that side (the caller has already
-    checked that the ratio decays there). The window polynomial T_i is
+    checked that the ratio decays there), and a missing h1 drops the tail
+    term u^(j1+1) T_i(j1+1). The window polynomial T_i is
     sums._window_ints over (ub - ua)^(i+1), a negative denominator when
-    u > 1 and i is even; the Faulhaber polynomials come over one int
-    denominator from sums._faulhaber_ints."""
+    u > 1 and i is even. At u = 1 the window is S(j1) - S(j0 - 1) for
+    the power sum S = P_i / D of sums._faulhaber_ints."""
     ua, ub = u
 
     def edge(h, cs, den, sign):  # |h|^pw * (cs/den)(sign * v(h)/n)
@@ -316,13 +317,13 @@ def _window_expr(
         lower_part = _valuation_poly(h0, polys.taylor_shift_int(fs[i], -1), den, 1, n, q)
         return raw_sum((upper_part, raw_scale(lower_part, -1)))
     den = (ub - ua) ** (i + 1)
-    if h0 is not None and h1 is not None:
-        w = sums._window_ints(i, ua, ub)
-        tail = edge(h1, polys.taylor_shift_int(w, 1), den, 1)
-        return raw_sum((edge(h0, w, den, 1), raw_scale(tail, -ua, ub)))
     if h0 is not None:
-        return edge(h0, sums._window_ints(i, ua, ub), den, 1)
-    assert h1 is not None
+        w = sums._window_ints(i, ua, ub)
+        head = edge(h0, w, den, 1)
+        if h1 is None:
+            return head
+        tail = edge(h1, polys.taylor_shift_int(w, 1), den, 1)
+        return raw_sum((head, raw_scale(tail, -ua, ub)))
     # reflect j -> -j: sum_{j <= j1} j^i u^j = (-1)^i sum_{m >= -j1} m^i (1/u)^m
     body = edge(h1, sums._window_ints(i, ub, ua), (ua - ub) ** (i + 1), -1)
     return raw_scale(body, (-1) ** i)
@@ -800,7 +801,7 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
         assert val != 0, "ball pieces carry a nonzero unit scale"
         dv = int(rational_valuation(val, q))
         j = int(stage_window(cond, []).k_min)
-        degree = dv if t.a == 0 else dv + t.a * j
+        degree = dv + t.a * j
         if degree < 0:
             raise ValueError(
                 "zeta needs v(f) >= 0 on the domain; scale the polynomial first"

@@ -194,11 +194,11 @@ def unit_class_count(p: int, n: int) -> int:
     return gcd(n, p - 1 if p > 2 else 2) * p ** int_valuation(n, p)
 
 
-def _unit_class(u: int, n: int, p: int) -> int | tuple[int, int]:
+def _unit_class(u: int, n: int, p: int, k: int) -> int | tuple[int, int]:
     """The image of the unit u under a homomorphism U -> finite group whose
     kernel is U^n: units u, w lie in one class of U / U^n iff their
-    classes are equal. Reads u mod p^(v_p(n) + 2)."""
-    k = int_valuation(n, p)
+    classes are equal. Reads u mod p^(k + 2), k = v_p(n). The class of 1,
+    the identity, is 1 for p = 2 and (1, 1) for odd p."""
     if p == 2:
         return u % 2 ** (k + 2) if k else 1
     return pow(u, (p - 1) // gcd(n, p - 1), p), pow(u, p - 1, p ** (k + 1))
@@ -229,9 +229,10 @@ def in_coset(x: PAdicScalar, coset: Coset) -> bool:
     vn, vd = int_valuation(num, p), int_valuation(den, p)
     if (vn - vd) % n != 0:
         return False
-    m = p ** (int_valuation(n, p) + 2)
+    k = int_valuation(n, p)
+    m = p ** (k + 2)
     unit = num // p**vn * pow(den // p**vd, -1, m) % m
-    return _unit_class(unit, n, p) == _unit_class(1, n, p)
+    return _unit_class(unit, n, p, k) == (1 if p == 2 else (1, 1))
 
 
 def coset_representatives(p: int, n: int) -> list[Fraction]:
@@ -242,10 +243,11 @@ def coset_representatives(p: int, n: int) -> list[Fraction]:
     below p^(v_p(n) + 2), and the scan stops at the last new class.
     """
     count = unit_class_count(p, n)
+    k = int_valuation(n, p)
     unit_reps: dict[int | tuple[int, int], int] = {}  # class -> least unit in it
-    for u in range(1, p ** (int_valuation(n, p) + 2)):
+    for u in range(1, p ** (k + 2)):
         if u % p:
-            unit_reps.setdefault(_unit_class(u, n, p), u)
+            unit_reps.setdefault(_unit_class(u, n, p, k), u)
             if len(unit_reps) == count:
                 break
     return [Fraction(p) ** j * u for j in range(n) for u in unit_reps.values()]

@@ -6,9 +6,7 @@ assembly. `evaluate` and `taylor_shift` work in Python ints: f as integer
 numerators over one common denominator, the point as a/b, and one
 `Fraction` per result or output coefficient. `taylor_shift_int`, the
 integer shift inside `taylor_shift`, also shifts the engine's integer
-window polynomials. `decompose` factors with sympy's dense integer
-factorizer on f's primitive integer part, and only when `has_root_mod_p`
-finds that part a root mod p; without one, sympy is not imported.
+window polynomials.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ Fraction,
     / (d^(l+1) b^(J+1)),
 
 with no tail term when J is infinite. For u = 1 every level weighs the
-same: S_i(1, J) is the Faulhaber polynomial at J (plus 0^0 = 1 when
-i = 0), and the Faulhaber polynomials of one sum share one integer
-denominator. Convergence of an infinite range means |u| < 1 as a real
+same: S_i(1, J) is a Faulhaber polynomial at J, read off the same
+Eulerian numerators by Worpitzky's identity as an integer polynomial
+over (l+1)!. Convergence of an infinite range means |u| < 1 as a real
 number, |a| < b, and is decided exactly.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial
 
 from . import polys
 from .padic import INF, NEG_INF
@@ -98,31 +98,26 @@ def _window_ints(i: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(comb(i, e) * heads[i - e] * d**e for e in range(i + 1))
 
 
-def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0..B_n with B_1 = +1/2, from sum_{j<=m} C(m+1, j) B_j = m + 1."""
-    out: list[Fraction] = []
-    for m in range(n + 1):
-        rest = sum(comb(m + 1, j) * b for j, b in enumerate(out))
-        out.append((m + 1 - rest) / Fraction(m + 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def faulhaber_coeffs(l: int) -> polys.PolyQ:
-    """S with S(x) = sum_{j=1..x} j^l, exact for every integer endpoint pair
-    via S(b) - S(a-1). The formula needs B_1 = +1/2."""
-    coeffs = [Fraction(0)] * (l + 2)
-    for k, bk in enumerate(bernoulli_numbers(l)):
-        coeffs[l + 1 - k] = Fraction(comb(l + 1, k)) * bk / (l + 1)
-    return polys.normalize(tuple(coeffs))
-
-
 @lru_cache(maxsize=None)
 def _faulhaber_ints(l: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, (P_0, ..., P_l)) with faulhaber_coeffs(i) = P_i / D for i <= l."""
-    fs = [faulhaber_coeffs(i) for i in range(l + 1)]
-    den = lcm(*(c.denominator for f in fs for c in f))
-    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in f) for f in fs)
+    """(D, (P_0, ..., P_l)) with P_i(x) / D = sum_{j=0..x} j^i for i <= l.
+
+    Worpitzky's identity j^i = sum_m N_i[m] C(j + m - 1, i) sums to
+    sum_m N_i[m] C(x + m + [i = 0], i + 1), and D = (l+1)! clears the
+    binomials' denominators. P_i(-1) = 0, the empty sum."""
+    den = factorial(l + 1)
+    out = []
+    fall = (1,)
+    for i in range(l + 1):
+        # x (x-1) ... (x-i) = (i+1)! C(x, i+1)
+        fall = tuple(a - i * b for a, b in zip((0,) + fall, fall + (0,)))
+        scale = den // factorial(i + 1)
+        P = [0] * (i + 2)
+        for m, c in enumerate(_numerators(i)):
+            for e, w in enumerate(polys.taylor_shift_int(fall, m + (i == 0))):
+                P[e] += c * scale * w
+        out.append(tuple(P))
+    return den, tuple(out)
 
 
 def reindex_coeffs(l: int, c: int, n: int) -> tuple[int, ...]:
@@ -150,11 +145,9 @@ def sum_progression(s: ProgressionSum) -> Fraction:
     if bounded:
         J = (int(s.k_max) - k0) // n
     if a == b:
-        # sum_i c_i (S_i(J) - S_i(-1)), where S_i(-1) = -0^i
+        # sum_i c_i (P_i(J) - P_i(-1)), where P_i(-1) = 0
         den, fs = _faulhaber_ints(s.l)
-        num = cs[0] * den + sum(
-            c * polys.evaluate_int(f, J) for c, f in zip(cs, fs) if c
-        )
+        num = sum(c * polys.evaluate_int(f, J) for c, f in zip(cs, fs) if c)
     else:
         d = b - a
         head = tail = 0

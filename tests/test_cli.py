@@ -8,6 +8,7 @@ internal fault.
 
 import copy
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import padicells
 from padicells import cli, oracle
 from padicells.cells import cell_from_json
 from padicells.decompose import decompose_univariate
@@ -239,6 +241,38 @@ def test_integrate_symbolic_refuses_guarded_cells(capsys, tmp_path):
     code, out, _ = run(capsys, "integrate", path)
     assert code == 0
     assert json.loads(out)["values"] == ["27/80", "1/240"]
+
+
+# 1 over |x0| <= |3| and over |3| < |x0| <= 1, with x1 in Z_3 on both
+DIFFERENT_BASES = (
+    '{"version":1,"p":3,"variables":{"params":1,"integrate":1},"integrand":"1",'
+    '"cells":[{"conditions":[{"gamma":"0","mu":"1","n":1,"beta":"3",'
+    '"beta_strict":false},{"gamma":"0","mu":"1","n":1,"beta":"1",'
+    '"beta_strict":false}]},{"conditions":[{"gamma":"0","mu":"1","n":1,'
+    '"alpha":"3","alpha_strict":true,"beta":"1","beta_strict":false},'
+    '{"gamma":"0","mu":"1","n":1,"beta":"1","beta_strict":false}]}],'
+    '"base_points":[["1"],["3"]]}'
+)
+
+
+def test_integrate_symbolic_refuses_cells_over_different_bases(capsys, tmp_path):
+    # each closed form is 1 over its own base; their sum 2 held nowhere
+    path = tmp_path / "bases.json"
+    path.write_text(DIFFERENT_BASES)
+    code, out, err = run(capsys, "integrate", str(path), "--mode", "symbolic")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "cells 0 and 1" in json.loads(err)["error"]
+    code, out, _ = run(capsys, "integrate", str(path))
+    assert code == cli.EXIT_OK and json.loads(out)["values"] == ["1", "1"]
+
+    # cells over one base still sum: |x1| <= |3| and |3| < |x1| <= 1 fill Z_3
+    split = problem(
+        tmp_path, name="split.json", p=3, variables={"params": 1, "integrate": 1},
+        integrand="1", mode="symbolic",
+        cells=[cell(stage(), stage(beta="3")), cell(stage(), stage(alpha="3"))],
+    )
+    code, out, _ = run(capsys, "integrate", split)
+    assert code == cli.EXIT_OK and json.loads(out)["expression"] == "1"
 
 
 def test_integrate_symbolic_folds_constant_factors(capsys, tmp_path):
@@ -560,11 +594,18 @@ def test_too_deeply_nested_input_exits_1(capsys, tmp_path):
     assert json.loads(err)["error"] == "input nested too deeply"
 
 
+# child interpreters import the padicells this suite imported, installed
+# or not
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(padicells.__file__)), os.environ.get("PYTHONPATH"),
+]))}
+
+
 def test_cli_import_does_not_load_sympy():
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, padicells.cli; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
     assert done.stdout == "False\n"
 
@@ -586,7 +627,8 @@ def test_polynomials_without_a_root_mod_p_do_not_load_sympy(tmp_path):
     path = problem(tmp_path, p=3, integrand="abs(x0^2 + 1)")
     skip, factor = (
         subprocess.run([sys.executable, "-c", _ROOTLESS_RUN, how, path],
-                       capture_output=True, text=True, check=True).stdout.splitlines()
+                       capture_output=True, text=True, check=True,
+                       env=_CHILD_ENV).stdout.splitlines()
         for how in ("skip", "factor")
     )
     assert skip[-1] == "False" and factor[-1] == "True"
@@ -615,7 +657,7 @@ def test_zeta_check_poincare_decomposes_once(capsys, monkeypatch):
 def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "padicells", "zeta", "[0,1]", "--p", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_CHILD_ENV,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == '{"numerator":["2/3"],"denominator_factors":[{"c":1,"d":1}]}\n'
@@ -626,7 +668,7 @@ def test_integrate_import_does_not_load_oracle():
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, padicells.integrate; print('padicells.oracle' in sys.modules)"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=_CHILD_ENV,
     )
     assert done.stdout == "False\n"
 

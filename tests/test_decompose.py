@@ -861,3 +861,128 @@ def test_constant_and_linear_f_at_the_largest_prime():
         (1, 1, punctured_ball_cell(P, F(1), 0)), (0, 0, point_cell(P, Const(F(1))))]
     z = igusa_zeta(poly(-1, 1), P)
     assert (z.numerator, z.denominator_factors) == ((F(q - 1, q),), ((1, 1),))
+
+
+# ---------------------------------------------------------------------------
+# the decomposer against its form with a separate test for rootless balls
+
+def reference_emit_pair(out, p, center, j, a, delta_ball, delta_point, floor):
+    out.append(
+        PreparedTerm(
+            ConstructibleExpr.const(delta_ball), a, 0, punctured_ball_cell(p, center, j),
+            floor,
+        )
+    )
+    out.append(
+        PreparedTerm(
+            ConstructibleExpr.const(delta_point), 0, 0, point_cell(p, Const(center)), floor
+        )
+    )
+
+
+def reference_constant_norm_on_ball(d, j, p):
+    """|sum d_i u^i| = |d_0| for every v(u) >= j."""
+    if not d or d[0] == 0:
+        return False
+    v0 = rational_valuation(d[0], p)
+    return all(
+        v0 < rational_valuation(d[i], p) + i * j for i in range(1, len(d)) if d[i]
+    )
+
+
+def reference_decompose_univariate(f, p, domain=None, precision_N=8):
+    if polys.is_zero(f):
+        raise ValueError("f must not be identically zero")
+    if precision_N < 1:
+        raise ValueError("precision must be >= 1")
+    hull_center, hull_j = _ball_hull(domain, p)
+    lift_N = max(2 * precision_N, precision_N + 16)
+    roots = [
+        rt
+        for rt in decompose._zp_roots(f, p, lift_N)
+        if rational_valuation(rt.root.approx - hull_center, p.p) >= hull_j
+    ]
+    out = []
+
+    def handle(center, j):
+        nonlocal roots
+        if j > precision_N:
+            raise PrecisionExhausted(
+                f"precision exhausted: subdivision passed depth {precision_N}"
+            )
+        local = [
+            k
+            for k, rt in enumerate(roots)
+            if rational_valuation(rt.root.approx - center, p.p) >= j
+        ]
+        if len(local) == 1:
+            rt = roots[local[0]]
+            m = rt.multiplicity
+            while True:
+                gamma = rt.root.approx
+                d = polys.taylor_shift(f, gamma)
+                floor = decompose._dominant_root_floor(d, m, j, p.p)
+                if floor is None:
+                    break
+                if rt.exact or floor >= precision_N + 2:
+                    reference_emit_pair(
+                        out,
+                        p,
+                        gamma,
+                        j,
+                        m,
+                        d[m],
+                        d[0],
+                        None if floor == INF else int(floor),
+                    )
+                    return
+                deeper = rt.deepen(p, 2 * rt.root.precision)
+                roots[local[0]] = rt = deeper
+        elif not local:
+            d = polys.taylor_shift(f, center)
+            if reference_constant_norm_on_ball(d, j, p.p):
+                reference_emit_pair(out, p, center, j, 0, d[0], d[0], None)
+                return
+        for i in range(p.p):
+            handle(center + i * F(p.p) ** j, j + 1)
+
+    handle(hull_center, hull_j)
+    return out
+
+
+def _decomposition_outcome(decompose_fn, f, p, domain, N):
+    try:
+        terms = decompose_fn(f, p, domain, N)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return prepared_to_json(terms), [t.center_floor for t in terms]
+
+
+@st.composite
+def _decomposition_cases(draw):
+    """f of degree <= 5 as a scaled product of small factors, some squared,
+    perhaps with two roots p^k apart (past the precision for large k),
+    over Z_p or over a ball inside it."""
+    p = draw(st.sampled_from((P2, P3, P5, Prime(7))))
+    f = (F(draw(st.integers(-12, 12).filter(bool)), draw(st.integers(1, 12))),)
+    if draw(st.booleans()):
+        r, k = draw(st.integers(-9, 9)), draw(st.integers(1, 14))
+        f = polys.mul(f, polys.mul(poly(-r, 1), poly(-r - p.p**k, 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        g = poly(*draw(st.lists(st.integers(-9, 9), min_size=2, max_size=3)))
+        g = polys.pow_int(g, draw(st.integers(1, 2)))
+        if g and polys.degree(f) + polys.degree(g) <= 5:
+            f = polys.mul(f, g)
+    domain = None
+    if draw(st.booleans()):
+        domain = punctured_ball_cell(p, draw(st.integers(-20, 20)), draw(st.integers(0, 3)))
+    return f, p, domain, draw(st.integers(3, 12))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_decomposition_cases())
+def test_decompose_matches_reference(case):
+    f, p, domain, N = case
+    assert _decomposition_outcome(decompose_univariate, f, p, domain, N) == (
+        _decomposition_outcome(reference_decompose_univariate, f, p, domain, N)
+    )

@@ -82,7 +82,7 @@ from padicells.padic import (
     rational_valuation,
 )
 from padicells.sums import DivergentSumError
-from test_sums import reference_window_coeffs
+from test_sums import faulhaber_coeffs, reference_window_coeffs
 
 F = Fraction
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -635,7 +635,7 @@ def reference_norm_power(h, power: Fraction, q: int) -> ConstructibleExpr:
 def reference_window_expr(i, u, pw, h0, h1, n, q) -> ConstructibleExpr:
     if u == 1:
         assert h0 is not None and h1 is not None
-        fa = sums.faulhaber_coeffs(i)
+        fa = faulhaber_coeffs(i)
         upper_part = reference_valuation_poly(h1, fa, Fraction(1, n), q)
         lower_part = reference_valuation_poly(
             h0, polys.taylor_shift(fa, Fraction(-1)), Fraction(1, n), q

@@ -12,9 +12,8 @@ from padicells.padic import INF, NEG_INF
 from padicells.sums import (
     DivergentSumError,
     ProgressionSum,
-    bernoulli_numbers,
-    faulhaber_coeffs,
     reindex_coeffs,
+    _faulhaber_ints,
     _window_ints,
     sum_progression,
 )
@@ -156,6 +155,35 @@ def test_empty_range_is_zero():
     assert sum_progression(ProgressionSum(3, F(1, 2), k_min=5, k_max=4)) == 0
     s = ProgressionSum(0, F(1, 2), residue=1, modulus=3, k_min=5, k_max=6)
     assert sum_progression(s) == brute(s, 10)
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n with B_1 = +1/2, from sum_{j<=m} C(m+1, j) B_j = m + 1."""
+    out: list[Fraction] = []
+    for m in range(n + 1):
+        rest = sum(comb(m + 1, j) * b for j, b in enumerate(out))
+        out.append((m + 1 - rest) / Fraction(m + 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def faulhaber_coeffs(l: int) -> polys.PolyQ:
+    """S with S(x) = sum_{j=1..x} j^l, exact for every integer endpoint pair
+    via S(b) - S(a-1). The formula needs B_1 = +1/2."""
+    coeffs = [Fraction(0)] * (l + 2)
+    for k, bk in enumerate(bernoulli_numbers(l)):
+        coeffs[l + 1 - k] = Fraction(comb(l + 1, k)) * bk / (l + 1)
+    return polys.normalize(tuple(coeffs))
+
+
+def test_faulhaber_ints_match_the_bernoulli_polynomials():
+    # the engine's table counts j = 0, so 0^0 = 1 adds one at i = 0
+    for l in range(13):
+        den, table = _faulhaber_ints(l)
+        assert len(table) == l + 1
+        for i, P in enumerate(table):
+            want = polys.add(faulhaber_coeffs(i), (F(i == 0),))
+            assert polys.normalize(tuple(F(c, den) for c in P)) == want, (l, i)
 
 
 def test_faulhaber_coeffs_windows():
