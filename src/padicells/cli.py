@@ -337,6 +337,8 @@ def cmd_integrate(args) -> int:
     if args.point is not None:
         coords = [s for s in args.point.split(",") if s]
         problem.base_points = [_point(coords, problem.params, "--point")]
+    if args.verify_N is not None:
+        _require_verifiable(problem)  # refuse before integrating
 
     values, expression, integrable = _integrate_problem(problem, args.precision)
     if expression is not None:
@@ -363,6 +365,7 @@ def cmd_measure(args) -> int:
     problem = load_problem(args.path, args.p)
     if problem.cells == "auto":
         raise InputError("measure needs explicit cells")
+    problem.mode = "concrete"  # measures are always computed concretely
     one = ConstructibleExpr.const(Fraction(1))
     measures, _ = _concrete_values(one, problem)
     payload = {"measures": [_rat(v) for v in measures]}

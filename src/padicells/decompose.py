@@ -44,10 +44,10 @@ from .padic import (
     Coset,
     PAdicScalar,
     Prime,
-    hensel_power_depth,
     in_coset,
     int_valuation,
     rational_valuation,
+    unit_digits,
 )
 
 
@@ -353,7 +353,7 @@ class _TermReading:
     point: bool
     n: int
     vmu: int | float
-    depth: int  # hensel_power_depth(n, p): enough unit digits to decide in_coset
+    depth: int  # unit_digits(n, p): the unit digits that decide in_coset
     vd: int | float  # v(delta), INF for delta = 0
     a: int
     floor: int | None  # the term's center_floor
@@ -422,7 +422,7 @@ def _read_term(term: PreparedTerm, p: Prime, N: int) -> _TermReading:
             c0_level = k0
     return _TermReading(
         center, p, N, num, den, vb, c0, c0_level, window.k_min, window.k_max,
-        coset, zero, n, coset.mu.valuation, hensel_power_depth(n, p.p),
+        coset, zero, n, coset.mu.valuation, unit_digits(n, p.p),
         INF if delta == 0 else rational_valuation(delta, p.p),
         term.a, term.center_floor,
     )

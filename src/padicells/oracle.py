@@ -41,7 +41,7 @@ p^(arity*N - sum d_i) over the common denominator p^(arity*N). The
 integrand comes back from each decided box as an int pair num/den, the
 value is summed as one int pair and the boundary mass as one int, and
 one Fraction each is built at the end. Each stage's constants (its
-prime, coset, Hensel depth and the valuations of constant bounds) are
+prime, coset, unit digit count and the valuations of constant bounds) are
 worked out once per run (_Stage).
 
 An exact result at resolution N satisfies
@@ -69,7 +69,7 @@ from .expr import (
     free_variables,
     pinned_valuation,
 )
-from .padic import INF, Coset, PAdicScalar, Prime, hensel_power_depth, in_coset, rational_valuation
+from .padic import INF, Coset, PAdicScalar, Prime, in_coset, rational_valuation, unit_digits
 
 DEFAULT_BUDGET = 10**7
 
@@ -110,7 +110,7 @@ class _Stage(NamedTuple):
     coset: Coset
     graph: bool
     n: int
-    hensel_depth: int
+    digits: int  # unit_digits(n, p)
     bounds: tuple
 
 
@@ -127,7 +127,7 @@ def _stage(cond: CellCondition, diff: DTerm) -> _Stage:
             bounds.append((bound, None, *rest))
     n = cond.coset.n
     return _Stage(diff, p, cond.coset, cond.coset.is_zero(), n,
-                  hensel_power_depth(n, p), tuple(bounds))
+                  unit_digits(n, p), tuple(bounds))
 
 
 def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int, int]:
@@ -139,7 +139,7 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
     The stage's diff is t - center(x) for the stage variable t; it reads t
     itself, so its certified depth never exceeds the depth of t. The lifts
     may be ints or Fractions."""
-    diff, p, coset, graph, n, hensel_depth, bounds = stage
+    diff, p, coset, graph, n, digits, bounds = stage
     value, dv = _eval(diff, reps, depths, p)
     v = rational_valuation(value, p)
     v_exact = v if v < dv else None  # pinned_valuation
@@ -154,7 +154,7 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
 
     if n == 1:
         pass  # membership in mu*P_1 holds off the null puncture
-    elif v_exact is None or dv - v_exact < hensel_depth:
+    elif v_exact is None or dv - v_exact < digits:
         verdict, open_terms = BOUNDARY, DIFF
     elif not in_coset(PAdicScalar(value, coset.prime), coset):
         return OUTSIDE, 0

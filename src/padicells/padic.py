@@ -172,15 +172,6 @@ class Coset:
         return self.mu.is_zero()
 
 
-def hensel_power_depth(n: int, p: int) -> int:
-    """A modulus exponent D with: the unit digits mod p^D decide whether a
-    unit u is an n-th power. D = 2*v_p(n) + 1 suffices (Newton condition
-    v(w^n - u) > 2*v(n*w^(n-1)) holds for any witness mod p^D); the
-    closed form of in_coset reads only v_p(n) + 2 digits, so D is a
-    sufficient depth, not the least one."""
-    return 2 * int_valuation(n, p) + 1
-
-
 # The units U of Z_p are mu x U_1: mu the roots of unity (order p - 1, or
 # +-1 for p = 2) and U_1 = 1 + pZ_p (1 + 4Z_2 for p = 2), a copy of Z_p
 # (Serre, A Course in Arithmetic, ch. II 3). With k = v_p(n), the n-th
@@ -189,19 +180,28 @@ def hensel_power_depth(n: int, p: int) -> int:
 # odd n. So [U : U^n] = gcd(n, p - 1 or 2) * p^k.
 
 
+def unit_digits(n: int, p: int) -> int:
+    """D, the number of unit digits that decide n-th power membership: units
+    congruent mod p^D are n-th powers together. D = v_p(n) + 1 for odd p,
+    v_p(n) + 2 for p = 2 and even n, and 1 for p = 2 and odd n; it is the
+    least such count whenever p divides n, and never 0."""
+    k = int_valuation(n, p)
+    return k + 1 if p > 2 or not k else k + 2
+
+
 def unit_class_count(p: int, n: int) -> int:
     """The index [U : U^n] of the n-th powers among the units of Z_p."""
     return gcd(n, p - 1 if p > 2 else 2) * p ** int_valuation(n, p)
 
 
-def _unit_class(u: int, n: int, p: int, k: int) -> int | tuple[int, int]:
+def _unit_class(u: int, n: int, p: int, m: int) -> int | tuple[int, int]:
     """The image of the unit u under a homomorphism U -> finite group whose
     kernel is U^n: units u, w lie in one class of U / U^n iff their
-    classes are equal. Reads u mod p^(k + 2), k = v_p(n). The class of 1,
-    the identity, is 1 for p = 2 and (1, 1) for odd p."""
+    classes are equal. Reads u mod m = p^unit_digits(n, p). The class of
+    1, the identity, is 1 for p = 2 and (1, 1) for odd p."""
     if p == 2:
-        return u % 2 ** (k + 2) if k else 1
-    return pow(u, (p - 1) // gcd(n, p - 1), p), pow(u, p - 1, p ** (k + 1))
+        return u % m
+    return pow(u, (p - 1) // gcd(n, p - 1), p), pow(u, p - 1, m)
 
 
 def in_coset(x: PAdicScalar, coset: Coset) -> bool:
@@ -209,7 +209,7 @@ def in_coset(x: PAdicScalar, coset: Coset) -> bool:
 
     x is in mu*P_n iff v(x/mu) = 0 mod n and the unit part of x/mu is an
     n-th power, which _unit_class decides from its residue mod
-    p^(v_p(n) + 2).
+    p^unit_digits(n, p).
     """
     if coset.is_zero():
         return x.is_zero()
@@ -222,32 +222,32 @@ def in_coset(x: PAdicScalar, coset: Coset) -> bool:
     p = coset.prime.p
     # x / mu = num / den in ints (den may be negative). With the powers of
     # p divided out of both, what is left is a unit, and its residue mod
-    # p^(v_p(n)+2) is num * den^-1.
+    # p^unit_digits(n, p) is num * den^-1.
     a, b = x.value.as_integer_ratio()
     c, d = coset.mu.value.as_integer_ratio()
     num, den = a * d, b * c
     vn, vd = int_valuation(num, p), int_valuation(den, p)
     if (vn - vd) % n != 0:
         return False
-    k = int_valuation(n, p)
-    m = p ** (k + 2)
+    m = p ** unit_digits(n, p)
     unit = num // p**vn * pow(den // p**vd, -1, m) % m
-    return _unit_class(unit, n, p, k) == (1 if p == 2 else (1, 1))
+    return _unit_class(unit, n, p, m) == (1 if p == 2 else (1, 1))
 
 
 def coset_representatives(p: int, n: int) -> list[Fraction]:
     """Representatives of Q_p^x modulo n-th powers, deterministic order.
 
     The returned set {p^j * u} has one u per unit class, the least positive
-    one; the cosets they generate partition Q_p^x. Every class has a unit
-    below p^(v_p(n) + 2), and the scan stops at the last new class.
+    one; the cosets they generate partition Q_p^x. Every class is a union
+    of unit residues mod p^unit_digits(n, p), so it has a unit below that
+    modulus, and the scan stops at the last new class.
     """
     count = unit_class_count(p, n)
-    k = int_valuation(n, p)
+    m = p ** unit_digits(n, p)
     unit_reps: dict[int | tuple[int, int], int] = {}  # class -> least unit in it
-    for u in range(1, p ** (k + 2)):
+    for u in range(1, m):
         if u % p:
-            unit_reps.setdefault(_unit_class(u, n, p, k), u)
+            unit_reps.setdefault(_unit_class(u, n, p, m), u)
             if len(unit_reps) == count:
                 break
     return [Fraction(p) ** j * u for j in range(n) for u in unit_reps.values()]

@@ -26,8 +26,9 @@ from padicells.expr import (
     Var,
     parse_constructible,
 )
-from padicells.padic import INF, Prime, hensel_power_depth
+from padicells.padic import INF, Prime
 from padicells.sums import ProgressionSum, sum_progression
+from test_padic import reference_newton_depth
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -181,7 +182,7 @@ def test_criterion_7_level_densities_against_two_modulus_counts():
     for p in (2, 3, 5):
         for n in (1, 2, 3, 4):
             counted = []
-            base = hensel_power_depth(n, p) + 1
+            base = reference_newton_depth(n, p) + 1
             for M in (base, base + 1):
                 pM = p**M
                 image = {pow(y, n, pM) for y in range(1, pM) if y % p != 0}

@@ -21,10 +21,9 @@ from padicells.integrate import NotIntegrableError, integrate_cell, prepare_inte
 from padicells.padic import (
     Prime,
     coset_representatives,
-    hensel_power_depth,
     scalar,
 )
-from test_padic import reference_nth_power_unit_residues
+from test_padic import reference_newton_depth, reference_nth_power_unit_residues
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 F = Fraction
@@ -92,8 +91,8 @@ def test_epsilon_at_huge_n():
 
 def reference_epsilon_counted(p: int, n: int) -> Fraction:
     """The counted density: n-th-power unit residues over p^depth, at the
-    Hensel depth and two digits deeper, which must agree."""
-    depth = hensel_power_depth(n, p)
+    Newton depth and two digits deeper, which must agree."""
+    depth = reference_newton_depth(n, p)
     counts = {F(len(reference_nth_power_unit_residues(p, n, d)), p**d) for d in (depth, depth + 2)}
     assert len(counts) == 1, (p, n)
     return counts.pop()

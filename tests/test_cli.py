@@ -394,6 +394,16 @@ def test_measure_square_coset(capsys, tmp_path):
     assert doc["verify"]["pass"] is True
 
 
+def test_measure_reads_no_mode(capsys, tmp_path):
+    # measures are computed concretely whatever the file's mode says
+    cells = [cell(stage(n=2))]
+    concrete = run(capsys, "measure", problem(tmp_path, p=3, cells=cells), "--verify-N", "6")
+    symbolic = run(capsys, "measure", problem(tmp_path, "symbolic.json", p=3, cells=cells,
+                                              mode="symbolic"), "--verify-N", "6")
+    assert symbolic == concrete
+    assert concrete[0] == 0
+
+
 def test_measure_empty_cell_is_zero(capsys, tmp_path):
     # {|1| < |t| < |3|} at p=3 measured -8/9
     path = problem(tmp_path, p=3, cells=[cell(stage(alpha="1", beta="3", beta_strict=True))])
@@ -822,6 +832,17 @@ REFUSED = [
     ("verify_N_not_int", {"integrand": "abs(x0)"},
      ("integrate", "{path}", "--verify-N", "x"), "--verify-N"),
     ("no_subcommand", {}, (), "command"),
+    # integrated symbolically, these handed the oracle's comparison no
+    # value and exited 4
+    ("symbolic_flag_verify_N", {"integrand": "abs(x0)", "cells": [cell(stage())]},
+     ("integrate", "{path}", "--mode", "symbolic", "--verify-N", "3"),
+     "verification needs concrete mode"),
+    ("symbolic_file_verify_N",
+     {"integrand": "abs(x0)", "cells": [cell(stage())], "mode": "symbolic"},
+     ("integrate", "{path}", "--verify-N", "3"), "verification needs concrete mode"),
+    ("symbolic_parametrized_verify_N", {**ONE_PARAM, "mode": "symbolic"},
+     ("integrate", "{path}", "--point", "1", "--verify-N", "2"),
+     "verification needs a problem without parameters"),
 ]
 
 
@@ -923,6 +944,30 @@ def test_mutated_golden_problems_exit_cleanly(capsys, tmp_path, case):
         assert code == 1
     if code == 1:
         assert _path_text(path) in json.loads(err)["error"]
+
+
+# every golden problem under every subcommand that reads a problem file,
+# in both modes, with and without --verify-N: the mode comes from --mode
+# where the subcommand takes it and from the file otherwise
+
+@pytest.mark.parametrize("fields", [case[2] for case in GOLDEN],
+                         ids=[case[0] for case in GOLDEN])
+def test_golden_problems_under_every_flag_combination(capsys, tmp_path, fields):
+    for command in ("decompose", "integrate", "measure", "verify"):
+        outputs = set()
+        for mode in ("concrete", "symbolic"):
+            if command == "integrate":
+                path, flags = problem(tmp_path, **fields), ("--mode", mode)
+            else:
+                path, flags = problem(tmp_path, **{**fields, "mode": mode}), ()
+            for verify in ((), ("--verify-N", "2")):
+                code, out, err = run(capsys, command, path, *flags, *verify)
+                assert code in (0, 1, 2, 3), (command, mode, verify, err)
+                _check_streams(code, out, err)
+                outputs.add((verify, code, out, err))
+        if command != "integrate":
+            # these subcommands read no mode: both files give the same runs
+            assert len(outputs) == 2, command
 
 
 # ---------------------------------------------------------------------------

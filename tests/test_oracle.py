@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicells import polys
+from padicells import oracle, polys
 from padicells.cells import (
     Cell,
     CellCondition,
     coset_of,
+    pin_bound_residues,
     point_cell,
     punctured_ball_cell,
     zp_cell,
@@ -63,6 +64,7 @@ from padicells.oracle import (
     oracle_measure,
 )
 from padicells.padic import Prime, coset_representatives
+from test_padic import reference_newton_depth
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 PRIMES = {2: P2, 3: P3, 5: P5}
@@ -550,3 +552,69 @@ def test_integer_walk_matches_reference(problem):
     assert type(got.value) is Fraction and type(got.boundary_mass) is Fraction
     assert (got.value, got.boundary_mass) == (want.value, want.boundary_mass)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# unit digits: a box whose t - center has a known valuation k is decided
+# once it fixes unit_digits(n, p) digits past k, the count in_coset reads
+
+def power_coset_cell(p: Prime, mu, n: int) -> Cell:
+    """{t in mu*P_n : |t| <= 1}."""
+    return Cell((CellCondition(center=Const(F(0)), coset=coset_of(p, mu, n),
+                               upper=Const(F(1)), upper_strict=False),))
+
+
+@pytest.mark.parametrize("p, n, N, bound", [
+    (3, 3, 6, F(1, 243)),
+    (3, 9, 8, F(1, 729)),
+    (2, 4, 6, F(1, 8)),
+    (2, 8, 10, F(1, 64)),
+    (5, 5, 4, F(1, 125)),
+    (3, 2, 6, F(1, 729)),  # p does not divide n: the same as the Newton depth
+])
+def test_power_coset_bound_at_unit_digits(p, n, N, bound):
+    cell = power_coset_cell(PRIMES[p], 1, n)
+    exact = integrate_full(ONE, [cell]).value.constant_value()
+    r = oracle_measure(cell, PRIMES[p], N)
+    assert r.boundary_mass == bound
+    assert abs(exact - r.value) <= r.boundary_mass
+
+
+# (p, n of stage 0, n of stage 1): p divides both, and the second divides
+# the first, so the residue pin of |x1| <= |x0| is settled by stage 0
+TWO_STAGE_POWERS = [(2, 4, 4), (2, 8, 4), (2, 4, 2), (3, 3, 3), (3, 6, 3), (3, 6, 6), (3, 9, 3)]
+
+
+@st.composite
+def power_coset_problems(draw):
+    """(integrand, cell, p, N) with sup |integrand| = 1: a one-stage power
+    coset {t in mu*P_n : |t| <= 1} with p | n, or the guarded two-stage
+    cell x0 in mu0*P_n0, |x0| <= 1, x1 in mu1*P_n1, |x1| <= |x0|, pinned."""
+    N = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        p, n = draw(st.sampled_from([(2, 4), (2, 8), (3, 3), (3, 9), (5, 5)]))
+        mu = draw(st.sampled_from(coset_representatives(p, n)))
+        g = draw(st.sampled_from((ONE, norm_t())))
+        return g, power_coset_cell(PRIMES[p], mu, n), PRIMES[p], N
+    p, n0, n1 = draw(st.sampled_from(TWO_STAGE_POWERS))
+    mu0 = draw(st.sampled_from(coset_representatives(p, n0)))
+    mu1 = draw(st.sampled_from(coset_representatives(p, n1)))
+    base = power_coset_cell(PRIMES[p], mu0, n0).conditions[0]
+    inner = CellCondition(center=Const(F(0)), coset=coset_of(PRIMES[p], mu1, n1),
+                          upper=Var(0), upper_strict=False)
+    cell = draw(st.sampled_from(pin_bound_residues(Cell((base, inner)))))
+    g = draw(st.sampled_from((ONE, norm_x1())))
+    return g, cell, PRIMES[p], N
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(power_coset_problems())
+def test_unit_digit_bounds_hold_and_never_loosen(problem):
+    g, cell, p, N = problem
+    exact = integrate_full(g, [cell]).value.constant_value()
+    r = oracle_integrate(g, cell, p, N)
+    assert abs(exact - r.value) <= r.boundary_mass  # sup |g| = 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "unit_digits", reference_newton_depth)
+        newton = oracle_integrate(g, cell, p, N)
+    assert r.boundary_mass <= newton.boundary_mass

@@ -9,15 +9,23 @@ from padicells.padic import (
     PAdicScalar,
     Prime,
     coset_representatives,
-    hensel_power_depth,
     in_coset,
     int_valuation,
     rational_valuation,
     scalar,
     unit_class_count,
+    unit_digits,
 )
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+
+
+def reference_newton_depth(n: int, p: int) -> int:
+    """A depth D whose unit digits mod p^D decide n-th power membership,
+    independent of unit_digits: any witness w mod p^D with w^n = u meets
+    Newton's condition v(w^n - u) > 2*v(n*w^(n-1)), so D = 2*v_p(n) + 1
+    suffices, though it is not the least such depth."""
+    return 2 * int_valuation(n, p) + 1
 
 
 def test_prime_checked():
@@ -87,7 +95,7 @@ def brute_in_power_class(x: Fraction, p: int, n: int) -> bool:
     if v % n != 0:
         return False
     unit = x * Fraction(p) ** (-v)
-    exp = hensel_power_depth(n, p) + abs(int(v))
+    exp = reference_newton_depth(n, p) + abs(int(v))
     m = p**exp
     target = (unit.numerator * pow(unit.denominator, -1, m)) % m
     return any(pow(w, n, m) == target for w in range(1, m) if w % p != 0)
@@ -166,7 +174,7 @@ def test_cached_in_coset_matches_bruteforce_on_every_unit():
         prime = Prime(p)
         for n in (1, 2, 3, 4):
             c = Coset(scalar(1, prime), n)
-            units = [u for u in range(1, p ** (hensel_power_depth(n, p) + 2)) if u % p]
+            units = [u for u in range(1, p ** (reference_newton_depth(n, p) + 2)) if u % p]
             want = [brute_in_power_class(Fraction(u), p, n) for u in units]
             for _ in range(2):
                 assert [in_coset(scalar(u, prime), c) for u in units] == want, (p, n)
@@ -174,7 +182,7 @@ def test_cached_in_coset_matches_bruteforce_on_every_unit():
 
 # The residue tables that in_coset read before its closed form, kept as the
 # reference it must match: the n-th powers of the units mod p^depth at the
-# Hensel depth, and a root witness of each hit lifted two digits deeper.
+# Newton depth, and a root witness of each hit lifted two digits deeper.
 
 def reference_nth_power_unit_residues(p: int, n: int, modulus_exp: int) -> frozenset[int]:
     """Residues mod p^modulus_exp hit by u -> u^n on units."""
@@ -195,7 +203,7 @@ def reference_nth_power_witnesses(p: int, n: int, modulus_exp: int) -> dict[int,
 def reference_lift_witness(p: int, n: int, witnesses: dict[int, int], target: int) -> bool:
     """Whether the root witness of the unit residue target mod p^(depth+2)
     lifts two digits deeper, witnesses being those mod p^depth."""
-    depth = hensel_power_depth(n, p)
+    depth = reference_newton_depth(n, p)
     e = int_valuation(n, p)
     m2 = p ** (depth + 2)
     witness = witnesses[target % p**depth]
@@ -210,7 +218,7 @@ def reference_lift_witness(p: int, n: int, witnesses: dict[int, int], target: in
 def reference_coset_representatives(p: int, n: int) -> list[Fraction]:
     """The greedy cover: each unit mod p^depth, ascending, that no earlier
     representative's class covers."""
-    depth = hensel_power_depth(n, p)
+    depth = reference_newton_depth(n, p)
     m = p**depth
     image = reference_nth_power_unit_residues(p, n, depth)
     unit_reps: list[int] = []
@@ -228,7 +236,7 @@ def test_in_coset_matches_the_residue_tables(p):
     # every unit mod p^(depth+2) for n <= 16; the largest modulus is 7^5
     prime = Prime(p)
     for n in range(1, 17):
-        depth = hensel_power_depth(n, p)
+        depth = reference_newton_depth(n, p)
         assert p ** (depth + 2) < 10**5
         table = reference_nth_power_unit_residues(p, n, depth)
         witnesses = reference_nth_power_witnesses(p, n, depth)
@@ -244,12 +252,37 @@ def test_in_coset_matches_the_residue_tables(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_coset_representatives_match_the_greedy_cover(p):
-    for n in range(1, 17):
+    for n in range(1, 37):
         assert coset_representatives(p, n) == reference_coset_representatives(p, n), (p, n)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_digits_decide_membership_and_are_least(p):
+    # against the residue tables at the Newton depth: units congruent mod
+    # p^D are n-th powers together, in_coset reads them so, and where p
+    # divides n two units congruent mod p^(D-1) differ
+    prime = Prime(p)
+    for n in range(1, 37):
+        D = unit_digits(n, p)
+        depth = reference_newton_depth(n, p)
+        assert 1 <= D <= depth, (p, n)
+        table = reference_nth_power_unit_residues(p, n, depth)
+        c = Coset(scalar(1, prime), n)
+        answers: dict[int, bool] = {}
+        for u in range(1, p**depth):
+            if u % p:
+                want = u in table
+                assert answers.setdefault(u % p**D, want) is want, (p, n, u)
+                assert in_coset(PAdicScalar(u, prime), c) is want, (p, n, u)
+        if n % p == 0:
+            coarser: dict[int, set[bool]] = {}
+            for r, want in answers.items():
+                coarser.setdefault(r % p ** (D - 1), set()).add(want)
+            assert any(len(seen) == 2 for seen in coarser.values()), (p, n)
+
+
 def test_in_coset_at_huge_n():
-    # the closed form reads v_p(n) + 2 digits of the unit, so n = 2^40 costs
+    # the closed form reads unit_digits(n, p) digits of the unit, so n = 2^40 costs
     # what n = 2 does; a table mod p^(2 v_p(n) + 1) would not fit in memory
     c = Coset(scalar(1, P2), 2**40)
     assert in_coset(scalar(1 + 2**42, P2), c)
