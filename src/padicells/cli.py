@@ -309,8 +309,9 @@ def _symbolic_value(f: ConstructibleExpr, cells: list[Cell]):
     return ConstructibleExpr.sum_of(p.value for ps in results for p in ps), True
 
 
-def _integrate_problem(problem: Problem, precision: int):
-    """Returns (values per base point, expression or None, integrable)."""
+def _integrate_problem(problem: Problem, precision: int, command: str):
+    """Returns (values per base point, expression or None, integrable).
+    command names the subcommand in the error for a missing integrand."""
     if problem.cells == "auto":
         scale, cis = _auto_integrands(problem, precision)
         # arity-1 cells have constant bounds: the closed form is a number
@@ -320,7 +321,7 @@ def _integrate_problem(problem: Problem, precision: int):
         return [res.value.constant_value() * scale], None, res.integrable
 
     if problem.integrand is None:
-        raise InputError("integrate needs an \"integrand\"")
+        raise InputError(f"{command} needs an \"integrand\"")
     if problem.mode == "symbolic":
         if problem.nvars != 1:
             raise InputError("symbolic mode eliminates exactly one variable")
@@ -339,8 +340,10 @@ def cmd_integrate(args) -> int:
         problem.base_points = [_point(coords, problem.params, "--point")]
     if args.verify_N is not None:
         _require_verifiable(problem)  # refuse before integrating
+    if args.point is not None and problem.mode == "symbolic":
+        raise InputError("--point needs concrete mode: symbolic mode evaluates at no point")
 
-    values, expression, integrable = _integrate_problem(problem, args.precision)
+    values, expression, integrable = _integrate_problem(problem, args.precision, "integrate")
     if expression is not None:
         payload = {
             "mode": "symbolic",
@@ -381,7 +384,7 @@ def cmd_verify(args) -> int:
     problem = load_problem(args.path, args.p)
     problem.mode = "concrete"
     _require_verifiable(problem)  # refuse parameters before integrating
-    values, _, _ = _integrate_problem(problem, args.precision)
+    values, _, _ = _integrate_problem(problem, args.precision, "verify")
     report, code = _verify(problem, problem.integrand, values[0], args)
     _emit(report, args.pretty)
     return code

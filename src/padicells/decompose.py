@@ -13,8 +13,15 @@ read off the Taylor coefficients d_i of f at gamma: on |u| <= p^-j the
 term d_m u^m wins the ultrametric race iff v(d_m) + m*k is the strict
 minimum for every attainable k = v(u).
 
-Every finished ball is emitted as a punctured cell plus the 0-cell at
-its center, so the output partitions the ball exactly, points included.
+The tree is one walk, _ball_tree, run in Python ints: f's integer
+numerators are taken once, each ball's Taylor coefficients come from
+polys.taylor_shift_int and are compared by valuation, roots are lifted
+mod a power of p, and only a finished ball's two coefficients become
+Fractions. It returns plain ball records (gamma, j, m, d_m, d_0, cut),
+which two readers share: decompose_univariate emits each finished ball
+as a punctured cell plus the 0-cell at its center, so the output
+partitions the ball exactly, points included, and integrate.igusa_zeta
+reads v(d_m), m and j straight off the records.
 
 Centers of non-rational roots are approximations certified to a stated
 depth. Below valuation center_floor the description is not certified;
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import polys
 from .cells import (
@@ -93,49 +101,68 @@ class PreparedTerm:
 def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
     """Newton-lift a seed residue to a root class mod p^target_N.
 
-    Requires v(f(seed)) > 2*v(f'(seed)); then the sequence converges to
-    the unique root in the seed's dominance ball and the returned approx
-    satisfies v(f(approx)) >= target_N with the root congruent to approx
-    mod p^target_N.
+    f must lie in Z_p[x] and the seed in Z_p, and the lift follows an
+    irreducible factor of f, as _zp_roots and _TrackedRoot.deepen call
+    it. Requires v(f(seed)) > 2*e, e = v(f'(seed)); then the Newton
+    iterates converge to the unique root in the seed's dominance ball.
+    The first iterate x with v(f(x)) >= M = target_N + e is returned as
+    the int x mod p^M, which is congruent to the root mod p^target_N. A
+    seed that is a root, and the root of a linear f, come back exact.
+
+    The iterates run in ints mod p^M. Newton's map keeps points of the
+    dominance ball that agree mod p^M agreeing mod p^M, so the next
+    iterate mod p^M follows from the current one mod p^M, once f and f'
+    are taken mod p^(M+e) to divide by f'.
     """
     if target_N < 1:
         raise ValueError("target_N must be >= 1")
+    q = p.p
     x = Fraction(seed)
-    df = polys.derivative(f)
-    fx = polys.evaluate(f, x)
-    e = rational_valuation(polys.evaluate(df, x), p.p)
-    w = rational_valuation(fx, p.p)
+    if rational_valuation(x, q) < 0 or any(rational_valuation(c, q) < 0 for c in f):
+        raise ValueError("hensel_lift needs f in Z_p[x] and a seed in Z_p")
+    w = rational_valuation(polys.evaluate(f, x), q)
+    e = rational_valuation(polys.evaluate(polys.derivative(f), x), q)
     if not w > 2 * e:
         raise HenselConditionError(
             f"Hensel condition fails: v(f(seed)) = {w} is not > 2*v(f'(seed)) = {2 * e}"
         )
-    # invariant: v(f(x)) = w keeps doubling relative to e, v(f'(x)) stays e
-    while w != INF and w - e < target_N:
-        x = x - fx / polys.evaluate(df, x)
-        fx = polys.evaluate(f, x)
-        w = rational_valuation(fx, p.p)
-    if w == INF or rational_valuation(x, p.p) < 0:
+    if w == INF:
         return HenselRoot(x, target_N)
     assert isinstance(e, int)
-    modulus = p.p ** (target_N + max(e, 0))
-    num, den = x.numerator, x.denominator
-    approx = Fraction(num * pow(den, -1, modulus) % modulus)
-    return HenselRoot(approx, target_N)
+    M = target_N + e
+    if w < M and polys.degree(f) == 1:
+        # Newton's first step lands on the root itself
+        return HenselRoot(-f[0] / f[1], target_N)
+    # f = F / den with den a p-unit: F and f share their roots and valuations
+    F, _ = polys.over_common_denominator(f)
+    dF = polys.derivative(F)
+    mod, wide, pe = q**M, q ** (M + e), q**e
+    r = x.numerator * pow(x.denominator, -1, mod) % mod
+    while True:
+        fr = polys.evaluate_int(F, r) % wide
+        if not fr % mod:
+            break
+        # f(r) / f'(r) mod p^M: both are divisible by p^e
+        r = (r - fr // pe * pow(polys.evaluate_int(dF, r) % wide // pe, -1, mod)) % mod
+    return HenselRoot(Fraction(r), target_N)
 
 
-def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[Fraction]:
+def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
     """Seeds in Z_p from which g Hensel-lifts, one per root, by breadth-first
     refinement of the residue classes on which g can vanish."""
-    dg = polys.derivative(g)
-    seeds: list[Fraction] = []
-    level = [(Fraction(r), 1) for r in range(p.p)]
+    q = p.p
+    G, den = polys.over_common_denominator(g)
+    vden = int_valuation(den, q)
+    dG = polys.derivative(G)
+    seeds: list[int] = []
+    level = [(r, 1) for r in range(q)]
     while level:
         nxt = []
         for r, k in level:
-            w = rational_valuation(polys.evaluate(g, r), p.p)
+            w = rational_valuation(polys.evaluate_int(G, r), q) - vden
             if w < k:
                 continue
-            e = rational_valuation(polys.evaluate(dg, r), p.p)
+            e = rational_valuation(polys.evaluate_int(dG, r), q) - vden
             # Hensel's lemma gives one root per class only inside its
             # uniqueness ball: the class must be narrower than |g'(r)|
             if w > 2 * e and k > e:
@@ -146,7 +173,7 @@ def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[Fraction]:
                     "precision exhausted: root isolation stalled at depth "
                     f"{k} for a degree-{polys.degree(g)} factor"
                 )
-            nxt.extend((r + i * p.p**k, k + 1) for i in range(p.p))
+            nxt.extend((r + i * q**k, k + 1) for i in range(q))
         level = nxt
     return seeds
 
@@ -237,24 +264,108 @@ def _ball_hull(domain: Cell | None, p: Prime) -> tuple[Fraction, int]:
     return c, j
 
 
-def _dominant_root_floor(d: polys.PolyQ, m: int, j: int, p: int):
+def _dominant_root_floor(v, m: int, j: int):
     """Largest K with |f(gamma+u)| = |d_m||u|^m for all j <= v(u) <= K,
     or None when the m-th Taylor term never dominates down the ball. At
-    m = 0 it is INF when |f| = |d_0| on the whole ball, else None."""
-    vm = rational_valuation(d[m], p)
-    for i in range(m + 1, len(d)):
-        if d[i] and not vm < rational_valuation(d[i], p) + (i - m) * j:
+    m = 0 it is INF when |f| = |d_0| on the whole ball, else None. v holds
+    the valuations v(d_i) of f's Taylor coefficients at gamma, INF for 0."""
+    vm = v[m]
+    for i in range(m + 1, len(v)):
+        if v[i] != INF and not vm < v[i] + (i - m) * j:
             return None
     floor: int | float = INF
     for i in range(m):
-        if not d[i]:
+        if v[i] == INF:
             continue
-        gap = rational_valuation(d[i], p) - vm
+        gap = v[i] - vm
         if gap <= (m - i) * j:
             return None
         # (m-i)*k < gap, i.e. k <= ceil(gap/(m-i)) - 1
         floor = min(floor, -(-gap // (m - i)) - 1)
     return floor
+
+
+class _Ball(NamedTuple):
+    """A finished ball |t - gamma| <= p^-j of the tree: |f(t)| =
+    |d_m| |t - gamma|^m on it, punctured at gamma, and f(gamma) = d_0.
+    cut is the center_floor of both pieces."""
+
+    gamma: Fraction
+    j: int
+    m: int
+    d_m: Fraction
+    d_0: Fraction
+    cut: int | None
+
+
+def _ball_tree(
+    f: polys.PolyQ, p: Prime, domain: Cell | None, precision_N: int
+) -> list[_Ball]:
+    """The balls decompose_univariate emits, in its depth-first order.
+
+    The walk runs in ints. f = nums / den once; a ball's center is
+    c / cden with cden the hull center's denominator, a p-unit, and a
+    root is a / b. A root lies in the ball c/cden + p^j Z_p iff p^j
+    divides a*cden - c*b, and the Taylor coefficients of f at a/b are
+    e_k / (den * b^(n-k)), with e the integer shift of
+    sum nums_i b^(n-i) y^i by a: v(d_k) = v(e_k) - v(den).
+    """
+    if polys.is_zero(f):
+        raise ValueError("f must not be identically zero")
+    if precision_N < 1:
+        raise ValueError("precision must be >= 1")
+    hull_center, hull_j = _ball_hull(domain, p)
+    lift_N = max(2 * precision_N, precision_N + 16)
+    q = p.p
+    roots = [
+        rt
+        for rt in _zp_roots(f, p, lift_N)
+        if rational_valuation(rt.root.approx - hull_center, q) >= hull_j
+    ]
+    nums, den = polys.over_common_denominator(f)
+    vden = int_valuation(den, q)
+    n = len(nums) - 1
+    cden = hull_center.denominator
+    out: list[_Ball] = []
+
+    def handle(c: int, j: int) -> None:
+        if j > precision_N:
+            raise PrecisionExhausted(
+                f"precision exhausted: subdivision passed depth {precision_N}"
+            )
+        pj = q**j
+        local = [
+            k
+            for k, rt in enumerate(roots)
+            if not (rt.root.approx.numerator * cden - c * rt.root.approx.denominator) % pj
+        ]
+        if len(local) < 2:
+            # a ball without a root is the case m = 0 about its center
+            rt = roots[local[0]] if local else _TrackedRoot(
+                HenselRoot(Fraction(c, cden), lift_N), True, f, 0
+            )
+            m = rt.multiplicity
+            while True:
+                gamma = rt.root.approx
+                b = gamma.denominator
+                e = polys.taylor_shift_int(
+                    [nums[i] * b ** (n - i) for i in range(n + 1)], gamma.numerator
+                )
+                floor = _dominant_root_floor([rational_valuation(x, q) - vden for x in e], m, j)
+                if floor is None:
+                    break
+                if rt.exact or floor >= precision_N + 2:
+                    out.append(_Ball(
+                        gamma, j, m, Fraction(e[m], den * b ** (n - m)),
+                        Fraction(e[0], den * b**n), None if floor == INF else int(floor),
+                    ))
+                    return
+                roots[local[0]] = rt = rt.deepen(p, 2 * rt.root.precision)
+        for i in range(q):
+            handle(c + i * pj * cden, j + 1)
+
+    handle(hull_center.numerator, hull_j)
+    return out
 
 
 def decompose_univariate(
@@ -266,54 +377,19 @@ def decompose_univariate(
     """Partition a ball into cells on which |f| has a prepared description.
 
     Deterministic: balls split into their p children in residue order and
-    pieces are emitted in depth-first order.
+    pieces are emitted in depth-first order, each ball as its punctured
+    cell and the 0-cell at its center.
     """
-    if polys.is_zero(f):
-        raise ValueError("f must not be identically zero")
-    if precision_N < 1:
-        raise ValueError("precision must be >= 1")
-    hull_center, hull_j = _ball_hull(domain, p)
-    lift_N = max(2 * precision_N, precision_N + 16)
-    roots = [
-        rt
-        for rt in _zp_roots(f, p, lift_N)
-        if rational_valuation(rt.root.approx - hull_center, p.p) >= hull_j
-    ]
     out: list[PreparedTerm] = []
-
-    def handle(center: Fraction, j: int) -> None:
-        if j > precision_N:
-            raise PrecisionExhausted(
-                f"precision exhausted: subdivision passed depth {precision_N}"
-            )
-        local = [
-            k
-            for k, rt in enumerate(roots)
-            if rational_valuation(rt.root.approx - center, p.p) >= j
-        ]
-        if len(local) < 2:
-            # a ball without a root is the case m = 0 about its center
-            rt = roots[local[0]] if local else _TrackedRoot(
-                HenselRoot(center, lift_N), True, f, 0
-            )
-            m = rt.multiplicity
-            while True:
-                gamma = rt.root.approx
-                d = polys.taylor_shift(f, gamma)
-                floor = _dominant_root_floor(d, m, j, p.p)
-                if floor is None:
-                    break
-                if rt.exact or floor >= precision_N + 2:
-                    cut = None if floor == INF else int(floor)
-                    ball, point = punctured_ball_cell(p, gamma, j), point_cell(p, Const(gamma))
-                    out.append(PreparedTerm(ConstructibleExpr.const(d[m]), m, 0, ball, cut))
-                    out.append(PreparedTerm(ConstructibleExpr.const(d[0]), 0, 0, point, cut))
-                    return
-                roots[local[0]] = rt = rt.deepen(p, 2 * rt.root.precision)
-        for i in range(p.p):
-            handle(center + i * Fraction(p.p) ** j, j + 1)
-
-    handle(hull_center, hull_j)
+    for ball in _ball_tree(f, p, domain, precision_N):
+        gamma = ball.gamma
+        out.append(PreparedTerm(
+            ConstructibleExpr.const(ball.d_m), ball.m, 0,
+            punctured_ball_cell(p, gamma, ball.j), ball.cut,
+        ))
+        out.append(PreparedTerm(
+            ConstructibleExpr.const(ball.d_0), 0, 0, point_cell(p, Const(gamma)), ball.cut,
+        ))
     return out
 
 

@@ -50,7 +50,7 @@ from .cells import (
     level_set_measure,
     stage_window,
 )
-from .decompose import PreparedTerm, decompose_univariate
+from .decompose import PreparedTerm, _ball_tree
 from .expr import (
     Const,
     ConstructibleExpr,
@@ -786,30 +786,28 @@ def _denominator_poly(c: int, d: int, q: int) -> polys.PolyQ:
 def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
     """Z(T) = integral over Z_p of T^v(f(t)) dt, exactly.
 
-    Decomposition writes |f| = |delta| q^-ak on each ball piece, so the
-    piece contributes sum_{k >= j} T^(v(delta) + ak) * (1 - 1/q) q^-k, a
-    geometric progression with ratio q^-1 T^a; point pieces are null.
+    Decomposition writes |f| = |d_m| q^-mk on each ball of radius q^-j
+    about gamma, k = v(t - gamma), so the ball contributes
+    sum_{k >= j} T^(v(d_m) + mk) * (1 - 1/q) q^-k, a geometric progression
+    with ratio q^-1 T^m; its center is null. The balls come as the
+    decomposer's records, (v(d_m), m, j) read straight off each, with no
+    cell or prepared term built.
     """
-    terms = decompose_univariate(f, p, None, precision_N)
     pieces: list[tuple[Fraction, int, int]] = []
     q = p.p
-    for t in terms:
-        cond = t.cell.conditions[0]
-        if cond.coset.is_zero():
-            continue
-        val = t.delta.constant_value()
-        assert val != 0, "ball pieces carry a nonzero unit scale"
-        dv = int(rational_valuation(val, q))
-        j = int(stage_window(cond, []).k_min)
-        degree = dv + t.a * j
+    for ball in _ball_tree(f, p, None, precision_N):
+        assert ball.d_m != 0, "ball pieces carry a nonzero unit scale"
+        dv = int(rational_valuation(ball.d_m, q))
+        a, j = ball.m, ball.j
+        degree = dv + a * j
         if degree < 0:
             raise ValueError(
                 "zeta needs v(f) >= 0 on the domain; scale the polynomial first"
             )
-        if t.a == 0:
+        if a == 0:
             pieces.append((Fraction(1, q**j), degree, 0))
         else:
-            pieces.append((Fraction(q - 1, q) * Fraction(1, q**j), degree, t.a))
+            pieces.append((Fraction(q - 1, q) * Fraction(1, q**j), degree, a))
     dens = tuple(sorted({(1, a) for _, _, a in pieces if a != 0}))
     num: polys.PolyQ = ()
     for coeff, degree, a in pieces:

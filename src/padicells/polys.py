@@ -5,8 +5,10 @@ polynomial. Just enough arithmetic for the decomposer and the zeta
 assembly. `evaluate` and `taylor_shift` work in Python ints: f as integer
 numerators over one common denominator, the point as a/b, and one
 `Fraction` per result or output coefficient. `taylor_shift_int`, the
-integer shift inside `taylor_shift`, also shifts the engine's integer
-window polynomials.
+integer shift inside `taylor_shift`, is the one the decomposer's ball
+walk and the verifier call on their integer numerators, and it also
+shifts the engine's integer window polynomials; `taylor_shift` itself is
+no longer the decomposer's.
 """
 
 from __future__ import annotations

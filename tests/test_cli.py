@@ -19,9 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import padicells
-from padicells import cli, oracle
+from padicells import cli, decompose, oracle
 from padicells.cells import cell_from_json
-from padicells.decompose import decompose_univariate
 from padicells.expr import parse_constructible, print_constructible
 from padicells.padic import Prime
 
@@ -652,13 +651,16 @@ def test_polynomials_without_a_root_mod_p_do_not_load_sympy(tmp_path):
 
 
 def test_zeta_check_poincare_decomposes_once(capsys, monkeypatch):
+    # the ball-tree walk is what decompose_univariate and igusa_zeta share
     calls = []
+    walk = decompose._ball_tree
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return decompose_univariate(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(cli.integrate, "decompose_univariate", counted)
+    monkeypatch.setattr(decompose, "_ball_tree", counted)
+    monkeypatch.setattr(cli.integrate, "_ball_tree", counted)
     code, out, _ = run(capsys, "zeta", "[-1,0,1]", "--p", "3", "--check-poincare", "6")
     assert code == cli.EXIT_OK and json.loads(out)["poincare"]["passed"] is True
     assert len(calls) == 1
@@ -843,6 +845,13 @@ REFUSED = [
     ("symbolic_parametrized_verify_N", {**ONE_PARAM, "mode": "symbolic"},
      ("integrate", "{path}", "--point", "1", "--verify-N", "2"),
      "verification needs a problem without parameters"),
+    # this printed the symbolic 3/4*abs(x0)^2 and exited 0, ignoring the point
+    ("symbolic_point", ONE_PARAM,
+     ("integrate", "{path}", "--mode", "symbolic", "--point", "1"),
+     "--point needs concrete mode"),
+    # this blamed the integrate subcommand
+    ("verify_no_integrand", {"cells": [cell(stage(n=2))]},
+     ("verify", "{path}", "--verify-N", "3"), 'verify needs an "integrand"'),
 ]
 
 

@@ -269,6 +269,16 @@ def test_lift_multiple_root_rejected():
         hensel_lift(poly(0, 0, 1), P3, 0, 4)
 
 
+def test_lift_refuses_f_outside_zp():
+    # (t^2 + 10t - 10)/7 at p = 7: the seed passes the Hensel check with
+    # v(f(0)) = -1 > 2*v(f'(0)) = -2, but no Newton step gains a digit,
+    # so the lift over Fractions never returned
+    with pytest.raises(ValueError, match="needs f in Z_p"):
+        hensel_lift((F(-10, 7), F(10, 7), F(1, 7)), Prime(7), 0, 1)
+    with pytest.raises(ValueError, match="a seed in Z_p"):
+        hensel_lift(poly(1, 0, 1), P5, F(2, 5), 4)
+
+
 # ---------------------------------------------------------------------------
 # decompose_univariate
 
@@ -833,6 +843,67 @@ def test_zp_roots_match_reference(f, p, lift_N):
     assert outcome(decompose._zp_roots) == outcome(reference_zp_roots), (f, p)
 
 
+# ---------------------------------------------------------------------------
+# reference lift: hensel_lift as it was when it ran Newton's iterates over
+# Fractions, kept verbatim. On a p-integral irreducible factor and a seed
+# in Z_p, the lift in ints mod p^(target_N + e) must give the same
+# HenselRoot, or raise the same error.
+
+def reference_hensel_lift(f, p, seed, target_N):
+    if target_N < 1:
+        raise ValueError("target_N must be >= 1")
+    x = F(seed)
+    df = polys.derivative(f)
+    fx = polys.evaluate(f, x)
+    e = rational_valuation(polys.evaluate(df, x), p.p)
+    w = rational_valuation(fx, p.p)
+    if not w > 2 * e:
+        raise HenselConditionError(
+            f"Hensel condition fails: v(f(seed)) = {w} is not > 2*v(f'(seed)) = {2 * e}"
+        )
+    # invariant: v(f(x)) = w keeps doubling relative to e, v(f'(x)) stays e
+    while w != INF and w - e < target_N:
+        x = x - fx / polys.evaluate(df, x)
+        fx = polys.evaluate(f, x)
+        w = rational_valuation(fx, p.p)
+    if w == INF or rational_valuation(x, p.p) < 0:
+        return HenselRoot(x, target_N)
+    assert isinstance(e, int)
+    modulus = p.p ** (target_N + max(e, 0))
+    num, den = x.numerator, x.denominator
+    approx = F(num * pow(den, -1, modulus) % modulus)
+    return HenselRoot(approx, target_N)
+
+
+monic_cubics = st.lists(st.integers(-40, 40), min_size=2, max_size=3).map(
+    lambda cs: poly(*cs, 1)
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.one_of(factor_inputs(), monic_cubics), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_hensel_lift_matches_reference(f, p, data):
+    """Every seed below p^2 of an irreducible factor of f, scaled by 1, by
+    p or by a p-unit with a denominator. The monic cubics add irreducible
+    factors of degree 2 and 3 that have roots in Z_p."""
+    factors = [g for g, _ in _factor_over_q(f)]
+    assume(factors)
+    g = data.draw(st.sampled_from(factors))
+    unit = data.draw(st.sampled_from([F(a, b) for a, b in ((2, 7), (-5, 3), (3, 11))
+                                      if a % p and b % p]))
+    g = polys.scale(g, data.draw(st.sampled_from([F(1), F(p), unit])))
+    target_N = data.draw(st.sampled_from([1, 3, 8, 24]))
+
+    def outcome(lift, seed):
+        try:
+            return lift(g, Prime(p), seed, target_N)
+        except (ArithmeticError, ValueError) as e:
+            return type(e), str(e)
+
+    for seed in range(p * p):
+        assert outcome(hensel_lift, seed) == outcome(reference_hensel_lift, seed), (g, p, seed)
+
+
 def _largest_prime_below_the_limit() -> Prime:
     n = padic._MR_LIMIT - 1
     while not padic.is_prime(n):
@@ -865,6 +936,7 @@ def test_constant_and_linear_f_at_the_largest_prime():
 
 # ---------------------------------------------------------------------------
 # the decomposer against its form with a separate test for rootless balls
+# and its Taylor coefficients read as Fractions
 
 def reference_emit_pair(out, p, center, j, a, delta_ball, delta_point, floor):
     out.append(
@@ -888,6 +960,23 @@ def reference_constant_norm_on_ball(d, j, p):
     return all(
         v0 < rational_valuation(d[i], p) + i * j for i in range(1, len(d)) if d[i]
     )
+
+
+def reference_dominant_root_floor(d, m, j, p):
+    vm = rational_valuation(d[m], p)
+    for i in range(m + 1, len(d)):
+        if d[i] and not vm < rational_valuation(d[i], p) + (i - m) * j:
+            return None
+    floor = INF
+    for i in range(m):
+        if not d[i]:
+            continue
+        gap = rational_valuation(d[i], p) - vm
+        if gap <= (m - i) * j:
+            return None
+        # (m-i)*k < gap, i.e. k <= ceil(gap/(m-i)) - 1
+        floor = min(floor, -(-gap // (m - i)) - 1)
+    return floor
 
 
 def reference_decompose_univariate(f, p, domain=None, precision_N=8):
@@ -921,7 +1010,7 @@ def reference_decompose_univariate(f, p, domain=None, precision_N=8):
             while True:
                 gamma = rt.root.approx
                 d = polys.taylor_shift(f, gamma)
-                floor = decompose._dominant_root_floor(d, m, j, p.p)
+                floor = reference_dominant_root_floor(d, m, j, p.p)
                 if floor is None:
                     break
                 if rt.exact or floor >= precision_N + 2:

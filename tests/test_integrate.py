@@ -53,7 +53,9 @@ from padicells.integrate import (
     SimpleFunctionExpr,
     SimpleTerm,
     UnsupportedIntegrandError,
+    ZetaRational,
     _decide_integrable,
+    _denominator_poly,
     _integrate_symbolic,
     _monomial_parts,
     _pinned_residue,
@@ -1505,6 +1507,80 @@ def test_zeta_series_expansion():
     z = igusa_zeta(polys.poly_from([0, 1]), P3)
     # (2/3) / (1 - T/3): coefficients (2/3) 3^-i
     assert z.series(3) == [F(2, 3), F(2, 9), F(2, 27), F(2, 81)]
+
+
+# ---------------------------------------------------------------------------
+# reference zeta: igusa_zeta as it was when it read its pieces back from
+# decompose_univariate's prepared terms, kept verbatim. Reading the ball
+# records directly must give the same Z(T), or raise the same error.
+
+def reference_igusa_zeta(f, p, precision_N=8):
+    terms = decompose_univariate(f, p, None, precision_N)
+    pieces = []
+    q = p.p
+    for t in terms:
+        cond = t.cell.conditions[0]
+        if cond.coset.is_zero():
+            continue
+        val = t.delta.constant_value()
+        assert val != 0, "ball pieces carry a nonzero unit scale"
+        dv = int(rational_valuation(val, q))
+        j = int(stage_window(cond, []).k_min)
+        degree = dv + t.a * j
+        if degree < 0:
+            raise ValueError(
+                "zeta needs v(f) >= 0 on the domain; scale the polynomial first"
+            )
+        if t.a == 0:
+            pieces.append((Fraction(1, q**j), degree, 0))
+        else:
+            pieces.append((Fraction(q - 1, q) * Fraction(1, q**j), degree, t.a))
+    dens = tuple(sorted({(1, a) for _, _, a in pieces if a != 0}))
+    num = ()
+    for coeff, degree, a in pieces:
+        piece = polys.scale(
+            tuple([Fraction(0)] * degree + [Fraction(1)]), coeff
+        )
+        for c, d in dens:
+            if (c, d) == (1, a):
+                continue
+            piece = polys.mul(piece, _denominator_poly(c, d, q))
+        num = polys.add(num, piece)
+    return ZetaRational(num, dens, p)
+
+
+@st.composite
+def zeta_inputs(draw):
+    """c * prod g_j^m_j over Q with degree <= 5: linear, quadratic and
+    cubic g_j, some with roots close p-adically, c a rational that may
+    have p in its denominator (v(f) < 0 somewhere) or p^e in its
+    numerator; p in {2, 3, 5, 7, 11} and a precision 8 to 10."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    f = polys.poly_from([F(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 2, p])))
+                         * p ** draw(st.integers(0, 2))])
+    if draw(st.booleans()):
+        r, k = draw(st.integers(-6, 6)), draw(st.integers(1, 12))
+        f = polys.mul(f, polys.mul(polys.poly_from([-r, 1]), polys.poly_from([-r - p**k, 1])))
+    for _ in range(draw(st.integers(0, 3))):
+        g = polys.poly_from(draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4)))
+        g = polys.pow_int(g, draw(st.integers(1, 2)))
+        if g and polys.degree(f) + polys.degree(g) <= 5:
+            f = polys.mul(f, g)
+    return f, Prime(p), draw(st.integers(8, 10))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(zeta_inputs())
+def test_zeta_matches_reference(problem):
+    f, p, N = problem
+
+    def outcome(zeta):
+        try:
+            return zeta(f, p, N)
+        except (ValueError, ArithmeticError) as e:
+            return type(e), str(e)
+
+    assert outcome(igusa_zeta) == outcome(reference_igusa_zeta), (f, p.p, N)
 
 
 def test_root_counts_by_enumeration():
