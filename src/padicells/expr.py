@@ -23,6 +23,16 @@ factors. v() and abs() live at the constructible level only; a bare
 field-valued term is not a constructible function. Parsing collapses
 single-base polynomial combinations into `Poly` nodes, so printing
 followed by parsing is the identity on canonically built terms.
+
+One evaluator values a term on a box of residues, a point being the box
+of infinite depth (_eval). Each node is compiled once, on first use, into
+a closure (reps, depths, p) -> (value, precision) over its children's
+closures, and kept on the node as its hash and printed text are; the
+prime stays an argument, because a node carries none. A factor argument
+of a constructible function also gets a reader, which returns the
+valuation the box pins straight from ints, and each expression keeps an
+evaluation plan of its factors' readers. Nothing is cached by input
+values, and equality, hashing and repr see only the dataclass fields.
 """
 
 from __future__ import annotations
@@ -60,7 +70,18 @@ def _node(cls):
         return h
 
     cls.__hash__ = __hash__
+    cls.__getstate__ = _picklable_state
     return cls
+
+
+# what _evaluator, _reader and _evaluation_plan keep on a node or expression
+_COMPILED = ("_eval", "_read", "_plan")
+
+
+def _picklable_state(self) -> dict:
+    """The instance dict without its compiled closures, which do not
+    pickle: a copy compiles its own on first use."""
+    return {k: v for k, v in self.__dict__.items() if k not in _COMPILED}
 
 
 @_node
@@ -314,14 +335,19 @@ def pinned_valuation(value: Fraction, precision, p: int) -> int | None:
 # A lift is a Fraction, or an int: the oracle's boxes have nonnegative
 # integer lifts. Values built from ints alone stay ints.
 Lift = int | Fraction
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _coordinate(x: Var, reps: tuple[Lift, ...], depths: tuple) -> tuple:
-    try:
-        return reps[x.index], depths[x.index]
-    except IndexError:
-        raise ValueError(f"point has no coordinate for x{x.index}") from None
+def _kept(node, key: str, build):
+    """build(node), made on first use and kept in node.__dict__ under key,
+    as _node keeps a node's hash: the dataclass fields, and so equality,
+    hashing and repr, stay those of the node."""
+    d = node.__dict__
+    out = d.get(key)
+    if out is None:
+        out = d[key] = build(node)
+    return out
 
 
 def _eval(t: DTerm, reps: tuple[Lift, ...], depths: tuple, p: int):
@@ -335,91 +361,226 @@ def _eval(t: DTerm, reps: tuple[Lift, ...], depths: tuple, p: int):
     exact, NEG_INF certifies nothing (an inverse of a possible zero, a
     series argument straddling the polydisc boundary, or anything built on
     those).
+
+    This runs t's compiled evaluator (_evaluator), so each node is
+    dispatched on its class once, not at every evaluation.
     """
+    return _evaluator(t)(reps, depths, p)
+
+
+def _evaluator(t: DTerm):
+    """t's evaluator, a closure (reps, depths, p) -> (value, precision) as
+    _eval describes, compiled by _compile on first use and kept on the
+    node. The prime stays an argument, because a node carries none."""
+    if isinstance(t, DTerm):
+        return _kept(t, "_eval", _compile)
+    return _compile(t)  # not a term: its evaluator raises TypeError
+
+
+def _compile(t: DTerm):
+    """The evaluator of one node over the evaluators of its children. What
+    depends on the node alone (its children, a polynomial's integer
+    numerators, a series' exponents) is worked out here, once; the
+    precision recurrences, the types of the values and the errors, in
+    their order, are those _eval documents."""
     if isinstance(t, Const):
-        return t.value, INF
+        value = t.value
+        return lambda reps, depths, p: (value, INF)
     if isinstance(t, Var):
-        return _coordinate(t, reps, depths)
+        i = t.index
+
+        def var(reps, depths, p):
+            try:
+                return reps[i], depths[i]
+            except IndexError:
+                raise ValueError(f"point has no coordinate for x{i}") from None
+
+        return var
     if isinstance(t, Add):
-        a, da = _eval(t.left, reps, depths, p)
-        b, db = _eval(t.right, reps, depths, p)
-        return a + b, min(da, db)
+        left, right = _evaluator(t.left), _evaluator(t.right)
+
+        def add(reps, depths, p):
+            a, da = left(reps, depths, p)
+            b, db = right(reps, depths, p)
+            return a + b, min(da, db)
+
+        return add
     if isinstance(t, Mul):
-        a, da = _eval(t.left, reps, depths, p)
-        b, db = _eval(t.right, reps, depths, p)
-        if da == NEG_INF or db == NEG_INF:
-            return Fraction(0), NEG_INF  # absorbing: INF + NEG_INF is nan
-        if da == INF and db == INF:
-            return a * b, INF  # what the valuations below would give
-        va, vb = rational_valuation(a, p), rational_valuation(b, p)
-        return a * b, min(min(va, da) + db, da + min(vb, db))
+        left, right = _evaluator(t.left), _evaluator(t.right)
+
+        def mul(reps, depths, p):
+            a, da = left(reps, depths, p)
+            b, db = right(reps, depths, p)
+            if da == NEG_INF or db == NEG_INF:
+                return _ZERO, NEG_INF  # absorbing: INF + NEG_INF is nan
+            if da == INF and db == INF:
+                return a * b, INF  # what the valuations below would give
+            va, vb = rational_valuation(a, p), rational_valuation(b, p)
+            return a * b, min(min(va, da) + db, da + min(vb, db))
+
+        return mul
     if isinstance(t, Inv):
-        a, da = _eval(t.arg, reps, depths, p)
-        # _ONE / a, not 1 / a: an int lift would give a float
-        if da == INF:
-            return (Fraction(0) if a == 0 else _ONE / a), INF
-        va = rational_valuation(a, p)
-        if va < da:
-            return _ONE / a, da - 2 * va
-        return Fraction(0), NEG_INF  # possibly huge: nothing certified
+        arg = _evaluator(t.arg)
+
+        def inv(reps, depths, p):
+            a, da = arg(reps, depths, p)
+            # _ONE / a, not 1 / a: an int lift would give a float
+            if da == INF:
+                return (_ZERO if a == 0 else _ONE / a), INF
+            va = rational_valuation(a, p)
+            if va < da:
+                return _ONE / a, da - 2 * va
+            return _ZERO, NEG_INF  # possibly huge: nothing certified
+
+        return inv
     if isinstance(t, Poly):
-        x, dx = _eval(t.argument, reps, depths, p)
+        ratio = _poly_ratio(t)
+
+        def poly(reps, depths, p):
+            num, den, prec = ratio(reps, depths, p)
+            return Fraction(num, den), prec
+
+        return poly
+    if isinstance(t, RestrictedSeries):
+        return _compile_series(t)
+
+    def not_a_term(reps, depths, p):
+        raise TypeError(f"not a DTerm: {t!r}")
+
+    return not_a_term
+
+
+def _poly_ratio(t: Poly):
+    """A closure (reps, depths, p) -> (num, den, precision): the value of t
+    on the box is the ratio of the ints num / den, den nonzero.
+
+    Horner runs in ints on t's numerators over their common denominator,
+    as in polys.evaluate: with the coefficients nums / den and x = a/b,
+    the partial value after the leading coefficient and k more is
+    acc / (den * b^k). The leading step leaves the precision at INF."""
+    arg = _evaluator(t.argument)
+    nums, den = polys.over_common_denominator(t.coeffs)
+    lead, rest = (nums[-1], nums[-2::-1]) if nums else (0, ())
+
+    def ratio(reps, depths, p):
+        x, dx = arg(reps, depths, p)
         if dx == NEG_INF:
-            return Fraction(0), NEG_INF
-        if dx == INF:
-            return polys.evaluate(t.coeffs, x), INF
-        if not t.coeffs:
-            return Fraction(0), INF
-        # Horner in ints, as in polys.evaluate: with the coefficients
-        # nums / den and x = a/b, the partial value after the leading
-        # coefficient and k more is acc / (den * b^k). The leading step
-        # leaves the precision at INF.
-        nums, den = polys.over_common_denominator(t.coeffs)
+            return 0, 1, NEG_INF
         a, b = x.as_integer_ratio()
+        acc, bk = lead, 1
+        if dx == INF:
+            for c in rest:
+                bk *= b
+                acc = acc * a + c * bk
+            return acc, den * bk, INF
         vx = rational_valuation(x, p)
         vb = int_valuation(b, p)
         vden = int_valuation(den, p)  # v(den * b^k)
-        acc, bk, dacc = nums[-1], 1, INF
-        for c in reversed(nums[:-1]):
+        dacc = INF
+        for c in rest:
             va = int_valuation(acc, p) - vden if acc else INF
             dacc = min(min(va, dacc) + dx, dacc + min(vx, dx))
             bk *= b
             vden += vb
             acc = acc * a + c * bk
-        return Fraction(acc, den * bk), dacc
-    if isinstance(t, RestrictedSeries):
-        args = [_eval(a, reps, depths, p) for a in t.arguments]
-        lows = [(rational_valuation(a, p), da) for a, da in args]
+        return acc, den * bk, dacc
+
+    return ratio
+
+
+def _compile_series(t: RestrictedSeries):
+    args = [_evaluator(a) for a in t.arguments]
+    tail = t.tail_valuation
+    exps = _series_exponents(len(args), len(t.coeffs))
+    monomials = [(c, alpha) for c, alpha in zip(t.coeffs, exps) if c != 0]
+    nonzero = [c for c, _ in monomials]
+
+    def series(reps, depths, p):
+        values = [f(reps, depths, p) for f in args]
+        lows = [(rational_valuation(a, p), da) for a, da in values]
         if any(va < min(0, da) for va, da in lows):
-            return Fraction(0), INF  # the whole box sits outside the polydisc
+            return _ZERO, INF  # the whole box sits outside the polydisc
         if any(min(va, da) < 0 for va, da in lows):
-            return Fraction(0), NEG_INF  # straddles the polydisc boundary
-        exps = _series_exponents(len(args), len(t.coeffs))
-        total = Fraction(0)
-        for c, alpha in zip(t.coeffs, exps):
-            if c == 0:
-                continue
+            return _ZERO, NEG_INF  # straddles the polydisc boundary
+        total = _ZERO
+        for c, alpha in monomials:
             mono = c
-            for (a, _), e in zip(args, alpha):
+            for (a, _), e in zip(values, alpha):
                 mono *= a**e
             total += mono
-        prec: float | int = t.tail_valuation
-        inexact = [da for _, da in args if da != INF]
+        prec: float | int = tail
+        inexact = [da for _, da in values if da != INF]
         if inexact:
-            cmin = min(
-                [t.tail_valuation] + [rational_valuation(c, p) for c in t.coeffs if c != 0]
-            )
+            cmin = min([tail] + [rational_valuation(c, p) for c in nonzero])
             prec = min(prec, min(inexact) + cmin)
         return total, prec
-    raise TypeError(f"not a DTerm: {t!r}")
+
+    return series
+
+
+def _reader(t: DTerm):
+    """t's reader, a closure (reps, depths, p) -> (the valuation the box
+    pins, or None; whether t is an exact zero there), compiled on first
+    use and kept on the node. A variable's reader reads its lift, and a
+    polynomial's takes the valuation from the ints of _poly_ratio, so
+    neither builds a Fraction; any other node's reads the value of its
+    evaluator."""
+    if isinstance(t, DTerm):
+        return _kept(t, "_read", _compile_reader)
+    return _compile_reader(t)  # not a term: reading it raises TypeError
+
+
+def _compile_reader(t: DTerm):
+    if isinstance(t, Var):
+        i = t.index
+
+        def read_var(reps, depths, p):
+            try:
+                x, dx = reps[i], depths[i]
+            except IndexError:
+                raise ValueError(f"point has no coordinate for x{i}") from None
+            if not x:
+                return None, dx == INF
+            v = rational_valuation(x, p)
+            return (v, False) if v < dx else (None, False)
+
+        return read_var
+    if isinstance(t, Poly):
+        ratio = _poly_ratio(t)
+
+        def read_poly(reps, depths, p):
+            num, den, prec = ratio(reps, depths, p)
+            if not num:
+                return None, prec == INF
+            v = int_valuation(num, p) - int_valuation(den, p)
+            return (v, False) if v < prec else (None, False)
+
+        return read_poly
+    evaluate = _evaluator(t)
+
+    def read(reps, depths, p):
+        value, prec = evaluate(reps, depths, p)
+        v = rational_valuation(value, p)
+        if v < prec:
+            return v, False
+        return None, v == INF and prec == INF
+
+    return read
 
 
 def _point_box(point: list[PAdicScalar], prime: Prime | None):
-    """A point as the box of depth INF in every coordinate."""
+    """A point as the box of depth INF in every coordinate. The prime
+    defaults to that of the first coordinate; a coordinate of another
+    prime raises ValueError, as PAdicScalar arithmetic does."""
     if prime is None:
         if not point:
             raise ValueError("prime must be given when the point is empty")
         prime = point[0].prime
+    for s in point:
+        if s.prime != prime:
+            raise ValueError(
+                f"mixed primes: a coordinate in Q_{s.prime.p} read at p = {prime.p}"
+            )
     return tuple(s.value for s in point), (INF,) * len(point), prime
 
 
@@ -433,6 +594,7 @@ def eval_dterm(
     meaning the evaluation is exact. Only restricted series introduce
     uncertainty; where they leave nothing certified (an inverse not
     separated from zero, undecided polydisc membership), this raises.
+    Every coordinate must be a scalar of the prime evaluated at.
     """
     reps, depths, prime = _point_box(point, prime)
     value, err = _eval(t, reps, depths, prime.p)
@@ -473,6 +635,8 @@ class ConstructibleExpr:
     """Finite sum of rational multiples of products v(h)^k * abs(h')^e."""
 
     terms: tuple[CTerm, ...]
+
+    __getstate__ = _picklable_state
 
     @staticmethod
     def of(terms) -> "ConstructibleExpr":
@@ -644,58 +808,45 @@ def cexpr_term(coeff, val_factors=(), norm_factors=()) -> ConstructibleExpr:
 def _evaluation_plan(f: ConstructibleExpr) -> tuple:
     """f's terms with every factor argument replaced by its index.
 
-    (args, rows): args lists the distinct factor arguments in the order
-    the terms first read them (term by term, v-factors before norm
-    factors); each row is (coeff numerator, coeff denominator,
-    ((arg index, power), ...) for the v-factors, ((arg index, power
-    numerator, power denominator), ...) for the norm factors). Built once
-    per expression and kept on it, as _node keeps a term's hash: the plan
-    depends on the terms alone, so equality, hashing and the dataclass
-    fields stay those of the terms.
+    (readers, rows): readers holds the reader (_reader) of each distinct
+    factor argument, in the order the terms first read them (term by
+    term, v-factors before norm factors); each row is (coeff numerator,
+    coeff denominator, ((arg index, power), ...) for the v-factors, ((arg
+    index, power numerator, power denominator), ...) for the norm
+    factors). Built once per expression and kept on it, as _node keeps a
+    term's hash: the plan depends on the terms alone, so equality, hashing
+    and the dataclass fields stay those of the terms.
     """
-    d = f.__dict__
-    plan = d.get("_plan")
-    if plan is None:
-        index: dict[DTerm, int] = {}  # argument -> its index, in first-use order
-        rows = []
-        for term in f.terms:
-            c = term.coeff
-            rows.append((
-                c.numerator,
-                c.denominator,
-                [(index.setdefault(vf.h, len(index)), vf.power) for vf in term.val_factors],
-                [(index.setdefault(nf.h, len(index)), nf.power.numerator, nf.power.denominator)
-                 for nf in term.norm_factors],
-            ))
-        plan = d["_plan"] = (list(index), rows)
-    return plan
+    return _kept(f, "_plan", _build_plan)
 
 
-def _read_factor(h: DTerm, reps: tuple[Lift, ...], depths: tuple, p: int) -> tuple:
-    """(pinned valuation or None, whether h is an exact zero) on the box."""
-    if isinstance(h, Var):
-        value, prec = _coordinate(h, reps, depths)
-    else:
-        value, prec = _eval(h, reps, depths, p)
-    v = rational_valuation(value, p)
-    if v < prec:
-        return v, False
-    return None, v == INF and prec == INF
+def _build_plan(f: ConstructibleExpr) -> tuple:
+    index: dict[DTerm, int] = {}  # argument -> its index, in first-use order
+    rows = []
+    for term in f.terms:
+        c = term.coeff
+        rows.append((
+            c.numerator,
+            c.denominator,
+            [(index.setdefault(vf.h, len(index)), vf.power) for vf in term.val_factors],
+            [(index.setdefault(nf.h, len(index)), nf.power.numerator, nf.power.denominator)
+             for nf in term.norm_factors],
+        ))
+    return [_reader(h) for h in index], rows
 
 
-def _constructible_ints(
-    f: ConstructibleExpr, reps: tuple[Lift, ...], depths: tuple, p: int
-) -> tuple[int, int]:
-    """f on a box as a pair of ints num/den, den nonzero but of either
-    sign; the checks and errors of _constructible_value."""
-    args, rows = _evaluation_plan(f)
-    read: list = [None] * len(args)
+def _plan_ints(plan: tuple, reps: tuple[Lift, ...], depths: tuple, p: int) -> tuple[int, int]:
+    """An expression on a box, from its evaluation plan, as a pair of ints
+    num/den, den nonzero but of either sign; the checks and errors of
+    _constructible_value."""
+    readers, rows = plan
+    read: list = [None] * len(readers)
     total_num, total_den = 0, 1
     for num, den, vfs, nfs in rows:
         for i, power in vfs:
             r = read[i]
             if r is None:
-                r = read[i] = _read_factor(args[i], reps, depths, p)
+                r = read[i] = readers[i](reps, depths, p)
             v, zero = r
             if v is None:
                 if zero:
@@ -711,7 +862,7 @@ def _constructible_ints(
         for i, pnum, pden in nfs:
             r = read[i]
             if r is None:
-                r = read[i] = _read_factor(args[i], reps, depths, p)
+                r = read[i] = readers[i](reps, depths, p)
             v, zero = r
             if zero:
                 if pnum < 0:
@@ -758,10 +909,10 @@ def _constructible_value(
     once, when a term first reads it, so the checks still run factor by
     factor in term order and the first error is the same. The sum is kept
     as a pair of ints num/den, with den the least common multiple of the
-    term denominators (_constructible_ints, which the oracle calls
-    directly), and one Fraction is built at the end.
+    term denominators (_plan_ints, which the oracle calls directly with
+    the integrand's plan), and one Fraction is built at the end.
     """
-    return Fraction(*_constructible_ints(f, reps, depths, p))
+    return Fraction(*_plan_ints(_evaluation_plan(f), reps, depths, p))
 
 
 def eval_constructible(
@@ -769,8 +920,9 @@ def eval_constructible(
 ) -> Fraction:
     """Exact rational value of a constructible function at a point.
 
-    Errors when some v-factor argument vanishes, or when series
-    truncation leaves a needed valuation or norm undetermined.
+    Errors when some v-factor argument vanishes, when series truncation
+    leaves a needed valuation or norm undetermined, or when a coordinate
+    is a scalar of another prime than the one evaluated at.
     """
     reps, depths, prime = _point_box(point, prime)
     return _constructible_value(f, reps, depths, prime.p)
@@ -851,11 +1003,7 @@ def _rendered(t: DTerm) -> tuple[str, int]:
     of every factor in a constructible function."""
     if not isinstance(t, DTerm):
         raise TypeError(f"not a DTerm: {t!r}")
-    d = t.__dict__
-    out = d.get("_text")
-    if out is None:
-        out = d["_text"] = _render(t)
-    return out
+    return _kept(t, "_text", _render)
 
 
 def print_dterm(t: DTerm) -> str:

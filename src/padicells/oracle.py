@@ -17,13 +17,16 @@ domain cell, one stage at a time, and against the integrand:
   polynomially with N instead of as p^N. Once all of the chosen
   coordinates sit at depth N, the box's measure goes to boundary_mass.
 
-Decisions are made soundly: expr._eval evaluates each subterm at the
+Decisions are made soundly: expr's evaluator values each subterm at the
 canonical lift (the least nonnegative representative) of every coordinate
 together with a lower bound on the valuation of its variation across the
 box, and anything the box does not pin down is undecided instead of
-guessed. The integrand is valued on a box by the same core that values
-it at a point (expr._constructible_ints, which runs the integrand's
-cached evaluation plan); where that raises, the box is undecided.
+guessed. Each stage holds the compiled evaluator of t - center and the
+compiled readers of its bounds (expr._evaluator, expr._reader), built
+once per term node, so a box costs no dispatch on term classes. The
+integrand is valued on a box by the same core that values it at a point
+(expr._plan_ints, which runs the integrand's evaluation plan, fetched
+once per run); where that raises, the box is undecided.
 Decisions about punctures and graphs are almost-everywhere decisions,
 which is the right notion for integrals: a single excluded point never
 carries measure. A box still undecided at full depth is one the flat
@@ -41,8 +44,8 @@ p^(arity*N - sum d_i) over the common denominator p^(arity*N). The
 integrand comes back from each decided box as an int pair num/den, the
 value is summed as one int pair and the boundary mass as one int, and
 one Fraction each is built at the end. Each stage's constants (its
-prime, coset, unit digit count and the valuations of constant bounds) are
-worked out once per run (_Stage).
+prime, coset, unit digit count, the valuations of constant bounds and the
+compiled terms) are worked out once per run (_Stage).
 
 An exact result at resolution N satisfies
 |true - value| <= boundary_mass * sup|integrand on the domain|.
@@ -50,6 +53,7 @@ An exact result at resolution N satisfies
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -63,8 +67,10 @@ from .expr import (
     Lift,
     Var,
     _add_ratio,
-    _constructible_ints,
-    _eval,
+    _evaluation_plan,
+    _evaluator,
+    _plan_ints,
+    _reader,
     d_sub,
     free_variables,
     pinned_valuation,
@@ -101,11 +107,12 @@ Depths = tuple[int, ...]
 
 class _Stage(NamedTuple):
     """What a stage's verdict reads besides the box, worked out once per
-    oracle run. Each norm bound is (term, valuation, strict, residue pin,
-    is lower, bit): a constant bound has its valuation here and term
-    None, any other is valued on each box."""
+    oracle run: the compiled evaluator of t - center, and each norm bound
+    as (reader, valuation, strict, residue pin, is lower, bit). A constant
+    bound has its valuation here and reader None; any other is read on
+    each box by its compiled reader."""
 
-    diff: DTerm
+    diff: Callable
     p: int
     coset: Coset
     graph: bool
@@ -124,9 +131,9 @@ def _stage(cond: CellCondition, diff: DTerm) -> _Stage:
         if isinstance(bound, Const):
             bounds.append((None, pinned_valuation(bound.value, INF, p), *rest))
         elif bound is not None:
-            bounds.append((bound, None, *rest))
+            bounds.append((_reader(bound), None, *rest))
     n = cond.coset.n
-    return _Stage(diff, p, cond.coset, cond.coset.is_zero(), n,
+    return _Stage(_evaluator(diff), p, cond.coset, cond.coset.is_zero(), n,
                   unit_digits(n, p), tuple(bounds))
 
 
@@ -140,7 +147,7 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
     itself, so its certified depth never exceeds the depth of t. The lifts
     may be ints or Fractions."""
     diff, p, coset, graph, n, digits, bounds = stage
-    value, dv = _eval(diff, reps, depths, p)
+    value, dv = diff(reps, depths, p)
     v = rational_valuation(value, p)
     v_exact = v if v < dv else None  # pinned_valuation
     k_low = min(v, dv)
@@ -159,9 +166,9 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
     elif not in_coset(PAdicScalar(value, coset.prime), coset):
         return OUTSIDE, 0
 
-    for bound, bv, strict, pin, is_lower, term in bounds:
-        if bound is not None:
-            bv = pinned_valuation(*_eval(bound, reps, depths, p), p)
+    for read, bv, strict, pin, is_lower, term in bounds:
+        if read is not None:
+            bv = read(reps, depths, p)[0]
         if bv is None:
             verdict, open_terms = BOUNDARY, open_terms | term
             continue
@@ -244,6 +251,7 @@ def oracle_integrate(
          for mask in range(8)]
         for diff, cond in zip(diffs, conds)
     ]
+    plan = _evaluation_plan(integrand)
     integrand_reads = _reads(
         fac.h for term in integrand.terms
         for fac in term.val_factors + term.norm_factors
@@ -271,7 +279,7 @@ def oracle_integrate(
         else:  # no stage is OUTSIDE
             if first is None:
                 try:
-                    num, den = _constructible_ints(integrand, reps, depths, q)
+                    num, den = _plan_ints(plan, reps, depths, q)
                 except (EvaluationPrecisionError, ZeroDivisionError, ValueError):
                     axes = integrand_reads  # the box does not pin the integrand
                 else:

@@ -323,6 +323,23 @@ def test_point_with_too_few_coordinates():
         eval_constructible(parse_constructible("abs(x1)"), pt(1))
 
 
+def test_point_of_another_prime_is_refused():
+    # 9 is read at p = 5 (v = 0) if the prime of its scalar is ignored
+    P5 = Prime(5)
+    with pytest.raises(ValueError, match="mixed primes"):
+        eval_constructible(parse_constructible("v(x0)"), pt(9), P5)
+    with pytest.raises(ValueError, match="mixed primes"):
+        eval_dterm(parse_dterm("x0^2 - 3"), pt(9), P5)
+    # a point mixing Q_3 and Q_5 is refused, whichever prime is named
+    mixed = pt(9) + [scalar(25, P5)]
+    for prime in (None, P3, P5):
+        with pytest.raises(ValueError, match="mixed primes"):
+            eval_constructible(parse_constructible("v(x0)*abs(x1)"), mixed, prime)
+        with pytest.raises(ValueError, match="mixed primes"):
+            eval_dterm(parse_dterm("x0 + x1"), mixed, prime)
+    assert eval_constructible(parse_constructible("v(x0)"), [scalar(25, P5)]) == 2
+
+
 @pytest.mark.parametrize("depths", [(INF, INF), (2, INF), (1, 3)])
 def test_box_evaluator_never_returns_nan(depths):
     unpinned = Inv(UNPINNED)
@@ -553,6 +570,37 @@ def test_polynomial_on_a_box_matches_reference(p, coeffs, n, k, depth):
     for x in (Fraction(n, p**k), n * p**k):
         assert _eval_outcome(_eval, t, (x,), (depth,), p) == \
             _eval_outcome(reference_eval, t, (Fraction(x),), (depth,), p)
+
+
+def test_compiled_terms_take_the_prime_at_each_call():
+    # each node is compiled once, with no prime: evaluating the same nodes
+    # at p = 2, then 3, then 2 again gives what reference_eval gives
+    poly = Poly((F(1, 4), F(5, 9), F(-7, 12), F(1, 8)), Var(0))
+    terms = [
+        poly,
+        Inv(Add(Var(0), Mul(Const(F(3)), Var(1)))),
+        RestrictedSeries((F(1), F(1, 2), F(4, 3), F(0), F(6)), 3, (Var(0), Var(1))),
+        Poly((F(1), F(-1, 6)), Inv(Var(1))),
+    ]
+    f = ConstructibleExpr((
+        CTerm(F(2), (ValFactor(poly, 1),), (NormFactor(terms[1], F(1)),)),
+        CTerm(F(-1, 3), (), (NormFactor(terms[2], F(2)), NormFactor(terms[3], F(-1)))),
+    ))
+    boxes = [((F(3, 2), F(4, 9)), (INF, INF)), ((6, 12), (INF, INF)), ((6, 12), (2, 1)),
+             ((F(1, 6), F(8)), (3, INF)), ((0, 4), (1, 2))]
+    for p in (2, 3, 2):
+        for reps, depths in boxes:
+            as_fractions = tuple(map(Fraction, reps))
+            for t in terms:
+                got = _eval_outcome(_eval, t, reps, depths, p)
+                want = _eval_outcome(reference_eval, t, as_fractions, depths, p)
+                if len(got) == 3:
+                    got = (Fraction,) + got[1:]
+                assert got == want, (print_dterm(t), p, reps, depths)
+            assert _outcome(_constructible_value, f, reps, depths, p) == \
+                _outcome(reference_value, f, as_fractions, depths, p)
+    assert all("_eval" in t.__dict__ for t in terms)
+    assert "_read" in poly.__dict__
 
 
 # --- structure helpers -----------------------------------------------------
@@ -825,6 +873,40 @@ def test_evaluation_plan_leaves_equality_and_hashing_alone():
     assert _constructible_value(a.scale(2), reps, depths, 3) == 2 * value
     assert _constructible_value(a, reps, depths, 3) == value
     assert _constructible_value(b, (9, 4), depths, 3) == value
+
+    # a term node keeps its compiled evaluator and reader as it keeps its
+    # hash and text: fields, equality, hashes and repr are a fresh node's
+    text = "x0^2*inv(x1) + series([1, 2; tail 3], x2) - 2/9*x1"
+    t, u = parse_dterm(text), parse_dterm(text)
+    before = hash(t), repr(t), dataclasses.astuple(t)
+    f = ConstructibleExpr((CTerm(F(1), (ValFactor(t, 1),), (NormFactor(t.left, F(1)),)),))
+    reps, depths = (F(3), F(1, 3), F(0)), (INF, 2, 1)
+    value = _eval(t, reps, depths, 3)
+    assert _outcome(_constructible_value, f, reps, depths, 3) == \
+        _outcome(reference_value, f, reps, depths, 3)
+    assert "_eval" in t.__dict__ and "_read" in t.__dict__ and "_eval" not in u.__dict__
+    for node, fresh in zip(walk(t), walk(u)):
+        assert node == fresh and fresh == node and not node != fresh
+        assert hash(node) == hash(fresh) and repr(node) == repr(fresh)
+        assert dataclasses.astuple(node) == dataclasses.astuple(fresh)
+    assert (hash(t), repr(t), dataclasses.astuple(t)) == before
+    assert {u: 1}[t] == 1 and len({t, u}) == 1
+    assert t != parse_dterm("x0^2*inv(x1)")
+    assert _eval(u, reps, depths, 3) == value == _eval(t, reps, depths, 3)
+
+
+def test_evaluated_terms_and_expressions_still_pickle():
+    import pickle
+
+    f = parse_constructible("v(x0^2 - 1)*abs(inv(x1)) + 2*abs(series([1, 3; tail 2], x1))")
+    t = parse_dterm("x0^2*inv(x1) + 1/2")
+    reps, depths = (F(2), F(1, 3)), (INF, 4)
+    value = _constructible_value(f, reps, depths, 3)
+    at = _eval(t, reps, depths, 3)
+    g, u = pickle.loads(pickle.dumps(f)), pickle.loads(pickle.dumps(t))
+    assert g == f and hash(g) == hash(f) and u == t and hash(u) == hash(t)
+    assert "_plan" not in g.__dict__ and "_eval" not in u.__dict__
+    assert _constructible_value(g, reps, depths, 3) == value and _eval(u, reps, depths, 3) == at
 
 
 def test_value_reads_each_argument_when_a_term_first_needs_it():

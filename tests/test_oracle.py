@@ -37,6 +37,8 @@ from padicells.expr import (
     _constructible_value,
     d_sub,
     parse_constructible,
+    parse_dterm,
+    pinned_valuation,
 )
 from padicells.decompose import decompose_univariate
 from padicells.integrate import (
@@ -63,7 +65,16 @@ from padicells.oracle import (
     oracle_integrate,
     oracle_measure,
 )
-from padicells.padic import Prime, coset_representatives
+from padicells.padic import (
+    INF,
+    PAdicScalar,
+    Prime,
+    coset_representatives,
+    in_coset,
+    rational_valuation,
+    unit_digits,
+)
+from test_expr import reference_eval
 from test_padic import reference_newton_depth
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -526,9 +537,11 @@ HAND_CASES = (
 
 @st.composite
 def oracle_problems(draw):
-    """(integrand, domain, p, N) from split_poly_problems, annulus_problems
-    or HAND_CASES."""
-    source = draw(st.sampled_from(("poly", "annulus", "hand")))
+    """(integrand, domain, p, N) from split_poly_problems, annulus_problems,
+    HAND_CASES or power_coset_problems, which has p = 2 with 4 | n."""
+    source = draw(st.sampled_from(("poly", "annulus", "hand", "power")))
+    if source == "power":
+        return draw(power_coset_problems())
     if source == "poly":
         p, N, lead, roots, s, c = draw(split_poly_problems())
         factors = "*".join(f"(x0 - ({a}))" for a in roots)
@@ -552,6 +565,125 @@ def test_integer_walk_matches_reference(problem):
     assert type(got.value) is Fraction and type(got.boundary_mass) is Fraction
     assert (got.value, got.boundary_mass) == (want.value, want.boundary_mass)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the compiled stage test against its plain form: reference_stage and
+# reference_decide keep _stage and _decide as they were before terms were
+# compiled, over reference_eval, line for line. Both must give the same
+# verdict and the same open terms on every box.
+
+def reference_stage(cond: CellCondition, diff) -> tuple:
+    p = cond.prime.p
+    bounds = []
+    for bound, *rest in (
+        (cond.lower, cond.lower_strict, cond.lower_val_residue, True, LOWER),
+        (cond.upper, cond.upper_strict, cond.upper_val_residue, False, UPPER),
+    ):
+        if isinstance(bound, Const):
+            bounds.append((None, pinned_valuation(bound.value, INF, p), *rest))
+        elif bound is not None:
+            bounds.append((bound, None, *rest))
+    n = cond.coset.n
+    return (diff, p, cond.coset, cond.coset.is_zero(), n,
+            unit_digits(n, p), tuple(bounds))
+
+
+def reference_decide(stage: tuple, reps, depths) -> tuple[int, int]:
+    diff, p, coset, graph, n, digits, bounds = stage
+    value, dv = reference_eval(diff, reps, depths, p)
+    v = rational_valuation(value, p)
+    v_exact = v if v < dv else None  # pinned_valuation
+    k_low = min(v, dv)
+
+    if graph:
+        # a graph stage never contains a whole box; it can only be
+        # certainly missed
+        return (OUTSIDE, 0) if v_exact is not None else (BOUNDARY, DIFF)
+
+    verdict, open_terms = INSIDE, 0
+
+    if n == 1:
+        pass  # membership in mu*P_1 holds off the null puncture
+    elif v_exact is None or dv - v_exact < digits:
+        verdict, open_terms = BOUNDARY, DIFF
+    elif not in_coset(PAdicScalar(value, coset.prime), coset):
+        return OUTSIDE, 0
+
+    for bound, bv, strict, pin, is_lower, term in bounds:
+        if bound is not None:
+            bv = pinned_valuation(*reference_eval(bound, reps, depths, p), p)
+        if bv is None:
+            verdict, open_terms = BOUNDARY, open_terms | term
+            continue
+        if pin is not None and bv % n != pin:
+            return OUTSIDE, 0
+        if is_lower:
+            k_max = bv - 1 if strict else bv
+            if k_low > k_max:
+                return OUTSIDE, 0
+            if v_exact is None:
+                # k only bounded below; may exceed k_max
+                verdict, open_terms = BOUNDARY, open_terms | DIFF
+        else:
+            k_min = bv + 1 if strict else bv
+            if k_low >= k_min:
+                continue
+            if v_exact is not None:
+                return OUTSIDE, 0  # k is pinned below k_min across the box
+            verdict, open_terms = BOUNDARY, open_terms | DIFF
+    return verdict, open_terms
+
+
+# centers and bounds of the stage of x1 over x0: constants, the bare
+# variable, and polynomials in x0 whose coefficients carry powers of p
+STAGE_TERMS = ("0", "1", "-5/2", "x0", "3*x0", "x0^2 - 1", "1/4*x0^3 + 2/3*x0 - 7",
+               "x0^2 - 1/9", "1/8*x0 + 1/2")
+STAGE_BOUNDS = ("1", "0", "4", "1/25", "27", "x0", "2*x0", "x0^2 - 1", "1/4*x0^3 + 2/3*x0 - 7",
+                "x0^2 - 1/9")
+
+
+@st.composite
+def stages_on_boxes(draw):
+    """(cond, diff, reps, depths): a stage for x1 with n in {1, 2, 3, 4, 8},
+    residue pins and zero cosets, on a box with int or Fraction lifts."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    prime = PRIMES[p]
+    n = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    mu = draw(st.sampled_from([F(0)] + coset_representatives(p, n)))
+    bound = st.one_of(st.none(), st.sampled_from(STAGE_BOUNDS).map(parse_dterm))
+    lower, upper = draw(bound), draw(bound)
+    pin = st.one_of(st.none(), st.integers(0, n - 1))
+    cond = CellCondition(
+        center=parse_dterm(draw(st.sampled_from(STAGE_TERMS))),
+        coset=coset_of(prime, mu, n),
+        lower=lower,
+        upper=upper,
+        lower_strict=draw(st.booleans()),
+        upper_strict=draw(st.booleans()),
+        lower_val_residue=None if lower is None else draw(pin),
+        upper_val_residue=None if upper is None else draw(pin),
+    )
+    depths = tuple(draw(st.sampled_from((0, 1, 2, 3, 5, INF))) for _ in range(2))
+    if draw(st.booleans()):
+        # the oracle's lifts: nonnegative ints
+        reps = tuple(draw(st.integers(0, 40)) * p ** draw(st.integers(0, 3)) for _ in range(2))
+    else:
+        reps = tuple(F(draw(st.integers(-40, 40)) * p ** draw(st.integers(0, 3)),
+                       p ** draw(st.integers(0, 1))) for _ in range(2))
+    return cond, d_sub(Var(1), cond.center), reps, depths
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(stages_on_boxes())
+def test_compiled_stage_decides_as_the_reference(case):
+    cond, diff, reps, depths = case
+    stage = _stage(cond, diff)
+    as_fractions = tuple(map(Fraction, reps))
+    want = reference_decide(reference_stage(cond, diff), as_fractions, depths)
+    assert _decide(stage, reps, depths) == want
+    # a stage is compiled once and decides box after box
+    assert _decide(stage, as_fractions, depths) == want
 
 
 # ---------------------------------------------------------------------------
