@@ -13,12 +13,15 @@ read off the Taylor coefficients d_i of f at gamma: on |u| <= p^-j the
 term d_m u^m wins the ultrametric race iff v(d_m) + m*k is the strict
 minimum for every attainable k = v(u).
 
-The tree is one walk, _ball_tree, run in Python ints: f's integer
-numerators are taken once, each ball's Taylor coefficients come from
-polys.taylor_shift_int and are compared by valuation, roots are lifted
-mod a power of p, and only a finished ball's two coefficients become
-Fractions. It returns plain ball records (gamma, j, m, d_m, d_0, cut),
-which two readers share: decompose_univariate emits each finished ball
+Four univariate trees share one walk, _walk, depth first on an explicit
+stack, so the interpreter's recursion limit bounds none of them: the
+root seeds of each factor, the ball tree, verify_prepared's balls and
+integrate.root_counts. The ball tree, _ball_tree, runs in Python ints:
+f's integer numerators are taken once, each ball's Taylor coefficients
+come from polys.taylor_shift_int and are compared by valuation, roots
+are lifted mod a power of p, and only a finished ball's two
+coefficients become Fractions. It returns plain ball records
+(gamma, j, m, d_m, d_0, cut), which two readers share: decompose_univariate emits each finished ball
 as a punctured cell plus the 0-cell at its center, so the output
 partitions the ball exactly, points included, and integrate.igusa_zeta
 reads v(d_m), m and j straight off the records.
@@ -147,34 +150,57 @@ def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
     return HenselRoot(Fraction(r), target_N)
 
 
+def _walk(visit, p: int, c: int, d: int, *state, unit: int = 1) -> None:
+    """Walk the balls c + unit*p^d Z_p below one ball, depth first, each
+    ball's p children c + i*unit*p^d + unit*p^(d+1) Z_p in residue order
+    i. visit(c, d, *state) settles a ball and returns None, or returns the
+    state its children start from. The stack is explicit, so the depth is
+    not bounded by the interpreter's recursion limit."""
+    stack = [(c, d, state)]
+    while stack:
+        c, d, state = stack.pop()
+        state = visit(c, d, *state)
+        if state is not None:
+            step = unit * p**d
+            stack.extend((c + i * step, d + 1, state) for i in range(p - 1, -1, -1))
+
+
 def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
-    """Seeds in Z_p from which g Hensel-lifts, one per root, by breadth-first
-    refinement of the residue classes on which g can vanish."""
+    """Seeds in Z_p from which g Hensel-lifts, one per root, by depth-first
+    refinement of the residue classes on which g can vanish.
+
+    No root is seeded twice: the classes are disjoint, and a seed's root,
+    at distance p^-s from r with s = w - e > e, lies in its class
+    r + p^k Z_p. At k = 1, k > e gives e = 0 and s = w >= k. At k > 1, a
+    root with s < k would be as close to the parent's representative, where
+    v(g) >= e + s > 2e and v(g') = e, so the parent (k - 1 >= s > e) would
+    have passed the same test and been seeded instead of refined.
+    """
     q = p.p
     G, den = polys.over_common_denominator(g)
     vden = int_valuation(den, q)
     dG = polys.derivative(G)
     seeds: list[int] = []
-    level = [(r, 1) for r in range(q)]
-    while level:
-        nxt = []
-        for r, k in level:
-            w = rational_valuation(polys.evaluate_int(G, r), q) - vden
-            if w < k:
-                continue
-            e = rational_valuation(polys.evaluate_int(dG, r), q) - vden
-            # Hensel's lemma gives one root per class only inside its
-            # uniqueness ball: the class must be narrower than |g'(r)|
-            if w > 2 * e and k > e:
-                seeds.append(r)
-                continue
-            if k >= depth_cap:
-                raise PrecisionExhausted(
-                    "precision exhausted: root isolation stalled at depth "
-                    f"{k} for a degree-{polys.degree(g)} factor"
-                )
-            nxt.extend((r + i * q**k, k + 1) for i in range(q))
-        level = nxt
+
+    def visit(r: int, k: int):
+        w = rational_valuation(polys.evaluate_int(G, r), q) - vden
+        if w < k:
+            return None
+        e = rational_valuation(polys.evaluate_int(dG, r), q) - vden
+        # Hensel's lemma gives one root per class only inside its
+        # uniqueness ball: the class must be narrower than |g'(r)|
+        if w > 2 * e and k > e:
+            seeds.append(r)
+            return None
+        if k >= depth_cap:
+            raise PrecisionExhausted(
+                "precision exhausted: root isolation stalled at depth "
+                f"{k} for a degree-{polys.degree(g)} factor"
+            )
+        return ()
+
+    for r in range(q):
+        _walk(visit, q, r, 1)
     return seeds
 
 
@@ -224,16 +250,7 @@ def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
             roots.append(_TrackedRoot(HenselRoot(r, lift_N), True, g, m))
             continue
         for seed in _zp_root_seeds(g, p, lift_N):
-            lifted = hensel_lift(g, p, seed, lift_N)
-            if any(
-                not rt.exact
-                and rt.factor == g
-                and rational_valuation(rt.root.approx - lifted.approx, p.p)
-                >= min(rt.root.precision, lift_N)
-                for rt in roots
-            ):
-                continue
-            roots.append(_TrackedRoot(lifted, False, g, m))
+            roots.append(_TrackedRoot(hensel_lift(g, p, seed, lift_N), False, g, m))
     roots.sort(key=lambda rt: rt.root.approx)
     return roots
 
@@ -328,7 +345,7 @@ def _ball_tree(
     cden = hull_center.denominator
     out: list[_Ball] = []
 
-    def handle(c: int, j: int) -> None:
+    def handle(c: int, j: int):
         if j > precision_N:
             raise PrecisionExhausted(
                 f"precision exhausted: subdivision passed depth {precision_N}"
@@ -359,12 +376,11 @@ def _ball_tree(
                         gamma, j, m, Fraction(e[m], den * b ** (n - m)),
                         Fraction(e[0], den * b**n), None if floor == INF else int(floor),
                     ))
-                    return
+                    return None
                 roots[local[0]] = rt = rt.deepen(p, 2 * rt.root.precision)
-        for i in range(q):
-            handle(c + i * pj * cden, j + 1)
+        return ()
 
-    handle(hull_center.numerator, hull_j)
+    _walk(handle, q, hull_center.numerator, hull_j, unit=cden)
     return out
 
 
@@ -412,8 +428,8 @@ _SPLIT = "split"
 @dataclass(frozen=True)
 class _TermReading:
     """A prepared term as the verifier reads it, once: its center num/den,
-    the valuation window its bounds and residue pins admit, its coset,
-    c0 = num/den mod p^N, and the constants of the prepared value."""
+    the valuation window its bounds and residue pins admit, its coset and
+    the constants of the prepared value."""
 
     center: Fraction
     prime: Prime
@@ -421,8 +437,6 @@ class _TermReading:
     num: int
     den: int
     vb: int  # v(den)
-    c0: int  # num/den mod p^N when p does not divide den
-    c0_level: int | float | None  # v(c0 - center) if the cell holds c0
     k_min: int | float
     k_max: int | float
     coset: Coset
@@ -437,26 +451,30 @@ class _TermReading:
     def on_ball(self, c: int, d: int):
         """The cell's members among the residues r = c + m*p^d mod p^N:
         their common level k = v(r - center) when the cell holds every one
-        of them, None when it holds none, _SPLIT otherwise. Exact at d = N,
-        where the ball is the one residue c."""
+        of them, None when it holds none, _SPLIT otherwise. One rule reads
+        every depth: r - center = x/den + m*p^d with x = c*den - num, so
+        k = v(x) while v(x) < d. At d = N the ball is its own lift c, and
+        k = v(x) exactly, N or more, INF at the center itself."""
         p = self.prime.p
+        x = c * self.den - self.num
         if self.vb:
-            k = -self.vb  # p divides den but not num: r*den - num is a unit
+            k = -self.vb  # p divides den but not num: x is a unit
+        elif d < self.N and not x % p**d:
+            # the ball holds residues at every level from d up
+            return _SPLIT
         else:
-            x = (c - self.c0) % p**d
-            if not x:
-                # the ball holds c0, at level N or more; its other
-                # residues fill the levels d to N - 1
-                return self.c0_level if d == self.N else _SPLIT
-            k = int_valuation(x, p)
-        if self.point or not self.k_min <= k <= self.k_max or (k - self.vmu) % self.n:
+            k = int_valuation(x, p) if x else INF
+        # membership in a zero coset is r = center, in any other r != center
+        if (k == INF) != self.point or not self.k_min <= k <= self.k_max:
             return None
-        if self.n == 1:
+        if self.point or self.n == 1:
             return k
+        if (k - self.vmu) % self.n:
+            return None
         # the unit part of r - center is fixed mod p^(d-k) on the ball
         if d - k < self.depth and d < self.N:
             return _SPLIT
-        x = PAdicScalar(Fraction(c * self.den - self.num, self.den), self.prime)
+        x = PAdicScalar(Fraction(x, self.den), self.prime)
         return k if in_coset(x, self.coset) else None
 
     def prepared_valuation(self, k: int):
@@ -468,9 +486,7 @@ class _TermReading:
 
 
 def _read_term(term: PreparedTerm, p: Prime, N: int) -> _TermReading:
-    """Read a term's cell once: center num/den, window, coset, and whether
-    the cell holds c0 = num/den mod p^N, the one residue whose level
-    v(r - center) can reach N or INF."""
+    """Read a term's cell once: center num/den, window and coset."""
     cell = term.cell
     if cell.arity != 1:
         raise ValueError(f"point has 1 coordinates, cell has {cell.arity}")
@@ -479,26 +495,12 @@ def _read_term(term: PreparedTerm, p: Prime, N: int) -> _TermReading:
     window = stage_window(cond, [])
     _center_value(cond)  # prepared cells have constant centers
     delta = term.delta.constant_value()
-    num, den = center.numerator, center.denominator
-    vb = int_valuation(den, p.p)
     coset = cond.coset
-    zero, n = coset.is_zero(), coset.n
-    c0, c0_level = 0, None
-    if not vb:
-        pN = p.p**N
-        c0 = num * pow(den, -1, pN) % pN
-        x0 = c0 * den - num  # divisible by p^N
-        k0 = int_valuation(x0, p.p) if x0 else INF
-        # membership in a zero coset is r = center, in any other r != center
-        if (
-            window.k_min <= k0 <= window.k_max
-            and (x0 == 0) == zero
-            and (zero or n == 1 or in_coset(PAdicScalar(Fraction(x0, den), p), coset))
-        ):
-            c0_level = k0
+    n = coset.n
     return _TermReading(
-        center, p, N, num, den, vb, c0, c0_level, window.k_min, window.k_max,
-        coset, zero, n, coset.mu.valuation, unit_digits(n, p.p),
+        center, p, N, center.numerator, center.denominator,
+        int_valuation(center.denominator, p.p), window.k_min, window.k_max,
+        coset, coset.is_zero(), n, coset.mu.valuation, unit_digits(n, p.p),
         INF if delta == 0 else rational_valuation(delta, p.p),
         term.a, term.center_floor,
     )
@@ -506,8 +508,8 @@ def _read_term(term: PreparedTerm, p: Prime, N: int) -> _TermReading:
 
 class _BallWalk:
     """verify_prepared's walk over the balls c + p^d Z_p, 0 <= c < p^d,
-    for 0 <= d <= N: depth first, children in residue order. Each visit
-    settles its ball or asks for its p children."""
+    for 0 <= d <= N, on _walk. Each visit settles its ball or asks for its
+    p children."""
 
     def __init__(self, terms, f, p: Prime, N: int, domain: Cell | None):
         self.p, self.N = p.p, N
@@ -524,20 +526,7 @@ class _BallWalk:
         self.found: list[tuple[int, str]] = []  # (lift, counterexample)
 
     def run(self) -> None:
-        stack = [iter([(0, 0, [], self.read)])]
-        while stack:
-            for c, d, holders, open_ in stack[-1]:
-                split = self.visit(c, d, holders, open_)
-                if split is not None:
-                    stack.append(self._children(c, d, *split))
-                    break
-            else:
-                stack.pop()
-
-    def _children(self, c: int, d: int, holders, open_):
-        step = self.p**d
-        for i in range(self.p):
-            yield c + i * step, d + 1, holders, open_
+        _walk(self.visit, self.p, 0, 0, [], self.read)
 
     def visit(self, c: int, d: int, holders, open_):
         """Settle the ball c + p^d Z_p and return None, or return the
@@ -648,13 +637,15 @@ def verify_prepared(
     single member. Coverage is judged against the hull because the
     punctures in 1-cells are null points supplied by companion 0-cells.
 
-    The lifts are visited as balls c + p^d Z_p, d = 0..N. A ball is
-    settled whole when every cell holds all of its residues or none, the
-    hull test is constant on it, and, where one cell holds it, v(f) is
-    constant on it by its Taylor coefficients at c. Any other ball splits
-    into its p children; at d = N the ball is one lift. Only balls near a
-    cell center or a root of f split, so the cost is O((cells + roots) *
-    p * N) balls, not p^N lifts. The report is the per-lift one: a
+    The lifts are visited as balls c + p^d Z_p, d = 0..N, on _walk. A
+    cell reads a ball and a lift by one rule, the valuation of c*b - a
+    for its center a/b; at d = N the ball is one lift and the reading is
+    exact. A ball is settled whole when every cell holds all of its
+    residues or none, the hull test is constant on it, and, where one
+    cell holds it, v(f) is constant on it by its Taylor coefficients at
+    c. Any other ball splits into its p children. Only balls near a cell
+    center or a root of f split, so the cost is O((cells + roots) * p * N)
+    balls, not p^N lifts. The report is the per-lift one: a
     settled ball adds one equality check per lift it checks, and the
     counterexamples are those of the five least failing lifts.
     """

@@ -50,7 +50,7 @@ from .cells import (
     level_set_measure,
     stage_window,
 )
-from .decompose import PreparedTerm, _ball_tree
+from .decompose import PreparedTerm, _ball_tree, _walk
 from .expr import (
     Const,
     ConstructibleExpr,
@@ -793,7 +793,9 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
     decomposer's records, (v(d_m), m, j) read straight off each, with no
     cell or prepared term built.
     """
-    pieces: list[tuple[Fraction, int, int]] = []
+    # the pieces sharing a denominator factor 1 - q^-1 T^a are summed
+    # first, then each sum is brought over the common denominator once
+    groups: dict[int, list[Fraction]] = {}
     q = p.p
     for ball in _ball_tree(f, p, None, precision_N):
         assert ball.d_m != 0, "ball pieces carry a nonzero unit scale"
@@ -804,16 +806,13 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
             raise ValueError(
                 "zeta needs v(f) >= 0 on the domain; scale the polynomial first"
             )
-        if a == 0:
-            pieces.append((Fraction(1, q**j), degree, 0))
-        else:
-            pieces.append((Fraction(q - 1, q) * Fraction(1, q**j), degree, a))
-    dens = tuple(sorted({(1, a) for _, _, a in pieces if a != 0}))
+        group = groups.setdefault(a, [])
+        group.extend([Fraction(0)] * (degree + 1 - len(group)))
+        group[degree] += Fraction(1, q**j) if a == 0 else Fraction(q - 1, q ** (j + 1))
+    dens = tuple(sorted((1, a) for a in groups if a != 0))
     num: polys.PolyQ = ()
-    for coeff, degree, a in pieces:
-        piece = polys.scale(
-            tuple([Fraction(0)] * degree + [Fraction(1)]), coeff
-        )
+    for a, group in groups.items():
+        piece = tuple(group)
         for c, d in dens:
             if (c, d) == (1, a):
                 continue
@@ -824,21 +823,22 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
 
 def root_counts(f: polys.PolyQ, p: Prime, i_max: int) -> list[int]:
     """N_i = #{x mod p^i : f(x) = 0 mod p^i}; N_0 = 1. A root mod p^i is a
-    root mod p^(i-1), so only the p lifts of each root mod p^(i-1) are
-    tried: about p * (N_0 + ... + N_(i_max-1)) evaluations."""
+    root mod p^(i-1), so the classes are counted on decompose's ball walk,
+    which splits only the roots mod p^i for i < i_max: about
+    p * (N_0 + ... + N_(i_max-1)) evaluations."""
     for c in f:
         if Fraction(c).denominator != 1:
             raise ValueError("integer coefficients required for residue counting")
     fi = tuple(int(c) for c in f)
-    roots = [0]
-    out = [1]
-    for i in range(1, i_max + 1):
-        mod, step = p.p**i, p.p ** (i - 1)
-        roots = [
-            x for r in roots for x in range(r, mod, step)
-            if polys.evaluate_int(fi, x) % mod == 0
-        ]
-        out.append(len(roots))
+    out = [0] * (i_max + 1)
+
+    def visit(x: int, i: int):
+        if polys.evaluate_int(fi, x) % p.p**i:
+            return None
+        out[i] += 1
+        return () if i < i_max else None
+
+    _walk(visit, p.p, 0, 0)
     return out
 
 

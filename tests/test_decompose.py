@@ -1,5 +1,7 @@
 """Decomposer: Hensel lifting, ball-tree output shapes, exhaustive verification."""
 
+import json
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from padicells import decompose, padic, polys
+from padicells import cli, decompose, padic, polys
 from padicells.cells import (
     BoundZeroError,
     Cell,
@@ -53,6 +55,7 @@ from padicells.integrate import (
     igusa_zeta,
     poincare_check,
     prepared_power,
+    root_counts,
 )
 from padicells.padic import (
     INF,
@@ -841,6 +844,153 @@ def test_zp_roots_match_reference(f, p, lift_N):
             return type(e), str(e)
 
     assert outcome(decompose._zp_roots) == outcome(reference_zp_roots), (f, p)
+
+
+# ---------------------------------------------------------------------------
+# reference seeds: _zp_root_seeds as it was when it refined the residue
+# classes breadth first, one list per level, kept verbatim. The depth-first
+# walk visits the same classes, so it must give the same seeds in another
+# order, or raise the same error; and since every seed's root lies in its
+# own class, no two seeds of a factor lift to the same root.
+
+def reference_zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
+    q = p.p
+    G, den = polys.over_common_denominator(g)
+    vden = int_valuation(den, q)
+    dG = polys.derivative(G)
+    seeds: list[int] = []
+    level = [(r, 1) for r in range(q)]
+    while level:
+        nxt = []
+        for r, k in level:
+            w = rational_valuation(polys.evaluate_int(G, r), q) - vden
+            if w < k:
+                continue
+            e = rational_valuation(polys.evaluate_int(dG, r), q) - vden
+            # Hensel's lemma gives one root per class only inside its
+            # uniqueness ball: the class must be narrower than |g'(r)|
+            if w > 2 * e and k > e:
+                seeds.append(r)
+                continue
+            if k >= depth_cap:
+                raise PrecisionExhausted(
+                    "precision exhausted: root isolation stalled at depth "
+                    f"{k} for a degree-{polys.degree(g)} factor"
+                )
+            nxt.extend((r + i * q**k, k + 1) for i in range(q))
+        level = nxt
+    return seeds
+
+
+@st.composite
+def seed_cases(draw):
+    """(f, p, depth_cap): f from factor_inputs(), or with roots p-adically
+    close: x^2 - p^(2m) c, (x^2 - c)(x^2 - c - p^k), or a cubic with
+    rational roots perturbed by p^k."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    shape = draw(st.sampled_from(["factors", "square", "pair", "cubic"]))
+    c = draw(st.integers(-12, 12).filter(bool))
+    k = draw(st.integers(1, 8))
+    if shape == "factors":
+        f = draw(factor_inputs())
+    elif shape == "square":
+        f = poly(-(p ** (2 * draw(st.integers(0, 4)))) * c, 0, 1)
+    elif shape == "pair":
+        f = polys.mul(poly(-c, 0, 1), poly(-c - p**k, 0, 1))
+    else:
+        f = poly(1)
+        for r in draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3)):
+            f = polys.mul(f, poly(-r, 1))
+        f = polys.add(f, poly(p**k))
+    return f, p, draw(st.sampled_from([3, 24]))
+
+
+@settings(max_examples=160, derandomize=True, deadline=None, database=None)
+@given(seed_cases())
+def test_zp_root_seeds_match_reference(case):
+    f, p, depth_cap = case
+    prime = Prime(p)
+
+    def outcome(seeds, g):
+        try:
+            return sorted(seeds(g, prime, depth_cap))
+        except PrecisionExhausted as e:
+            return str(e)
+
+    # the irreducible factors of f, as _zp_roots seeds them: a repeated
+    # root would leave about p^(k/2) classes open at depth k
+    for g in (g for g, _ in _factor_over_q(f) if polys.degree(g) >= 1):
+        seeds = outcome(_zp_root_seeds, g)
+        assert seeds == outcome(reference_zp_root_seeds, g), (g, p)
+        if isinstance(seeds, str):
+            continue
+        roots = [hensel_lift(g, prime, seed, depth_cap).approx for seed in seeds]
+        for i, a in enumerate(roots):
+            for b in roots[:i]:
+                assert rational_valuation(a - b, p) < depth_cap, (g, p, seeds)
+
+
+# ---------------------------------------------------------------------------
+# walks deeper than the interpreter's recursion limit: every univariate tree
+# runs on decompose._walk's explicit stack, so a tree as deep as two roots
+# (x - 1)(x - 1 - 3^k) are close needs no stack frame per level
+
+@pytest.fixture
+def recursion_limit():
+    """Lowers the recursion limit to 150 frames above the current stack
+    depth, yields it, and restores the old limit afterwards."""
+    # sympy is imported first: imports nest deeply
+    from sympy.polys.factortools import dup_factor_list  # noqa: F401
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        yield depth + 150
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _close_roots(k: int) -> polys.PolyQ:
+    """(x - 1)(x - 1 - 3^k): the ball tree splits down to depth k + 1."""
+    return poly(1 + 3**k, -(2 + 3**k), 1)
+
+
+def test_deep_ball_tree_needs_no_recursion(recursion_limit):
+    k = recursion_limit + 20
+    f = _close_roots(k)
+    terms = decompose_univariate(f, P3, None, k + 10)
+    # two rootless siblings at each depth 1..k, three balls at depth k + 1
+    assert len(terms) == 4 * k + 6
+    assert max(stage_window(t.cell.conditions[0], []).k_min for t in terms) == k + 1
+    z = igusa_zeta(f, P3, k + 10)
+    assert z.evaluate(F(1)) == 1  # the measure of Z_3
+    assert poincare_check(f, P3, 6, z).passed
+
+
+def test_deep_verify_needs_no_recursion(recursion_limit):
+    N = recursion_limit + 20
+    f = poly(0, 1)
+    report = verify_prepared(decompose_univariate(f, P3, None, 8), f, P3, N, zp_cell(P3))
+    assert report.passed and report.classes_checked == 3**N
+
+
+def test_deep_root_counts_need_no_recursion(recursion_limit):
+    i_max = recursion_limit + 20
+    assert root_counts(poly(0, 1), P3, i_max) == [1] * (i_max + 1)
+
+
+def test_deep_cli_decompose_exits_0(recursion_limit, tmp_path, capsys):
+    k = recursion_limit + 20
+    f = _close_roots(k)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "version": 1, "p": 3, "integrand": f"abs(x0^2 - {-f[1]}*x0 + {f[0]})",
+    }))
+    assert cli.main(["decompose", str(path), "--precision", str(k + 10)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 4 * k + 6
 
 
 # ---------------------------------------------------------------------------
