@@ -5,13 +5,13 @@ integer factorizer on f's primitive integer part, and only when
 polys.has_root_mod_p finds that part a root mod p (every Z_p-root
 reduces to one; without one, sympy is not imported). Locate the
 Z_p-roots of each irreducible factor (exact for linear factors,
-certified Hensel lifts otherwise); then refine balls until each one
-holds at most one root gamma, of multiplicity m, and
-|f(t)| = |delta| * |t - gamma|^m holds on it. A ball without a root is
-the case m = 0 with gamma its center, where |f| is constant. The fact is
-read off the Taylor coefficients d_i of f at gamma: on |u| <= p^-j the
-term d_m u^m wins the ultrametric race iff v(d_m) + m*k is the strict
-minimum for every attainable k = v(u).
+otherwise Hensel-lifted once, deep enough for every ball: see
+_ball_tree); then refine balls until each one holds at most one root
+gamma, of multiplicity m, and |f(t)| = |delta| * |t - gamma|^m holds on
+it. A ball without a root is the case m = 0 with gamma its center, where
+|f| is constant. The fact is read off the Taylor coefficients d_i of f
+at gamma: on |u| <= p^-j the term d_m u^m wins the ultrametric race iff
+v(d_m) + m*k is the strict minimum for every attainable k = v(u).
 
 Four univariate trees share one walk, _walk, depth first on an explicit
 stack, so the interpreter's recursion limit bounds none of them: the
@@ -35,7 +35,7 @@ verify_prepared checks no residue class below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -105,9 +105,9 @@ def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
     """Newton-lift a seed residue to a root class mod p^target_N.
 
     f must lie in Z_p[x] and the seed in Z_p, and the lift follows an
-    irreducible factor of f, as _zp_roots and _TrackedRoot.deepen call
-    it. Requires v(f(seed)) > 2*e, e = v(f'(seed)); then the Newton
-    iterates converge to the unique root in the seed's dominance ball.
+    irreducible factor of f, as _zp_roots calls it. Requires
+    v(f(seed)) > 2*e, e = v(f'(seed)); then the Newton iterates converge
+    to the unique root in the seed's dominance ball.
     The first iterate x with v(f(x)) >= M = target_N + e is returned as
     the int x mod p^M, which is congruent to the root mod p^target_N. A
     seed that is a root, and the root of a linear f, come back exact.
@@ -211,12 +211,6 @@ class _TrackedRoot:
     factor: polys.PolyQ  # squarefree factor the root came from
     multiplicity: int
 
-    def deepen(self, p: Prime, target_N: int) -> "_TrackedRoot":
-        if self.exact or self.root.precision >= target_N:
-            return self
-        lifted = hensel_lift(self.factor, p, self.root.approx, target_N)
-        return replace(self, root=lifted)
-
 
 def _factor_over_q(f: polys.PolyQ):
     """The irreducible factors of f over Q with their multiplicities:
@@ -241,8 +235,6 @@ def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
         return []
     roots: list[_TrackedRoot] = []
     for g, m in _factor_over_q(f):
-        if polys.degree(g) < 1:
-            continue
         if polys.degree(g) == 1:
             r = -g[0] / g[1]
             if rational_valuation(r, p.p) < 0:
@@ -335,7 +327,7 @@ def _ball_tree(
     lift_N = max(2 * precision_N, precision_N + 16)
     q = p.p
     roots = [
-        rt
+        (rt.root.approx, rt.multiplicity)
         for rt in _zp_roots(f, p, lift_N)
         if rational_valuation(rt.root.approx - hull_center, q) >= hull_j
     ]
@@ -351,34 +343,28 @@ def _ball_tree(
                 f"precision exhausted: subdivision passed depth {precision_N}"
             )
         pj = q**j
-        local = [
-            k
-            for k, rt in enumerate(roots)
-            if not (rt.root.approx.numerator * cden - c * rt.root.approx.denominator) % pj
-        ]
-        if len(local) < 2:
-            # a ball without a root is the case m = 0 about its center
-            rt = roots[local[0]] if local else _TrackedRoot(
-                HenselRoot(Fraction(c, cden), lift_N), True, f, 0
-            )
-            m = rt.multiplicity
-            while True:
-                gamma = rt.root.approx
-                b = gamma.denominator
-                e = polys.taylor_shift_int(
-                    [nums[i] * b ** (n - i) for i in range(n + 1)], gamma.numerator
-                )
-                floor = _dominant_root_floor([rational_valuation(x, q) - vden for x in e], m, j)
-                if floor is None:
-                    break
-                if rt.exact or floor >= precision_N + 2:
-                    out.append(_Ball(
-                        gamma, j, m, Fraction(e[m], den * b ** (n - m)),
-                        Fraction(e[0], den * b**n), None if floor == INF else int(floor),
-                    ))
-                    return None
-                roots[local[0]] = rt = rt.deepen(p, 2 * rt.root.precision)
-        return ()
+        local = [(g, m) for g, m in roots if not (g.numerator * cden - c * g.denominator) % pj]
+        if len(local) > 1:
+            return ()
+        # a ball without a root is the case m = 0 about its center
+        gamma, m = local[0] if local else (Fraction(c, cden), 0)
+        b = gamma.denominator
+        e = polys.taylor_shift_int(
+            [nums[i] * b ** (n - i) for i in range(n + 1)], gamma.numerator
+        )
+        floor = _dominant_root_floor([rational_valuation(x, q) - vden for x in e], m, j)
+        if floor is None:
+            return ()
+        # One lift suffices: gamma is its root rho mod p^lift_N, so D = v(rho - gamma)
+        # >= lift_N > j. The i > m test passed at j, so of the roots of f(gamma + u)
+        # only the m copies of rho - gamma reach valuation j: the Newton polygon's
+        # first side has slope -D and floor = D - 1 >= N + 15. Exact or no roots give INF.
+        assert floor >= precision_N + 2
+        out.append(_Ball(
+            gamma, j, m, Fraction(e[m], den * b ** (n - m)),
+            Fraction(e[0], den * b**n), None if floor == INF else int(floor),
+        ))
+        return None
 
     _walk(handle, q, hull_center.numerator, hull_j, unit=cden)
     return out

@@ -947,9 +947,7 @@ def _render(t: DTerm) -> tuple[str, int]:
         args = ", ".join(_rendered(a)[0] for a in t.arguments)
         return f"series([{cs}; tail {t.tail_valuation}], {args})", _ATOM
     if isinstance(t, Add):
-        left, lp = _rendered(t.left)
-        if lp < _ADD:
-            left = f"({left})"
+        left = _rendered(t.left)[0]
         right, rp = _rendered(t.right)
         # a sum-shaped or signed right operand would reassociate bare
         if rp <= _ADD or right.startswith("-"):

@@ -275,8 +275,6 @@ def _valuation_poly(h: DTerm, cs: tuple[int, ...], den: int, sign: int, n: int, 
 def _norm_power(h: DTerm, power: Fraction, q: int):
     """|h|^power as a raw term list; a number for constant h, whose
     valuation the coset grid makes a multiple of power's denominator."""
-    if power == 0:
-        return 1, [(1, (), ())]
     if isinstance(h, Const):
         e = power * int(rational_valuation(h.value, q))
         assert e.denominator == 1, "a grid bound has an integral norm power"

@@ -192,12 +192,23 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
 
 
 def _check_enumerable(domain: Cell) -> None:
+    """Refuse a non-point stage that may reach outside Z_p, whose mass the
+    boxes of Z_p^arity would miss, boundary mass included: one with no
+    upper norm bound, a constant center outside Z_p, or a constant upper
+    bound that admits a level below 0 on the coset grid k = v(mu) mod n."""
+    p = domain.prime.p
     for i, cond in enumerate(domain.conditions):
-        if cond.coset.is_zero() or cond.upper is not None:
+        if cond.coset.is_zero():
             continue
-        raise UnboundedDomainError(
-            f"unbounded domain: stage {i} has no upper norm bound"
-        )
+        if cond.upper is None:
+            raise UnboundedDomainError(f"unbounded domain: stage {i} has no upper norm bound")
+        if isinstance(cond.center, Const) and rational_valuation(cond.center.value, p) < 0:
+            raise UnboundedDomainError(f"stage {i} leaves Z_p: its center is outside Z_p")
+        if isinstance(cond.upper, Const) and cond.upper.value:
+            k = rational_valuation(cond.upper.value, p) + cond.upper_strict
+            k += (int(cond.coset.mu.valuation) - k) % cond.coset.n
+            if k < 0:
+                raise UnboundedDomainError(f"stage {i} leaves Z_p: it admits the level {k}")
 
 
 def _reads(terms) -> list[int]:
@@ -256,6 +267,8 @@ def oracle_integrate(
         fac.h for term in integrand.terms
         for fac in term.val_factors + term.norm_factors
     )
+    if integrand_reads and integrand_reads[-1] >= arity:
+        raise ValueError(f"integrand reads x{integrand_reads[-1]}, but the cell has arity {arity}")
     # measures are int weights over the common denominator q^(arity*N)
     full = q ** (arity * N)
     value_num, value_den = 0, 1

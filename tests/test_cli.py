@@ -188,6 +188,36 @@ def test_integrate_nonintegrable_flag(capsys, tmp_path):
     assert doc["nonintegrable"] is True
 
 
+def test_integrate_symbolic_nonintegrable_flag(capsys, tmp_path):
+    path = problem(tmp_path, p=3, integrand="abs(x0)^(-2)", cells=[cell(stage())])
+    code, out, _ = run(capsys, "integrate", path, "--mode", "symbolic")
+    assert (code, out) == (0, '{"mode":"symbolic","expression":"0","nonintegrable":true}\n')
+
+
+def test_power_of_a_constructible_base_expands(capsys, tmp_path):
+    path = problem(tmp_path, p=3, integrand="(v(x0) + 1)^2*abs(x0)", cells=[cell(stage())])
+    code, out, _ = run(capsys, "parse", path)
+    assert code == 0
+    assert json.loads(out)["integrand"] == "abs(x0) + 2*v(x0)*abs(x0) + v(x0)^2*abs(x0)"
+    code, out, _ = run(capsys, "integrate", path, "--verify-N", "6")
+    doc = json.loads(out)
+    assert (code, doc["values"], doc["verify"]["pass"]) == (0, ["135/128"], True)
+
+
+@pytest.mark.parametrize("integrand, stage1, value", [
+    # the factor free of x1 stands on the right of the product
+    ("abs((x1 - x0)*x0)", stage(gamma="x0"), "9/16"),
+    # |0| over Z_3^2: the identically zero norm factor kills the term
+    ("abs(x1*x0 - x0*x1)", stage(), "0"),
+])
+def test_integrate_two_variable_factor_shapes(capsys, tmp_path, integrand, stage1, value):
+    path = problem(tmp_path, p=3, variables={"params": 0, "integrate": 2},
+                   integrand=integrand, cells=[cell(stage(), stage1)])
+    code, out, _ = run(capsys, "integrate", path, "--verify-N", "5")
+    doc = json.loads(out)
+    assert (code, doc["values"], doc["verify"]["pass"]) == (0, [value], True)
+
+
 def test_integrate_parametrized_point(capsys, tmp_path):
     two_stage = cell(stage(), stage(beta="x0"))
     path = problem(
@@ -852,6 +882,33 @@ REFUSED = [
     # this blamed the integrate subcommand
     ("verify_no_integrand", {"cells": [cell(stage(n=2))]},
      ("verify", "{path}", "--verify-N", "3"), 'verify needs an "integrand"'),
+    # refusals of the loader, the "auto" shape test and the subcommands
+    ("unreadable_file", {}, ("parse", "{path}.missing"), "cannot read"),
+    ("auto_with_params", {"variables": {"params": 1, "integrate": 1}}, ("parse", "{path}"),
+     '"auto" cells need exactly one variable'),
+    ("cell_arity", {"variables": {"params": 1, "integrate": 1}, "cells": [cell(stage())]},
+     ("parse", "{path}"), "cells[0] has 1 conditions, variables say 2"),
+    *[(f"auto_{name}", {"integrand": integrand}, ("decompose", "{path}"),
+       '"auto" cells need an integrand of the shape c*abs(f(x0))^s')
+      for name, integrand in (("two_terms", "abs(x0) + abs(x0 - 1)"),
+                              ("v_factor", "v(x0)*abs(x0)"),
+                              ("not_polynomial", "abs(inv(x0 + 1))"))],
+    ("decompose_no_integrand", {}, ("decompose", "{path}"), 'decompose needs an "integrand"'),
+    ("no_base_points", ONE_PARAM, ("integrate", "{path}"),
+     'concrete evaluation needs "base_points" or --point'),
+    ("symbolic_two_variables",
+     {"variables": {"params": 0, "integrate": 2}, "integrand": "abs(x1)",
+      "cells": [cell(stage(), stage())], "mode": "symbolic"},
+     ("integrate", "{path}"), "symbolic mode eliminates exactly one variable"),
+    ("zeta_not_json", {}, ("zeta", "[1,", "--p", "3"),
+     "the polynomial is a JSON array of rationals"),
+    ("zeta_no_p", {}, ("zeta", "[0,1]"), "zeta needs --p"),
+    # the oracle covers Z_3 only: these printed oracle 1 (true 3) and
+    # oracle 0 (true 1) with bound 0, and exited 3
+    ("measure_below_level_0", {"cells": [cell(stage(beta="1/3"))]},
+     ("measure", "{path}", "--verify-N", "4"), "stage 0 leaves Z_p: it admits the level -1"),
+    ("measure_center_outside_zp", {"cells": [cell(stage(gamma="1/3"))]},
+     ("measure", "{path}", "--verify-N", "4"), "stage 0 leaves Z_p: its center is outside Z_p"),
 ]
 
 

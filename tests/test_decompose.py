@@ -388,6 +388,14 @@ def test_verify_catches_wrong_exponent():
     assert any("prepared" in c for c in report.counterexamples)
 
 
+def test_verify_catches_fractional_exponent():
+    # |t|^(1/2) on the punctured ball of x: v = k/2, not an integer at odd k
+    f = poly(0, 1)
+    bad = [replace(t, a=F(1, 2)) if t.a else t for t in decompose_univariate(f, P3, None, 6)]
+    report = verified(bad, f, P3, 3, zp_cell(P3))
+    assert report.counterexamples[0] == "lift 3: prepared exponent not integral at k = 1"
+
+
 def test_verify_catches_overlap():
     f = poly(0, 1)
     terms = decompose_univariate(f, P3, None, 6)

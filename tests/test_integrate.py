@@ -14,6 +14,7 @@ from padicells.cells import (
     CellCondition,
     _bound_valuation,
     coset_of,
+    fiber_membership,
     level_set_measure,
     pin_bound_residues,
     point_cell,
@@ -60,9 +61,12 @@ from padicells.integrate import (
     _monomial_parts,
     _pinned_residue,
     _recenter,
+    _pin_settled,
     _stage_settled,
+    _window_settled,
     eliminate_last_variable,
     eliminate_stages,
+    evaluate_pieces,
     evaluate_simple,
     group_prepared,
     igusa_zeta,
@@ -1177,6 +1181,64 @@ def test_window_settled_by_the_prefix_matches_oracle():
         if outcome is False:
             assert got == 0
     assert min(settled.values()) > 20, settled
+
+
+def _settling_cases():
+    """(base stage, inner stage, the settling test it reaches, its answer):
+    every None and False return of _pin_settled and _window_settled."""
+    z3 = zp_cell(P3).conditions[0]
+    off_zero = CellCondition(center=Const(F(1)), coset=coset_of(P3, 1, 1),
+                             upper=Const(F(1)), upper_strict=False)
+    # 2 <= v(x0) <= 1
+    empty = CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                          lower=Const(F(3)), lower_strict=False,
+                          upper=Const(F(9)), upper_strict=False)
+
+    def pinned(bound, r):  # x1 in P_2, |x1| <= |bound|, v(bound) = r mod 2
+        return CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 2), upper=bound,
+                             upper_strict=False, upper_val_residue=r)
+
+    def two_sided(lower, upper):
+        return CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1), lower=lower,
+                             lower_strict=False, upper=upper, upper_strict=False)
+
+    x0, far = Var(0), Const(F(27))
+    return [
+        (z3, pinned(d_scale(x0, 3), 1), _pin_settled, None),  # not a bare x0
+        (point_cell(P3, 3).conditions[0], pinned(x0, 1), _pin_settled, True),
+        (point_cell(P3, 3).conditions[0], pinned(x0, 0), _pin_settled, False),
+        (point_cell(P3, 0).conditions[0], pinned(x0, 0), _pin_settled, None),
+        (off_zero, pinned(x0, 0), _pin_settled, None),
+        (z3, two_sided(d_scale(x0, 9), x0), _window_settled, None),  # both vary
+        (z3, two_sided(far, d_scale(x0, 3)), _window_settled, None),  # not a bare x0
+        (off_zero, two_sided(far, x0), _window_settled, None),
+        (empty, two_sided(far, x0), _window_settled, False),
+    ]
+
+
+@pytest.mark.parametrize("base, inner, settle, want", _settling_cases())
+def test_unsettled_pins_and_windows_keep_their_guards(base, inner, settle, want):
+    """A settled stage integrates over the base as the oracle does; an
+    unsettled one keeps its guard, and its pieces agree with integrate_cell
+    at every base point tried."""
+    cell, g = Cell((base, inner)), norm_pow(1, 1)
+    if settle is _pin_settled:
+        assert settle(inner.upper, 2, inner.upper_val_residue, (base,)) is want
+    else:
+        assert settle(inner, (base,)) is want
+    assert _stage_settled(inner, (base,)) is want
+    pieces = eliminate_stages(g, [cell], 1)
+    guarded = [bool(piece.guards) for piece in pieces]
+    assert guarded == ([] if want is False else [want is None])
+    ci = prepare_integrand(g, cell)
+    for x0 in (1, 2, 3, 4, 6, 9, 18):
+        if fiber_membership(Cell((base,)), scalars(P3, x0)):
+            assert evaluate_pieces(pieces, (F(x0),), P3) == integrate_cell(ci, scalars(P3, x0))
+    if want is not None:
+        got = integrate_full(g, [cell]).value.constant_value()
+        orc = oracle_integrate(g, cell, P3, 5)
+        assert abs(got - orc.value) <= orc.boundary_mass
+        assert want or got == 0
 
 
 # ---------------------------------------------------------------------------

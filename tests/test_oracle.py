@@ -244,6 +244,43 @@ def test_unbounded_domain_rejected():
         oracle_measure(Cell((cond,)), P3, 3)
 
 
+def ball_stage(center, radius, n=1, mu=1, strict=False) -> CellCondition:
+    """{t in mu*P_n : |t - center| <= |radius|}, < when strict."""
+    return CellCondition(center=Const(F(center)), coset=coset_of(P3, mu, n),
+                         upper=Const(F(radius)), upper_strict=strict)
+
+
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("cond, needle", [
+    # the boxes cover Z_3 only: alone, these measured 1 and 0 (true 3
+    # and 1) and 10/81 with bound 1/81 (true 9/8), all with bound 0
+    (ball_stage(0, F(1, 3)), "admits the level -1"),
+    (ball_stage(F(1, 3), 1), "its center is outside Z_p"),
+    (ball_stage(0, F(1, 3), n=2, mu=3), "admits the level -1"),
+    (ball_stage(0, F(1, 9), strict=True), "admits the level -1"),
+])
+def test_domain_leaving_zp_rejected(cond, needle, at):
+    cell = Cell((zp_cell(P3).conditions[0],) * at + (cond,))
+    with pytest.raises(UnboundedDomainError, match=f"stage {at} leaves Z_p: .*{needle}"):
+        oracle_measure(cell, P3, 3)
+
+
+@pytest.mark.parametrize("cond, measure", [
+    (ball_stage(0, F(1, 3), strict=True), 1),  # levels from 0 on
+    (ball_stage(0, F(1, 3), n=2), F(3, 8)),  # the even levels from 0 on
+    (ball_stage(2, 1), 1),
+])
+def test_domain_reaching_zp_only_accepted(cond, measure):
+    r = oracle_measure(Cell((cond,)), P3, 5)
+    assert abs(r.value - measure) <= r.boundary_mass
+
+
+def test_integrand_outside_the_domain_rejected():
+    # this raised a bare IndexError while choosing the axis to split
+    with pytest.raises(ValueError, match="integrand reads x3, but the cell has arity 1"):
+        oracle_integrate(parse_constructible("abs(x3)"), zp_cell(P3), P3, 4)
+
+
 def test_prime_mismatch_rejected():
     with pytest.raises(ValueError):
         oracle_measure(zp_cell(P3), P5, 2)
