@@ -24,6 +24,7 @@ from .expr import (
     DTerm,
     EvaluationPrecisionError,
     ParseError,
+    _node,
     eval_dterm,
     free_variables,
     parse_dterm,
@@ -45,13 +46,15 @@ class BoundZeroError(ZeroDivisionError):
     """A norm bound evaluated to zero where it must not."""
 
 
-@dataclass(frozen=True)
+@_node
 class CellCondition:
     """One stage: |lower(x)| vs |t - center(x)| vs |upper(x)|, coset membership.
 
     lower_val_residue / upper_val_residue, when set, additionally require
     v(lower(x)) resp. v(upper(x)) to sit in a fixed class mod n; symbolic
-    integration needs those residues pinned per cell.
+    integration needs those residues pinned per cell. A stage keeps its
+    hash, as a term does (expr._node): elimination keys its tables by
+    stages and prefixes of them.
     """
 
     center: DTerm

@@ -27,12 +27,21 @@ followed by parsing is the identity on canonically built terms.
 One evaluator values a term on a box of residues, a point being the box
 of infinite depth (_eval). Each node is compiled once, on first use, into
 a closure (reps, depths, p) -> (value, precision) over its children's
-closures, and kept on the node as its hash and printed text are; the
-prime stays an argument, because a node carries none. A factor argument
-of a constructible function also gets a reader, which returns the
-valuation the box pins straight from ints, and each expression keeps an
-evaluation plan of its factors' readers. Nothing is cached by input
-values, and equality, hashing and repr see only the dataclass fields.
+closures; the prime stays an argument, because a node carries none. A
+factor argument of a constructible function also gets a reader, which
+returns the valuation the box pins straight from ints.
+
+What a node or an expression keeps, each worked out on first use from
+its own fields alone (_node, _kept):
+- a term node: its hash, its printed text, its free variables, its
+  compiled evaluator and its reader;
+- a factor (ValFactor, NormFactor): its hash;
+- a ConstructibleExpr: its hash and its evaluation plan of its factors'
+  readers.
+cells.CellCondition keeps its hash the same way. Nothing is cached by
+input values, and equality, hashing and repr see only the dataclass
+fields. Pickling drops the hash and the compiled closures: a closure does
+not pickle, and hash(None) and str hashes differ between processes.
 """
 
 from __future__ import annotations
@@ -54,10 +63,10 @@ class DTerm:
 def _node(cls):
     """A frozen dataclass that computes its (field-tuple) hash once.
 
-    Terms and factors are immutable and hashed again and again as dict
-    keys; the cached value is the dataclass hash itself, so hashes,
-    equality and every dict or set order stay what they would be without
-    the cache.
+    Terms, factors, expressions and cell stages are immutable and hashed
+    again and again as dict keys; the cached value is the dataclass hash
+    itself, so hashes, equality and every dict or set order stay what they
+    would be without the cache.
     """
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
@@ -74,14 +83,16 @@ def _node(cls):
     return cls
 
 
-# what _evaluator, _reader and _evaluation_plan keep on a node or expression
-_COMPILED = ("_eval", "_read", "_plan")
+# what _node, _evaluator, _reader and _evaluation_plan keep on an instance
+# that a pickle leaves out: closures do not pickle, and a hash need not
+# hold in another process (hash(None) reads an address before Python 3.12)
+_UNPICKLED = ("_hash", "_eval", "_read", "_plan")
 
 
 def _picklable_state(self) -> dict:
-    """The instance dict without its compiled closures, which do not
-    pickle: a copy compiles its own on first use."""
-    return {k: v for k, v in self.__dict__.items() if k not in _COMPILED}
+    """The instance dict without its cached hash and compiled closures: a
+    copy works out its own on first use."""
+    return {k: v for k, v in self.__dict__.items() if k not in _UNPICKLED}
 
 
 @_node
@@ -208,10 +219,21 @@ def d_inv(a: DTerm) -> DTerm:
 
 
 def d_scale(a: DTerm, c) -> DTerm:
-    return d_mul(Const(Fraction(c)), a)
+    """c * a, the term d_mul(Const(c), a) builds, by scaling a's
+    coefficients instead of convolving them with a constant."""
+    base, cs = _poly_view(a)
+    return _from_view(base, polys.scale(cs, Fraction(c)))
 
 
 def free_variables(t: DTerm) -> frozenset[int]:
+    """The indices of the variables t reads, worked out once per node and
+    kept on it (_kept)."""
+    if isinstance(t, DTerm):
+        return _kept(t, "_free", _free_variables)
+    raise TypeError(f"not a DTerm: {t!r}")
+
+
+def _free_variables(t: DTerm) -> frozenset[int]:
     if isinstance(t, Var):
         return frozenset({t.index})
     if isinstance(t, Const):
@@ -630,13 +652,11 @@ class CTerm:
         return iter((self.coeff, self.val_factors, self.norm_factors))
 
 
-@dataclass(frozen=True)
+@_node
 class ConstructibleExpr:
     """Finite sum of rational multiples of products v(h)^k * abs(h')^e."""
 
     terms: tuple[CTerm, ...]
-
-    __getstate__ = _picklable_state
 
     @staticmethod
     def of(terms) -> "ConstructibleExpr":

@@ -441,23 +441,25 @@ def prepare_integrand(f: ConstructibleExpr, cell: Cell) -> CellIntegrand:
                 raise UnsupportedIntegrandError(
                     "norm of an identically-zero factor with a non-positive power"
                 )
-            a_inc = Fraction(n) * d * nf.power
-            comp = Fraction(d) * nf.power * vmu
-            if a_inc.denominator != 1 or comp.denominator != 1:
+            # e = pn/pd; a grows by n*d*e, and d*e*vmu is the exponent below
+            pn, pd = nf.power.numerator, nf.power.denominator
+            a_inc, a_rem = divmod(n * d * pn, pd)
+            comp, comp_rem = divmod(d * pn * vmu, pd)
+            if a_rem or comp_rem:
                 raise UnsupportedIntegrandError(
                     f"norm power {nf.power} of degree {d} does not land on the "
                     f"coset grid mod {n}"
                 )
-            a_total += int(a_inc)
+            a_total += a_inc
             # |c (t-gamma)^d|^e = |c|^e q^(-de vmu) * q^(-a(k - vmu)/n); |c|^e
             # is a number for constant c unless e v(c) is fractional, which
             # evaluation reports
-            s = -int(comp)  # the exponent of q
+            s = -comp  # the exponent of q
             kept_c = (NormFactor(c, nf.power),)
             if isinstance(c, Const):
-                ec = nf.power * int(rational_valuation(c.value, q))
-                if ec.denominator == 1:
-                    s -= int(ec)
+                ec, ec_rem = divmod(pn * int(rational_valuation(c.value, q)), pd)
+                if not ec_rem:
+                    s -= ec
                     kept_c = ()
             scale = (1, [(q**s, (), kept_c)]) if s >= 0 else (q**-s, [(1, (), kept_c)])
             extra = raw_product(extra, scale)
@@ -648,7 +650,10 @@ def eliminate_stages(
     the grouping by (prefix, guards) still run per piece, in order, and an
     error comes from the first piece that meets its fiber, as it would if
     every piece were integrated afresh. Each closed form is built as raw
-    int numerators over one denominator and canonicalized once.
+    int numerators over one denominator and canonicalized once: a
+    (prefix, guards) group that holds one closed form keeps it as it is,
+    already canonical, and only a group of two or more is summed again.
+    The table keys hash their expressions and stages once (expr._node).
     """
     arities = {c.arity for c in cells}
     if len(arities) != 1:
@@ -677,7 +682,8 @@ def eliminate_stages(
             guards = piece.guards if settled else piece.guards + (conds[-1],)
             grouped.setdefault((prefix, guards), []).append(value)
         pieces = [
-            GuardedPiece(prefix, guards, ConstructibleExpr.sum_of(values))
+            GuardedPiece(prefix, guards,
+                         values[0] if len(values) == 1 else ConstructibleExpr.sum_of(values))
             for (prefix, guards), values in grouped.items()
         ]
     for piece in pieces:

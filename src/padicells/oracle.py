@@ -74,8 +74,9 @@ from .expr import (
     d_sub,
     free_variables,
     pinned_valuation,
+    print_dterm,
 )
-from .padic import INF, Coset, PAdicScalar, Prime, in_coset, rational_valuation, unit_digits
+from .padic import INF, NEG_INF, Coset, PAdicScalar, Prime, in_coset, rational_valuation, unit_digits
 
 DEFAULT_BUDGET = 10**7
 
@@ -194,21 +195,44 @@ def _decide(stage: _Stage, reps: tuple[Lift, ...], depths: Depths) -> tuple[int,
 def _check_enumerable(domain: Cell) -> None:
     """Refuse a non-point stage that may reach outside Z_p, whose mass the
     boxes of Z_p^arity would miss, boundary mass included: one with no
-    upper norm bound, a constant center outside Z_p, or a constant upper
-    bound that admits a level below 0 on the coset grid k = v(mu) mod n."""
+    upper norm bound, a center that may leave Z_p, or an upper bound that
+    may admit a level below 0 on the coset grid k = v(mu) mod n.
+
+    A term's floor is min(v(value), precision) of its compiled evaluator on
+    the root box, every coordinate at depth 0: a lower bound on its
+    valuation over all of Z_p^i, exact for a constant. It ignores what the
+    earlier stages confine their variables to, so a center x0/3 over
+    x0 in 3Z_3, which stays in Z_3, is refused too, and an inverse, which
+    certifies nothing on the root box, always is."""
     p = domain.prime.p
+    root = (0,) * domain.arity
+
+    def floor(term: DTerm):
+        value, precision = _evaluator(term)(root, root, p)
+        return min(rational_valuation(value, p), precision)
+
     for i, cond in enumerate(domain.conditions):
         if cond.coset.is_zero():
             continue
         if cond.upper is None:
             raise UnboundedDomainError(f"unbounded domain: stage {i} has no upper norm bound")
-        if isinstance(cond.center, Const) and rational_valuation(cond.center.value, p) < 0:
-            raise UnboundedDomainError(f"stage {i} leaves Z_p: its center is outside Z_p")
-        if isinstance(cond.upper, Const) and cond.upper.value:
-            k = rational_valuation(cond.upper.value, p) + cond.upper_strict
+        if floor(cond.center) < 0:
+            if isinstance(cond.center, Const):
+                raise UnboundedDomainError(f"stage {i} leaves Z_p: its center is outside Z_p")
+            raise UnboundedDomainError(
+                f"stage {i} may leave Z_p: its center {print_dterm(cond.center)} may leave Z_p")
+        k = floor(cond.upper) + cond.upper_strict
+        if k == INF:
+            continue  # a zero upper bound admits no level
+        if k != NEG_INF:
             k += (int(cond.coset.mu.valuation) - k) % cond.coset.n
-            if k < 0:
-                raise UnboundedDomainError(f"stage {i} leaves Z_p: it admits the level {k}")
+            if k >= 0:
+                continue
+        if isinstance(cond.upper, Const):
+            raise UnboundedDomainError(f"stage {i} leaves Z_p: it admits the level {k}")
+        level = "any level" if k == NEG_INF else f"the level {k}"
+        raise UnboundedDomainError(
+            f"stage {i} may leave Z_p: its upper bound {print_dterm(cond.upper)} may admit {level}")
 
 
 def _reads(terms) -> list[int]:
@@ -255,13 +279,10 @@ def oracle_integrate(
     conds = domain.conditions
     diffs = [d_sub(Var(i), cond.center) for i, cond in enumerate(conds)]
     stages = [_stage(cond, diff) for cond, diff in zip(conds, diffs)]
-    # the variables read by each subset of a stage's terms, by bitmask
-    stage_reads = [
-        [_reads(t for bit, t in zip((DIFF, LOWER, UPPER), (diff, cond.lower, cond.upper))
-                if mask & bit)
-         for mask in range(8)]
-        for diff, cond in zip(diffs, conds)
-    ]
+    stage_terms = [(diff, cond.lower, cond.upper) for cond, diff in zip(conds, diffs)]
+    # the variables read by each subset of a stage's terms, by bitmask, each
+    # worked out when a box first needs it
+    stage_reads = [[None] * 8 for _ in conds]
     plan = _evaluation_plan(integrand)
     integrand_reads = _reads(
         fac.h for term in integrand.terms
@@ -289,6 +310,10 @@ def oracle_integrate(
                 inside |= 1 << s
             elif first is None:
                 first, axes = s, stage_reads[s][open_terms]
+                if axes is None:
+                    axes = stage_reads[s][open_terms] = _reads(
+                        t for bit, t in zip((DIFF, LOWER, UPPER), stage_terms[s])
+                        if open_terms & bit)
         else:  # no stage is OUTSIDE
             if first is None:
                 try:

@@ -955,3 +955,111 @@ def test_cached_text_matches_a_fresh_render():
             assert print_dterm(node) == _render(node)[0]
     with pytest.raises(TypeError):
         print_dterm(3)
+
+
+# cached hashes and free variables: nothing visible changes
+
+def _uncached_twin(obj):
+    """An instance of a plain frozen dataclass with the same fields and
+    values as obj, which hashes its field tuple afresh on every call."""
+    import dataclasses
+
+    cls = dataclasses.make_dataclass(
+        type(obj).__name__, [(f.name, f.type) for f in dataclasses.fields(obj)], frozen=True)
+    return cls(**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+
+
+def _hashed_objects():
+    from padicells.cells import CellCondition, coset_of
+
+    f = parse_constructible("3/4*v(x0 + 1)^2*abs(x1)^(1/2) - abs(2*x0) + 5")
+    cond = CellCondition(center=parse_dterm("1/3*x0 + 1"), coset=coset_of(P3, 3, 2),
+                         upper=Var(0), upper_strict=False, upper_val_residue=1)
+    return [f, ConstructibleExpr.zero(), cond,
+            CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1))]
+
+
+@pytest.mark.parametrize("obj", _hashed_objects())
+def test_cached_hashes_change_nothing_visible(obj):
+    import dataclasses
+
+    twin = _uncached_twin(obj)
+    assert hash(obj) == hash(twin) == hash(obj)  # first call caches, second reads
+    assert "_hash" in obj.__dict__
+    assert obj == dataclasses.replace(obj) and hash(dataclasses.replace(obj)) == hash(obj)
+    assert repr(obj) == repr(twin)
+    assert dataclasses.astuple(obj) == dataclasses.astuple(twin)
+    assert [f.name for f in dataclasses.fields(obj)] == [f.name for f in dataclasses.fields(twin)]
+    assert "_hash" not in obj.__getstate__()
+
+
+def test_pickled_condition_hashes_afresh_in_another_process():
+    # hash(None) reads an address before Python 3.12, so a hash pickled in
+    # one process would be stale in the next
+    import pickle
+    import subprocess
+    import sys
+
+    from padicells.cells import CellCondition, coset_of
+
+    child = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from padicells.cells import CellCondition, coset_of\n"
+        "from padicells.expr import Const, Var\n"
+        "from padicells.padic import Prime\n"
+        "c = CellCondition(center=Const(Fraction(0)), coset=coset_of(Prime(3), 1, 1),"
+        " upper=Var(0))\n"
+        "hash(c)\n"
+        "sys.stdout.buffer.write(pickle.dumps(c))\n"
+    )
+    import os
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    raw = subprocess.run([sys.executable, "-c", child], capture_output=True, check=True,
+                         env=env).stdout
+    loaded = pickle.loads(raw)
+    fresh = CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1), upper=Var(0))
+    assert loaded.lower is None and "_hash" not in loaded.__dict__
+    assert loaded == fresh and hash(loaded) == hash(fresh) == hash(_uncached_twin(fresh))
+    assert {loaded: 1}[fresh] == 1
+
+
+def _reference_free_variables(t):
+    """free_variables as an uncached recursion."""
+    if isinstance(t, Var):
+        return frozenset({t.index})
+    if isinstance(t, Const):
+        return frozenset()
+    if isinstance(t, (Add, Mul)):
+        return _reference_free_variables(t.left) | _reference_free_variables(t.right)
+    if isinstance(t, Inv):
+        return _reference_free_variables(t.arg)
+    if isinstance(t, Poly):
+        return _reference_free_variables(t.argument)
+    out = frozenset()
+    for a in t.arguments:
+        out |= _reference_free_variables(a)
+    return out
+
+
+def _scales(p):
+    """0, +-1, units, and +-p^k for k in -2..2, at p."""
+    units = [F(u, w) for u in (2, 4, -5, 7) for w in (1, 5, 7) if u % p and w % p]
+    powers = [s * F(p) ** k for s in (1, -1) for k in (-2, -1, 1, 2)]
+    return [F(0), F(1), F(-1)] + units + powers
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(TERMS, st.sampled_from((2, 3, 5)))
+def test_scaling_and_free_variables_agree_with_the_old_helpers(t, p):
+    assert free_variables(t) == _reference_free_variables(t)
+    assert free_variables(t) == _reference_free_variables(t)  # the kept set
+    for c in _scales(p):
+        scaled = d_scale(t, c)
+        assert scaled == d_mul(Const(c), t)
+        assert print_dterm(scaled) == print_dterm(d_mul(Const(c), t))
+    with pytest.raises(TypeError, match="not a DTerm"):
+        free_variables("x0")

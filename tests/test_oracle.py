@@ -787,3 +787,49 @@ def test_unit_digit_bounds_hold_and_never_loosen(problem):
         mp.setattr(oracle, "unit_digits", reference_newton_depth)
         newton = oracle_integrate(g, cell, p, N)
     assert r.boundary_mass <= newton.boundary_mass
+
+
+# varying centers and upper bounds: a floor on the root box
+
+@pytest.mark.parametrize("cond, needle", [
+    # at N = 3 these measured 1/9 with bound 0 (true 1) and 182/243 with
+    # bound 1/27 (true 9/4), reported as certified
+    (CellCondition(center=parse_dterm("1/3*x0"), coset=coset_of(P3, 1, 1),
+                   upper=Const(F(1)), upper_strict=False), "its center 1/3\\*x0 may leave Z_p"),
+    (CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                   upper=parse_dterm("1/3*x0"), upper_strict=False),
+     "its upper bound 1/3\\*x0 may admit the level -1"),
+    (CellCondition(center=Const(F(0)), coset=coset_of(P3, 1, 1),
+                   upper=parse_dterm("inv(x0)"), upper_strict=False), "may admit any level"),
+])
+def test_varying_domain_leaving_zp_rejected(cond, needle):
+    cell = Cell((zp_cell(P3).conditions[0], cond))
+    with pytest.raises(UnboundedDomainError, match=f"stage 1 may leave Z_p: .*{needle}"):
+        oracle_measure(cell, P3, 3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((2, 3)), st.integers(-1, 1), st.integers(1, 4),
+       st.sampled_from(("center", "upper")), st.booleans(), st.integers(1, 2))
+def test_varying_center_or_bound_refused_or_within_the_bound(p, vc, u, where, strict, n):
+    """Two-stage cells over x0 in Z_p whose stage-1 center or upper bound is
+    c*x0 with v(c) = vc: the oracle refuses the cell or its measure is within
+    boundary_mass of the exact one. A varying bound keeps n = 1: over an
+    n = 2 coset it needs pinned residues that eliminate_stages cannot settle."""
+    prime = Prime(p)
+    c = F(p) ** vc * (u if u % p else u + 1)
+    varying = parse_dterm(f"{c}*x0")
+    if where == "center":
+        cond = CellCondition(center=varying, coset=coset_of(prime, 1, n),
+                             upper=Const(F(1)), upper_strict=strict)
+    else:
+        cond = CellCondition(center=Const(F(0)), coset=coset_of(prime, 1, 1),
+                             upper=varying, upper_strict=strict)
+    cell = Cell((zp_cell(prime).conditions[0], cond))
+    exact = integrate_full(ConstructibleExpr.const(1), [cell]).value.constant_value()
+    try:
+        r = oracle_measure(cell, prime, 4)
+    except UnboundedDomainError:
+        assert vc < 0  # only a center or bound that leaves Z_p is refused
+        return
+    assert abs(r.value - exact) <= r.boundary_mass
