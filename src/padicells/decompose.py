@@ -1,21 +1,26 @@
 """Univariate cell decomposition of |f| over balls in Z_p.
 
-The strategy is a ball tree. Factor f over Q once, with sympy's dense
-integer factorizer on f's primitive integer part, and only when
-polys.has_root_mod_p finds that part a root mod p (every Z_p-root
-reduces to one; without one, sympy is not imported). Locate the
-Z_p-roots of each irreducible factor (exact for linear factors,
-otherwise Hensel-lifted once, deep enough for every ball: see
-_ball_tree); then refine balls until each one holds at most one root
-gamma, of multiplicity m, and |f(t)| = |delta| * |t - gamma|^m holds on
-it. A ball without a root is the case m = 0 with gamma its center, where
-|f| is constant. The fact is read off the Taylor coefficients d_i of f
-at gamma: on |u| <= p^-j the term d_m u^m wins the ultrametric race iff
+The strategy is a ball tree. Split f once into coprime squarefree
+integer parts, each with its multiplicity: decompose_univariate takes
+the irreducible factors over Q, from sympy's dense integer factorizer
+on f's primitive part, so that each printed center is a Newton lift of
+an irreducible factor; integrate.igusa_zeta, which prints no center,
+takes f's squarefree parts from polys.squarefree_parts, in ints. Either
+split is made only when polys.has_root_mod_p finds f's primitive part a
+root mod p (every Z_p-root reduces to one; without one, nothing is
+split and sympy is not imported). Locate the Z_p-roots of each part
+(exact for linear parts, otherwise seeded by _zp_root_seeds and
+Hensel-lifted once, deep enough for every ball: see _ball_tree); then
+refine balls until each one holds at most one root gamma, of
+multiplicity m, and |f(t)| = |delta| * |t - gamma|^m holds on it. A
+ball without a root is the case m = 0 with gamma its center, where |f|
+is constant. The fact is read off the Taylor coefficients d_i of f at
+gamma: on |u| <= p^-j the term d_m u^m wins the ultrametric race iff
 v(d_m) + m*k is the strict minimum for every attainable k = v(u).
 
 Four univariate trees share one walk, _walk, depth first on an explicit
 stack, so the interpreter's recursion limit bounds none of them: the
-root seeds of each factor, the ball tree, verify_prepared's balls and
+root seeds of each part, the ball tree, verify_prepared's balls and
 integrate.root_counts. The ball tree, _ball_tree, runs in Python ints:
 f's integer numerators are taken once, each ball's Taylor coefficients
 come from polys.taylor_shift_int and are compared by valuation, roots
@@ -104,10 +109,12 @@ class PreparedTerm:
 def hensel_lift(f: polys.PolyQ, p: Prime, seed, target_N: int) -> HenselRoot:
     """Newton-lift a seed residue to a root class mod p^target_N.
 
-    f must lie in Z_p[x] and the seed in Z_p, and the lift follows an
-    irreducible factor of f, as _zp_roots calls it. Requires
-    v(f(seed)) > 2*e, e = v(f'(seed)); then the Newton iterates converge
-    to the unique root in the seed's dominance ball.
+    f must lie in Z_p[x] and the seed in Z_p. Requires v(f(seed)) > 2*e,
+    e = v(f'(seed)); then the Newton iterates converge to the unique root
+    in the seed's dominance ball. _zp_roots calls it on one part of a
+    coprime squarefree split, an irreducible factor or a squarefree part,
+    so the lifted center, and its printed digits, depend on the split: e
+    grows where another root of the same part lies close to this one.
     The first iterate x with v(f(x)) >= M = target_N + e is returned as
     the int x mod p^M, which is congruent to the root mod p^target_N. A
     seed that is a root, and the root of a linear f, come back exact.
@@ -166,15 +173,27 @@ def _walk(visit, p: int, c: int, d: int, *state, unit: int = 1) -> None:
 
 
 def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
-    """Seeds in Z_p from which g Hensel-lifts, one per root, by depth-first
-    refinement of the residue classes on which g can vanish.
+    """Seeds in Z_p from which the squarefree g Hensel-lifts, one per root,
+    by depth-first refinement of the residue classes on which g can vanish.
+
+    A class r + p^k Z_p is refined only while the reduced polynomial
+    G(r + p^k u) / p^w, with w the least valuation of its coefficients,
+    has a root mod p: a root of g in the class is such a u in Z_p, and u
+    reduces to one. Where the reduced polynomial has no root mod p, g has
+    none in the class. An open child of a class reduces to a root of its
+    parent's reduced polynomial, of multiplicity at least the child's
+    reduced degree, so each depth keeps at most deg g classes open, where
+    a cluster of roots outside Z_p used to keep about p^(k/2) open.
 
     No root is seeded twice: the classes are disjoint, and a seed's root,
     at distance p^-s from r with s = w - e > e, lies in its class
     r + p^k Z_p. At k = 1, k > e gives e = 0 and s = w >= k. At k > 1, a
     root with s < k would be as close to the parent's representative, where
     v(g) >= e + s > 2e and v(g') = e, so the parent (k - 1 >= s > e) would
-    have passed the same test and been seeded instead of refined.
+    have passed the same test and been seeded instead of refined. The
+    pruning keeps this: every class that holds a root passes it, so the
+    walk seeds the classes the unpruned walk seeds, in the same order, and
+    stops early only where that walk would have stalled.
     """
     q = p.p
     G, den = polys.over_common_denominator(g)
@@ -191,6 +210,11 @@ def _zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
         # uniqueness ball: the class must be narrower than |g'(r)|
         if w > 2 * e and k > e:
             seeds.append(r)
+            return None
+        pk = q**k
+        h = [c * pk**i for i, c in enumerate(polys.taylor_shift_int(G, r))]
+        low = min(int_valuation(c, q) for c in h if c)
+        if not polys.has_root_mod_p([c // q**low for c in h], q):
             return None
         if k >= depth_cap:
             raise PrecisionExhausted(
@@ -228,13 +252,20 @@ def _factor_over_q(f: polys.PolyQ):
     return out
 
 
-def _zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
+def _zp_roots(
+    f: polys.PolyQ, p: Prime, lift_N: int, factor=_factor_over_q
+) -> list[_TrackedRoot]:
+    """The Z_p-roots of f, each lifted mod p^lift_N, with their
+    multiplicities. factor(f) gives a coprime factorization [(g, m)] of f
+    into squarefree integer polynomials: the irreducible factors, or the
+    squarefree parts. Each root is seeded and lifted on its own g, so its
+    center is a Newton lift of g."""
     # a Z_p-root of f reduces to a root of its primitive part mod p, and
     # without one no factor has a root class to seed from: skip factoring
     if not polys.has_root_mod_p(polys.integerize(f)[0], p.p):
         return []
     roots: list[_TrackedRoot] = []
-    for g, m in _factor_over_q(f):
+    for g, m in factor(f):
         if polys.degree(g) == 1:
             r = -g[0] / g[1]
             if rational_valuation(r, p.p) < 0:
@@ -308,9 +339,11 @@ class _Ball(NamedTuple):
 
 
 def _ball_tree(
-    f: polys.PolyQ, p: Prime, domain: Cell | None, precision_N: int
+    f: polys.PolyQ, p: Prime, domain: Cell | None, precision_N: int,
+    factor=_factor_over_q,
 ) -> list[_Ball]:
-    """The balls decompose_univariate emits, in its depth-first order.
+    """The balls decompose_univariate emits, in its depth-first order, with
+    the roots of f found through factor, as _zp_roots takes it.
 
     The walk runs in ints. f = nums / den once; a ball's center is
     c / cden with cden the hull center's denominator, a p-unit, and a
@@ -328,7 +361,7 @@ def _ball_tree(
     q = p.p
     roots = [
         (rt.root.approx, rt.multiplicity)
-        for rt in _zp_roots(f, p, lift_N)
+        for rt in _zp_roots(f, p, lift_N, factor)
         if rational_valuation(rt.root.approx - hull_center, q) >= hull_j
     ]
     nums, den = polys.over_common_denominator(f)

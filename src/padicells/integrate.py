@@ -795,13 +795,16 @@ def igusa_zeta(f: polys.PolyQ, p: Prime, precision_N: int = 8) -> ZetaRational:
     sum_{k >= j} T^(v(d_m) + mk) * (1 - 1/q) q^-k, a geometric progression
     with ratio q^-1 T^m; its center is null. The balls come as the
     decomposer's records, (v(d_m), m, j) read straight off each, with no
-    cell or prepared term built.
+    cell or prepared term built. Those depend only on the roots of f and
+    their multiplicities, not on the centers that approximate them, so
+    the roots are seeded on f's squarefree parts and f is not factored
+    over Q.
     """
     # the pieces sharing a denominator factor 1 - q^-1 T^a are summed
     # first, then each sum is brought over the common denominator once
     groups: dict[int, list[Fraction]] = {}
     q = p.p
-    for ball in _ball_tree(f, p, None, precision_N):
+    for ball in _ball_tree(f, p, None, precision_N, polys.squarefree_parts):
         assert ball.d_m != 0, "ball pieces carry a nonzero unit scale"
         dv = int(rational_valuation(ball.d_m, q))
         a, j = ball.m, ball.j

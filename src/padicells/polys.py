@@ -8,7 +8,9 @@ numerators over one common denominator, the point as a/b, and one
 integer shift inside `taylor_shift`, is the one the decomposer's ball
 walk and the verifier call on their integer numerators, and it also
 shifts the engine's integer window polynomials; `taylor_shift` itself is
-no longer the decomposer's.
+no longer the decomposer's. `squarefree_parts`, Yun's squarefree
+decomposition, also runs in ints; igusa_zeta seeds f's roots on its
+parts instead of factoring f over Q.
 """
 
 from __future__ import annotations
@@ -169,6 +171,88 @@ def has_root_mod_p(f: tuple[int, ...], p: int) -> bool:
     while b:
         a, b = b, _monic_mod_p(_rem_mod_p(a, b, p), p)
     return len(a) > 1
+
+
+def squarefree_parts(f: PolyQ) -> list[tuple[PolyQ, int]]:
+    """Yun's squarefree decomposition of f over Q: [(g_i, i)] with
+    f = c * prod g_i^i for a constant c, in increasing i, each g_i
+    squarefree of degree >= 1, the g_i pairwise coprime. Each g_i is a
+    primitive integer polynomial with positive leading coefficient.
+
+    Yun (SYMSAC 1976): from b = f and d = f', each step takes
+    a = gcd(b, d), b <- b / a and d <- d / a - b'. The first a is
+    gcd(f, f'), and the i-th after it is the part of multiplicity i. It
+    runs in ints: the gcds are primitive, and a primitive divisor of an
+    integer polynomial over Q divides it over Z (Gauss's lemma), so every
+    division is exact.
+    """
+    b = _primitive(list(integerize(f)[0]))
+    d = _derivative_int(b)
+    out: list[tuple[PolyQ, int]] = []
+    i = 0
+    while len(b) > 1:
+        a = _gcd_int(b, d)
+        b = _div_exact(b, a)
+        d = _sub_int(_div_exact(d, a), _derivative_int(b))
+        if i and len(a) > 1:
+            out.append((poly_from(a), i))
+        i += 1
+    return out
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = gcd(*a)
+    if a and a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g else a
+
+
+def _derivative_int(a: list[int]) -> list[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _sub_int(a: list[int], b: list[int]) -> list[int]:
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _gcd_int(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of integer polynomials with positive leading
+    coefficient, by the primitive remainder sequence; gcd(a, 0) is a's
+    primitive part."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        # the pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) a mod b
+        lb, n = b[-1], len(b) - 1
+        while len(a) > n:
+            c = a.pop()
+            a = [x * lb for x in a]
+            for j in range(n):
+                a[len(a) - n + j] -= c * b[j]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, _primitive(a)
+    return a
+
+
+def _div_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a over Z."""
+    a, n = list(a), len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(a[i + n], b[-1])
+        assert not rem, "inexact polynomial division"
+        q[i] = c
+        for j in range(n + 1):
+            a[i + j] -= c * b[j]
+    assert not any(a), "inexact polynomial division"
+    return q
 
 
 def _mul_int(a: list[int], b: list[int]) -> list[int]:

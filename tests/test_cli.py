@@ -680,6 +680,34 @@ def test_polynomials_without_a_root_mod_p_do_not_load_sympy(tmp_path):
     assert json.loads(skip[2])["verify"]["passed"] is True
 
 
+def _imports_sympy(argv: list[str]) -> tuple[str, bool]:
+    """stdout of python -m padicells argv, and whether it imported sympy
+    (-X importtime lists every module imported, on stderr)."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "padicells", *argv],
+        capture_output=True, text=True, check=True, env=_CHILD_ENV,
+    )
+    return done.stdout, any(
+        line.split("|")[-1].strip().startswith("sympy") for line in done.stderr.splitlines()
+    )
+
+
+def test_zeta_of_a_polynomial_with_roots_does_not_load_sympy(tmp_path):
+    # (x - 1)(x - 2)(x - 3): zeta seeds its roots on squarefree parts in
+    # ints, while decompose still factors over Q with sympy
+    f = "[-6,11,-6,1]"
+    out, loaded = _imports_sympy(["zeta", f, "--p", "3", "--check-poincare", "5"])
+    assert out == (
+        '{"numerator":["0","2/3"],"denominator_factors":[{"c":1,"d":1}],'
+        '"poincare":{"passed":true,"counts":[1,3,3,3,3,3],'
+        '"expected":["1","1","1/3","1/9","1/27","1/81"]}}\n'
+    )
+    assert not loaded
+    path = problem(tmp_path, p=3, integrand="abs(x0^3 - 6*x0^2 + 11*x0 - 6)")
+    out, loaded = _imports_sympy(["decompose", path])
+    assert json.loads(out)["terms"] and loaded
+
+
 def test_zeta_check_poincare_decomposes_once(capsys, monkeypatch):
     # the ball-tree walk is what decompose_univariate and igusa_zeta share
     calls = []

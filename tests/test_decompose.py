@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -856,10 +857,14 @@ def test_zp_roots_match_reference(f, p, lift_N):
 
 # ---------------------------------------------------------------------------
 # reference seeds: _zp_root_seeds as it was when it refined the residue
-# classes breadth first, one list per level, kept verbatim. The depth-first
-# walk visits the same classes, so it must give the same seeds in another
-# order, or raise the same error; and since every seed's root lies in its
-# own class, no two seeds of a factor lift to the same root.
+# classes breadth first, one list per level, without the reduced-polynomial
+# test, kept verbatim. The pruned depth-first walk visits a subset of the
+# same classes, keeping every one that holds a root, so wherever the
+# reference finishes it must give the same seeds in another order. Where
+# the reference stalls at the depth cap, the pruned walk may finish: each
+# of its seeds must then pass Hensel's test. Either way, since every
+# seed's root lies in its own class, no two seeds of a factor lift to the
+# same root.
 
 def reference_zp_root_seeds(g: polys.PolyQ, p: Prime, depth_cap: int) -> list[int]:
     q = p.p
@@ -928,14 +933,121 @@ def test_zp_root_seeds_match_reference(case):
     # the irreducible factors of f, as _zp_roots seeds them: a repeated
     # root would leave about p^(k/2) classes open at depth k
     for g in (g for g, _ in _factor_over_q(f) if polys.degree(g) >= 1):
-        seeds = outcome(_zp_root_seeds, g)
-        assert seeds == outcome(reference_zp_root_seeds, g), (g, p)
+        seeds, want = outcome(_zp_root_seeds, g), outcome(reference_zp_root_seeds, g)
+        if isinstance(seeds, str) or not isinstance(want, str):
+            assert seeds == want, (g, p)
         if isinstance(seeds, str):
             continue
+        for seed in seeds:
+            w = rational_valuation(polys.evaluate(g, F(seed)), p)
+            e = rational_valuation(polys.evaluate(polys.derivative(g), F(seed)), p)
+            assert w > 2 * e, (g, p, seed)
         roots = [hensel_lift(g, prime, seed, depth_cap).approx for seed in seeds]
         for i, a in enumerate(roots):
             for b in roots[:i]:
                 assert rational_valuation(a - b, p) < depth_cap, (g, p, seeds)
+
+
+# ---------------------------------------------------------------------------
+# igusa_zeta seeds and lifts the roots of f's squarefree parts, where
+# decompose_univariate takes the irreducible factors. Z(T) reads only the
+# roots and their multiplicities off the ball tree, so it must equal Z(T)
+# built from the factor-based roots of reference_zp_roots, or raise the
+# same error type.
+
+@st.composite
+def zeta_cases(draw):
+    """(f, scaled f, p, N): f a product of one to three pieces of degree at
+    most 8 in all, each a power of a small factor, two close roots
+    (x - a)^i (x - a - p^k)^j of different factors, or a ramified
+    x^e - p*u; scaled f is f times a p-unit with a denominator."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    f = poly(1)
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["repeated", "close", "ramified"]))
+        if shape == "repeated":
+            g = poly(*draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2)),
+                     draw(st.sampled_from([1, -1, 2, 3])))
+            g = polys.pow_int(g, draw(st.integers(1, 3)))
+        elif shape == "close":
+            a, k = draw(st.integers(-9, 9)), draw(st.integers(1, 10))
+            g = polys.mul(polys.pow_int(poly(-a, 1), draw(st.integers(1, 2))),
+                          polys.pow_int(poly(-a - p**k, 1), draw(st.integers(1, 2))))
+        else:
+            u = draw(st.integers(1, 12).filter(lambda u: u % p))
+            g = poly(-p * u, *[0] * (draw(st.integers(2, 4)) - 1), 1)
+        if polys.degree(f) + polys.degree(g) <= 8:
+            f = polys.mul(f, g)
+    units = st.integers(-12, 12).filter(lambda a: a % p)
+    unit = F(draw(units), draw(units.filter(lambda b: b > 0)))
+    return f, polys.scale(f, unit), p, draw(st.sampled_from([8, 12]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(zeta_cases())
+def test_igusa_zeta_on_squarefree_parts_matches_factor_roots(case):
+    sqfreetools = pytest.importorskip("sympy.polys.sqfreetools")
+    from sympy.polys.domains import ZZ
+
+    f, scaled, p, N = case
+    prime = Prime(p)
+
+    def outcome():
+        try:
+            return igusa_zeta(scaled, prime, N)
+        except (ArithmeticError, ValueError) as e:
+            return type(e)
+
+    z = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_zp_roots",
+                   lambda f, p, lift_N, factor: reference_zp_roots(f, p, lift_N))
+        assert z == outcome(), (scaled, p, N)
+    if not isinstance(z, type):
+        assert poincare_check(f, prime, 4, z).passed, (f, p)
+    ints, _ = polys.integerize(scaled)
+    _, want = sqfreetools.dup_sqf_list(list(reversed(ints)), ZZ)
+    assert polys.squarefree_parts(scaled) == [
+        (polys.poly_from(int(c) for c in reversed(g)), m) for g, m in want
+    ], scaled
+
+
+# ---------------------------------------------------------------------------
+# inputs on which the unpruned root-seed walk blew up: a cluster of roots
+# outside Z_p kept about p^(k/2) classes open at depth k
+
+def test_clustered_roots_seed_within_a_second():
+    # x^3 = 4*5^12: one root 5^4*r with r^3 = 4 in Z_5, two outside Z_5
+    g = poly(-4 * 5**12, 0, 0, 1)
+    start = time.perf_counter()
+    seeds = _zp_root_seeds(g, P5, 21)
+    assert time.perf_counter() - start < 1.0
+    assert len(seeds) == 1
+    root = hensel_lift(g, P5, seeds[0], 21).approx
+    assert rational_valuation(polys.evaluate(g, root), 5) >= 21 + 8
+
+
+def test_clustered_roots_decompose_within_seconds():
+    f = polys.scale(
+        polys.mul(polys.mul(poly(-3, 1), poly(-4 * 5**12, 0, 0, 1)),
+                  poly(-9 * 5**9, -10, 0, 1)),
+        F(1, 7),
+    )
+    start = time.perf_counter()
+    terms = decompose_univariate(f, P5, None, 5)
+    assert time.perf_counter() - start < 5.0
+    for N in (3, 5):
+        report = verify_prepared(terms, f, P5, N, zp_cell(P5))
+        assert report.passed, (N, report.counterexamples)
+
+
+def test_close_roots_zeta_within_a_second():
+    # the squarefree part x(x - 7^6) has two roots 7^-6 apart
+    f = polys.mul(poly(0, 1), poly(-(7**6), 1))
+    start = time.perf_counter()
+    z = igusa_zeta(f, Prime(7))
+    assert time.perf_counter() - start < 1.0
+    assert poincare_check(f, Prime(7), 8, z).passed
 
 
 # ---------------------------------------------------------------------------
