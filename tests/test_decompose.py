@@ -1,5 +1,6 @@
 """Decomposer: Hensel lifting, ball-tree output shapes, exhaustive verification."""
 
+import functools
 import json
 import sys
 import time
@@ -7,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padicells import cli, decompose, padic, polys
@@ -814,10 +815,13 @@ def test_factor_over_q_matches_reference(f):
 
 # ---------------------------------------------------------------------------
 # reference root finder: _zp_roots as it was before the root test mod p,
-# factoring every f, kept verbatim. Skipping the factorizer when f has no
-# root mod p must give the same roots, or raise the same error.
+# factoring every f, kept verbatim but for the lift depth and the seed
+# depth cap, which it now reads off the precision as _zp_roots does.
+# Skipping the factorizer when f has no root mod p must give the same
+# roots, or raise the same error.
 
-def reference_zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRoot]:
+def reference_zp_roots(f: polys.PolyQ, p: Prime, precision_N: int) -> list[_TrackedRoot]:
+    lift_N = max(2 * precision_N, precision_N + 16)
     roots: list[_TrackedRoot] = []
     for g, m in _factor_over_q(f):
         if polys.degree(g) < 1:
@@ -828,7 +832,8 @@ def reference_zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRo
                 continue
             roots.append(_TrackedRoot(HenselRoot(r, lift_N), True, g, m))
             continue
-        for seed in _zp_root_seeds(g, p, lift_N):
+        depth_cap = lift_N + (polys.degree(g) - 1) * precision_N
+        for seed in _zp_root_seeds(g, p, depth_cap):
             lifted = hensel_lift(g, p, seed, lift_N)
             if any(
                 not rt.exact
@@ -844,11 +849,11 @@ def reference_zp_roots(f: polys.PolyQ, p: Prime, lift_N: int) -> list[_TrackedRo
 
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(factor_inputs(), st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([3, 24]))
-def test_zp_roots_match_reference(f, p, lift_N):
+@given(factor_inputs(), st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([1, 8]))
+def test_zp_roots_match_reference(f, p, precision_N):
     def outcome(find):
         try:
-            return find(f, Prime(p), lift_N)
+            return find(f, Prime(p), precision_N)
         except (ArithmeticError, ValueError) as e:
             return type(e), str(e)
 
@@ -959,12 +964,14 @@ def test_zp_root_seeds_match_reference(case):
 def zeta_cases(draw):
     """(f, scaled f, p, N): f a product of one to three pieces of degree at
     most 8 in all, each a power of a small factor, two close roots
-    (x - a)^i (x - a - p^k)^j of different factors, or a ramified
-    x^e - p*u; scaled f is f times a p-unit with a denominator."""
+    (x - a)^i (x - a - p^k)^j of different factors, a fan of three to six
+    roots a + i*p^k, or a ramified x^e - p*u; scaled f is f times a p-unit
+    with a denominator. In a squarefree part, a fan root's v(g') sums its
+    distances to the others, and can exceed the lift depth."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     f = poly(1)
     for _ in range(draw(st.integers(1, 3))):
-        shape = draw(st.sampled_from(["repeated", "close", "ramified"]))
+        shape = draw(st.sampled_from(["repeated", "close", "fan", "ramified"]))
         if shape == "repeated":
             g = poly(*draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2)),
                      draw(st.sampled_from([1, -1, 2, 3])))
@@ -973,6 +980,11 @@ def zeta_cases(draw):
             a, k = draw(st.integers(-9, 9)), draw(st.integers(1, 10))
             g = polys.mul(polys.pow_int(poly(-a, 1), draw(st.integers(1, 2))),
                           polys.pow_int(poly(-a - p**k, 1), draw(st.integers(1, 2))))
+        elif shape == "fan":
+            a, k = draw(st.integers(-9, 9)), draw(st.integers(4, 11))
+            g = poly(1)
+            for i in range(draw(st.integers(3, 6))):
+                g = polys.mul(g, poly(-a - i * p**k, 1))
         else:
             u = draw(st.integers(1, 12).filter(lambda u: u % p))
             g = poly(-p * u, *[0] * (draw(st.integers(2, 4)) - 1), 1)
@@ -983,8 +995,19 @@ def zeta_cases(draw):
     return f, polys.scale(f, unit), p, draw(st.sampled_from([8, 12]))
 
 
+# roots of different factors that one squarefree part seeds together: at
+# the root 0, v(g'(0)) is 28 and 40, beyond the lift depth 24 at N = 8,
+# while every other root lies within v < 8 of it
+_FAN = functools.reduce(polys.mul, [poly(-i * 7**7, 1) for i in range(5)])
+_RAMIFIED_PAIR = functools.reduce(
+    polys.mul, [poly(0, 1), poly(-(2**20), 0, 0, 1), poly(-3 * 2**20, 0, 0, 1)]
+)
+
+
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(zeta_cases())
+@example((_FAN, _FAN, 7, 8))
+@example((_RAMIFIED_PAIR, _RAMIFIED_PAIR, 2, 8))
 def test_igusa_zeta_on_squarefree_parts_matches_factor_roots(case):
     sqfreetools = pytest.importorskip("sympy.polys.sqfreetools")
     from sympy.polys.domains import ZZ
@@ -1001,7 +1024,7 @@ def test_igusa_zeta_on_squarefree_parts_matches_factor_roots(case):
     z = outcome()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decompose, "_zp_roots",
-                   lambda f, p, lift_N, factor: reference_zp_roots(f, p, lift_N))
+                   lambda f, p, precision_N, factor: reference_zp_roots(f, p, precision_N))
         assert z == outcome(), (scaled, p, N)
     if not isinstance(z, type):
         assert poincare_check(f, prime, 4, z).passed, (f, p)
@@ -1255,10 +1278,9 @@ def reference_decompose_univariate(f, p, domain=None, precision_N=8):
     if precision_N < 1:
         raise ValueError("precision must be >= 1")
     hull_center, hull_j = _ball_hull(domain, p)
-    lift_N = max(2 * precision_N, precision_N + 16)
     roots = [
         rt
-        for rt in decompose._zp_roots(f, p, lift_N)
+        for rt in decompose._zp_roots(f, p, precision_N)
         if rational_valuation(rt.root.approx - hull_center, p.p) >= hull_j
     ]
     out = []
